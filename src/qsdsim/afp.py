@@ -47,7 +47,7 @@ def afp_step(h: HistoryState, d: DiscreteChainModel, rng) -> HistoryState:
     renewal part exactly in O(1).
     """
     blocks = rng if isinstance(rng, UniformBlock) else UniformBlock(
-        rng.child(TAG_EVENTS).generator() if isinstance(rng, RngStream) else rng
+        rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng
     )
     if h.total >= MASS_LIMIT:
         raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
@@ -101,7 +101,7 @@ def afp_run(
         raise ValueError("the last checkpoint must equal steps")
 
     h = HistoryState.start_at(start)
-    blocks = UniformBlock(rng.child(TAG_EVENTS).generator())
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     cums = [tuple(row) for row in d.cum_rows]
     states = d.states
     index = d.index

@@ -369,7 +369,7 @@ def simulate_until_absorption(
     """
     if event_cap <= 0:
         raise ValueError("event_cap must be positive")
-    blocks = UniformBlock(rng.child(TAG_EVENTS).generator(), size=1 << 10)
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     x = start.sample(blocks.u())
     t = 0.0
     for _ in range(event_cap):

@@ -195,9 +195,7 @@ def fv_step(cfg: ParticleConfig, model: AbsorbedChainModel, rng) -> tuple[float,
 def _as_blocks(rng) -> UniformBlock:
     if isinstance(rng, UniformBlock):
         return rng
-    if isinstance(rng, RngStream):
-        return UniformBlock(rng.child(TAG_EVENTS).generator())
-    return UniformBlock(rng)
+    return UniformBlock(rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng)
 
 
 def _fv_event(cfg: ParticleConfig, model: AbsorbedChainModel, blocks: UniformBlock):

@@ -257,6 +257,10 @@ def run_config(cfg: ExperimentConfig, out_dir) -> RunRecord:
     time and similar run facts live only in the summary (and its sidecar
     ``summary.json``).
     """
+    # scan reports a sample standard error (ddof=1), which needs two replicas
+    least = 2 if cfg.method == "scan" else 1
+    if cfg.replicas < least:
+        raise ConfigInvalid([f"replicas: {cfg.method} needs at least {least}, got {cfg.replicas}"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = resolve_model(cfg.model)
@@ -305,6 +309,12 @@ def _run_conditioned(cfg, model, out):
     path = out / "conditioned.csv"
     write_csv(path, ["t", "state", "mass"], rows)
     return [path], {"renorm_max": path_obj.meta["renorm_max"], "steps": len(path_obj.times) - 1}
+
+
+def _reference_path(model, mu, horizon, trunc):
+    """Conditioned law from mu on the window up to trunc, at the default RK4 step."""
+    maxrate = model.max_total_rate(model.state_window(trunc))
+    return evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), trunc)
 
 
 def _fv_reference(model, params):
@@ -365,10 +375,7 @@ def _run_fv(cfg, model, out):
         # same start, on the model's own window (or the given truncation)
         trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else 0)
         if trunc:
-            maxrate = model.max_total_rate(model.state_window(trunc))
-            ref = evolve_conditioned(
-                model, init, horizon, min(1e-3, 0.1 / maxrate), trunc
-            ).final
+            ref = _reference_path(model, init, horizon, trunc).final
             tvs = [tv_distance(tr.measures[-1], ref) for tr in traces]
             summary["mean_tv_to_reference"] = float(np.mean(tvs))
     spath = out / "fv_summary.json"
@@ -433,13 +440,20 @@ def _run_couple(cfg, model, out):
     params = cfg.params
     n = _p(params, "particles", int, None)
     horizon = _p(params, "horizon", float, None)
+    if not model.is_finite:
+        raise ConfigInvalid(
+            ["model: an infinite model needs an explicit truncation;"
+             " couple takes a finite window such as bd:p,q,K"]
+        )
     mu = parse_distribution(params["init"]) if "init" in params else Distribution.delta(
-        model.states[0] if model.is_finite else 1
+        model.states[0]
     )
+    # one deterministic path, read by every replica
+    ref_path = _reference_path(model, mu, horizon, max(model.states))
     root = RngStream(cfg.seed)
 
     def one(r):
-        return coupled_tagged_run(model, n, mu, horizon, root.child(r))
+        return coupled_tagged_run(model, n, mu, horizon, root.child(r), path=ref_path)
 
     runs = map_replicas(one, cfg.replicas)
     rows = []
@@ -459,9 +473,7 @@ def _run_scan(cfg, model, out):
     horizon = _p(params, "horizon", float, None)
     mu = parse_distribution(_p(params, "init", str, None))
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    maxrate = model.max_total_rate(model.state_window(trunc))
-    ref_path = evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), trunc)
-    ref = ref_path.final
+    ref = _reference_path(model, mu, horizon, trunc).final
     probe_state = _p(params, "state", int, ref.support[0])
     ref_mass = ref.mass(probe_state)
     root = RngStream(cfg.seed)

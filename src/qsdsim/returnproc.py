@@ -115,7 +115,7 @@ def simulate_mu_return(
     position from mu (landing on the current state is a null event).  The
     occupation measure over [0, horizon] estimates Phi(mu) for long runs.
     """
-    blocks = UniformBlock(rng.child(TAG_EVENTS).generator())
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     x = mu.sample(blocks.u())
     t = 0.0
     events = 0
@@ -301,7 +301,7 @@ def simulate_tagged_limit(
     horizon = path.horizon if horizon is None else horizon
     if horizon > path.horizon + 1e-12:
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
-    blocks = UniformBlock(rng.child(TAG_EVENTS).generator())
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     t = 0.0
     x = y0
     times = [0.0]
@@ -353,8 +353,8 @@ class MarkStream:
         self.qbar = qbar
         self.c0 = c0
         if isinstance(source, RngStream):
-            self._internal = UniformBlock(source.child(TAG_INTERNAL).generator(), size=64)
-            self._voter = UniformBlock(source.child(TAG_VOTER).generator(), size=64)
+            self._internal = UniformBlock(source.child(TAG_INTERNAL))
+            self._voter = UniformBlock(source.child(TAG_VOTER))
         else:
             self._internal = source
             self._voter = source
@@ -473,13 +473,13 @@ def _graphical_engine(
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
 
     # shared initial draw for particle 1 and the limit process
-    init_blocks = UniformBlock(rng.child(TAG_INIT).generator())
+    init_blocks = UniformBlock(rng.child(TAG_INIT))
     u_shared = init_blocks.u()
     first = mu.inverse_cdf(u_shared)
     positions = [first] + [mu.sample(init_blocks.u()) for _ in range(n - 1)]
     cfg = ParticleConfig(model, positions)
 
-    shared = UniformBlock(rng.child(TAG_EVENTS).generator())
+    shared = UniformBlock(rng.child(TAG_EVENTS))
     streams = [MarkStream(qbar, c0, shared) for i in range(n)]
     heap = []
     for i, ms in enumerate(streams):

@@ -11,7 +11,7 @@ reproducible regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class RngStream:
 
     seed: int
     path: tuple[int, ...] = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def child(self, *indices: int) -> "RngStream":
         """Derive the stream whose path extends this one by ``indices``."""
@@ -47,24 +46,42 @@ class RngStream:
 class UniformBlock:
     """Scalar uniforms pulled from pre-drawn blocks.
 
-    Event loops consume one uniform at a time; drawing them in blocks of
-    ``size`` amortizes the generator call overhead without changing the
-    sequence of values for a fixed stream.  Values are handed out as plain
+    Event loops consume one uniform at a time; drawing them in blocks
+    amortizes the generator call overhead.  Values are handed out as plain
     Python floats because the consumers do scalar arithmetic.
+
+    ``source`` is an :class:`RngStream` or a ``np.random.Generator``:
+
+    * A block built on a stream owns the generator it derives.  It starts
+      at 64 floats and doubles on each refill up to ``size``, so a short
+      replica pays for the few hundred draws it uses, not for ``size``.
+      Philox output does not depend on how it is chunked, so the values are
+      those of one long ``stream.generator().random(...)`` draw.
+    * A block built on a generator borrows it and refills ``size`` floats
+      at a time.  Other consumers may draw from the same generator between
+      refills (the branching estimator shares one with its offspring
+      blocks), and their values depend on where the refills fall, so a
+      borrowed generator keeps fixed refill points.
     """
 
-    __slots__ = ("_gen", "_size", "_buf", "_pos")
+    __slots__ = ("_gen", "_size", "_len", "_buf", "_pos")
 
-    def __init__(self, gen: np.random.Generator, size: int = 1 << 14):
-        self._gen = gen
+    def __init__(self, source: RngStream | np.random.Generator, size: int = 1 << 14):
+        if isinstance(source, RngStream):
+            self._gen = source.generator()
+            self._len = min(64, size)
+        else:
+            self._gen = source
+            self._len = size
         self._size = size
-        self._buf = gen.random(size).tolist()
+        self._buf = self._gen.random(self._len).tolist()
         self._pos = 0
 
     def u(self) -> float:
         """Next uniform in [0, 1)."""
-        if self._pos == self._size:
-            self._buf = self._gen.random(self._size).tolist()
+        if self._pos == self._len:
+            self._len = min(2 * self._len, self._size)
+            self._buf = self._gen.random(self._len).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1

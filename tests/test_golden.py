@@ -1,0 +1,146 @@
+"""Golden digests of seeded outputs.
+
+Small seeded runs of every stochastic ``qsd`` method, pinned by the SHA-256
+of the data files they write (``summary.json`` holds wall time and is left
+out).  Reruns of one commit are compared elsewhere; these digests catch a
+change of any draw or output byte between commits.  A change that alters
+seeded output on purpose must update the digests and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from qsdsim import (
+    BranchingPopulation,
+    Distribution,
+    ExperimentConfig,
+    HistoryState,
+    MarkStream,
+    ParticleConfig,
+    RngStream,
+    afp_step,
+    branch_step,
+    build_shifted,
+    evolve_conditioned,
+    fv_run_graphical,
+    fv_step,
+    resolve_model,
+    run_config,
+    simulate_mu_return,
+    simulate_tagged_limit,
+    simulate_until_absorption,
+    uniformize,
+)
+
+GOLDEN = {
+    "fv-fixed": (
+        ExperimentConfig(
+            method="fv", model="two-state", seed=3, replicas=4,
+            params={"particles": "20", "horizon": "1.0", "init": "delta:2"},
+        ),
+        {
+            "fv.csv": "dabe6abefd95ee45c2ad717dce3fb7e66452f3bf773a210b302492f226a8997e",
+            "fv_summary.json": "c6cb3b3968953a24415b1b013e87b046cf0e60e2db5d2afac581312716dc103b",
+        },
+    ),
+    "fv-stationary": (
+        ExperimentConfig(
+            method="fv", model="gw:1,2", seed=4, replicas=2,
+            params={"particles": "30", "burnin": "1.0", "horizon": "6.0", "trunc": "40"},
+        ),
+        {
+            "fv.csv": "209e32b72f4c14a5a70a7e10d276072de8aeb726d987d77a94136d6196d743c0",
+            "fv_summary.json": "ce8d97b03d6da019d9566f3f090007a89440e743ecb6176a02635ff1c4d7abba",
+        },
+    ),
+    "scan": (
+        ExperimentConfig(
+            method="scan", model="two-state", seed=5, replicas=12,
+            params={"particles": "10,20,40", "horizon": "1.0", "init": "delta:2", "state": "1"},
+        ),
+        {
+            "scan.csv": "0272dab9a54ff99f0af7fa45ae1f7b162ad7c08b9e5cf3a60c37458466f4a8f6",
+            "scan.gp": "584ca0e223356d5ae69ea77e9c4f545b1b95641f4723ba43968bf677c14b3f6c",
+            "scan_fit.json": "78899578b4609c82b998d3c5c1498cc2eb2c12d3d69088193022aef256b66d51",
+        },
+    ),
+    "couple": (
+        ExperimentConfig(
+            method="couple", model="bd:1,2,8", seed=6, replicas=6,
+            params={"particles": "5", "horizon": "2.0", "init": "delta:1"},
+        ),
+        {"couple.csv": "96038def1fad47045cf219256d52f0be7505a667417d07abb20100d4565ce3b8"},
+    ),
+    "afp": (
+        ExperimentConfig(
+            method="afp", model="bd:1,2,30", seed=7, params={"steps": "20000", "start": "1"}
+        ),
+        {"afp.csv": "13d0edb7e13b7556f09e94ec98283d080b484d3b39c0f86dd60942aca548af21"},
+    ),
+    "branch": (
+        # reaches the cap once, so the shared generator's multinomial draw is pinned too
+        ExperimentConfig(
+            method="branch", model="two-state", seed=8, replicas=4,
+            params={"alpha": "2", "horizon": "8.0", "cap": "3000"},
+        ),
+        {"branch.json": "b619f14d633cdf649beba13c72e08d42288d1d00bf922a31c34153f79bafa73b"},
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_run_matches_golden_digest(name, tmp_path):
+    cfg, digests = GOLDEN[name]
+    record = run_config(cfg, tmp_path)
+    written = {p.name for p in tmp_path.iterdir()} - {"summary.json"}
+    assert written == set(digests)
+    assert len(record.files) == len(digests)
+    for fname, digest in digests.items():
+        assert _sha256(tmp_path / fname) == digest, fname
+
+
+API_DIGEST = "c1b2e236b0a98ccce25ef291f71ffc8c3de4428e646445cfec22e450f21f5645"
+
+
+def _api_draws() -> list:
+    """Seeded results of the public single-run and single-step APIs."""
+    t2 = resolve_model("two-state")
+    bd = resolve_model("bd:1,2,8")
+    root = RngStream(17)
+    out = []
+    for r in range(3):
+        s = simulate_until_absorption(bd, Distribution.delta(3), root.child(1, r))
+        out.append((s.tau, s.exit_state))
+    occ = simulate_mu_return(bd, Distribution.delta(1), 20.0, root.child(2))
+    out.append((sorted(occ.occupation.items()), occ.events, occ.returns))
+    path = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)
+    traj = simulate_tagged_limit(t2, path, 2, root.child(3))
+    out.append((traj.times, traj.states))
+    cfg = ParticleConfig(bd, [1, 2, 3, 4])
+    for k in range(5):
+        dt, cfg, ev = fv_step(cfg, bd, root.child(4, k))
+        out.append((dt, ev))
+    d = uniformize(bd)
+    h = HistoryState.start_at(1)
+    for k in range(5):
+        afp_step(h, d, root.child(5, k))
+    out.append(h.history)
+    sm = build_shifted(t2, 2.0)
+    pop = BranchingPopulation(sm.states, [4, 4], 12)
+    for k in range(5):
+        branch_step(pop, sm, root.child(6, k))
+    out.append((pop.t, pop.counts))
+    ms = MarkStream(2.0, 1.0, root.child(7))
+    out.append([ms.pop_internal() for _ in range(70)] + [ms.pop_voter() for _ in range(70)])
+    tr = fv_run_graphical(bd, 6, Distribution.delta(1), 2.0, [1.0, 2.0], root.child(8))
+    out.append(([sorted(m.items()) for m in tr.measures], tr.events, tr.revivals))
+    return out
+
+
+def test_api_draws_match_golden_digest():
+    assert hashlib.sha256(repr(_api_draws()).encode()).hexdigest() == API_DIGEST

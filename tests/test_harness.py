@@ -3,18 +3,22 @@ import json
 import pytest
 
 from qsdsim import (
+    Distribution,
     ExperimentConfig,
+    RngStream,
     ReportBudget,
     cross_method_report,
     emit_config,
     parse_config,
     parse_distribution,
     rate_fit,
+    resolve_model,
     run_config,
 )
 from qsdsim.cli import main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
-from qsdsim.harness import map_replicas
+from qsdsim.harness import map_replicas, write_csv
+from qsdsim.returnproc import coupled_tagged_run
 
 
 class TestRateFit:
@@ -183,6 +187,25 @@ class TestRunConfig:
         assert lines[0] == "replica,psi_final,divergence_time"
         assert len(lines) == 11
 
+    def test_couple_shared_path_matches_per_replica_paths(self, tmp_path):
+        # the harness builds one conditioned path per op; each replica
+        # building its own must give the same bytes
+        cfg = ExperimentConfig(
+            method="couple",
+            model="bd:1,2,8",
+            seed=12,
+            replicas=4,
+            params={"particles": "6", "horizon": "1.5", "init": "delta:1"},
+        )
+        run_config(cfg, tmp_path / "run")
+        model = resolve_model("bd:1,2,8")
+        rows = []
+        for r in range(cfg.replicas):
+            c = coupled_tagged_run(model, 6, Distribution.delta(1), 1.5, RngStream(12).child(r)).coupling
+            rows.append((r, c.psi(1.5), c.divergence_time))
+        write_csv(tmp_path / "direct.csv", ["replica", "psi_final", "divergence_time"], rows)
+        assert (tmp_path / "run/couple.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
     def test_unknown_method(self, tmp_path):
         cfg = ExperimentConfig(method="warp", model="point", seed=0)
         with pytest.raises(ConfigInvalid):
@@ -201,18 +224,28 @@ class TestThreads:
         assert seq == par == [i * i for i in range(20)]
 
     def test_threaded_fv_results_identical(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(
+        fv = ExperimentConfig(
             method="fv",
             model="two-state",
             seed=11,
             replicas=4,
             params={"particles": "40", "horizon": "0.5", "init": "delta:2"},
         )
-        monkeypatch.setenv("QSD_THREADS", "1")
-        run_config(cfg, tmp_path / "seq")
-        monkeypatch.setenv("QSD_THREADS", "3")
-        run_config(cfg, tmp_path / "par")
-        assert (tmp_path / "seq/fv.csv").read_bytes() == (tmp_path / "par/fv.csv").read_bytes()
+        # couple replicas share one conditioned path across worker threads
+        couple = ExperimentConfig(
+            method="couple",
+            model="bd:1,2,8",
+            seed=11,
+            replicas=6,
+            params={"particles": "5", "horizon": "1.0", "init": "delta:1"},
+        )
+        for cfg, fname in ((fv, "fv.csv"), (couple, "couple.csv")):
+            monkeypatch.setenv("QSD_THREADS", "1")
+            run_config(cfg, tmp_path / cfg.method / "seq")
+            monkeypatch.setenv("QSD_THREADS", "3")
+            run_config(cfg, tmp_path / cfg.method / "par")
+            seq = (tmp_path / cfg.method / "seq" / fname).read_bytes()
+            assert seq == (tmp_path / cfg.method / "par" / fname).read_bytes()
 
 
 class TestCrossMethodReport:
@@ -282,6 +315,34 @@ class TestCli:
             ["oracle", "--model", f"file:{model_file}", "--out-dir", str(tmp_path)]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["couple", "--model", "two-state", "--particles", "5", "--horizon", "0.5",
+             "--replicas", "0"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "0.5",
+             "--replicas", "-1"],
+            ["scan", "--model", "two-state", "--particles", "10,20", "--horizon", "0.5",
+             "--init", "delta:2", "--replicas", "1"],
+            ["couple", "--model", "bd:1,2", "--particles", "5", "--horizon", "0.5"],
+        ],
+        ids=["couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite"],
+    )
+    def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
+        assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_config_file_zero_replicas_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "qsdconfig v1\nmethod = couple\nmodel = two-state\nseed = 1\nreplicas = 0\n"
+            "[couple]\nparticles = 5\nhorizon = 0.5\n"
+        )
+        rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "replicas" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

@@ -186,6 +186,7 @@ class AbsorbedChainModel:
         self._trans_cache: dict[int, tuple[tuple[int, float], ...]] = {}
         self._absorb_cache: dict[int, float] = {}
         self._jump_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._return_assembly = None  # built by returnproc.phi_map
 
     # -- basic access -----------------------------------------------------
 

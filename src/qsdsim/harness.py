@@ -244,10 +244,66 @@ class RunRecord:
 
 def _p(params: dict[str, str], key: str, cast, default):
     if key in params:
-        return cast(params[key])
+        try:
+            return cast(params[key])
+        except ValueError:
+            raise ConfigInvalid([f"{key}: not a valid value: {params[key]!r}"]) from None
     if default is None:
         raise ConfigInvalid([f"missing parameter {key!r}"])
     return default
+
+
+def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
+    """Raise ConfigInvalid for a config its method cannot run, before any work.
+
+    CLI runs and config files both pass through here, so out-of-range
+    parameters become config errors rather than failures deep in a route.
+    Missing parameters are left to the method runners.
+    """
+    params = cfg.params
+    problems = []
+    # scan reports a sample standard error (ddof=1), which needs two replicas
+    least = 2 if cfg.method == "scan" else 1
+    if cfg.replicas < least:
+        problems.append(f"replicas: {cfg.method} needs at least {least}, got {cfg.replicas}")
+    if cfg.method in ("fv", "couple", "scan") and "particles" in params:
+        ns = _p(params, "particles", lambda v: [int(n) for n in v.split(",")], None)
+        if min(ns) < 2:
+            problems.append(f"particles: a Fleming-Viot system needs at least 2, got {min(ns)}")
+    if cfg.method == "afp" and _p(params, "steps", int, 1) < 1:
+        problems.append(f"steps: afp needs at least 1, got {params['steps']}")
+    for key in ("horizon", "dt", "grid", "cap"):
+        if _p(params, key, float, 1.0) <= 0.0:
+            problems.append(f"{key}: must be positive, got {params[key]}")
+    if cfg.method == "fv":
+        burnin = _p(params, "burnin", float, 0.0)
+        if 0.0 < _p(params, "horizon", float, math.inf) <= burnin:
+            problems.append("horizon: a stationary fv run needs horizon > burnin")
+        if burnin <= 0.0 and "init" not in params:
+            problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
+    if cfg.method in ("phi", "couple", "branch") and not model.is_finite:
+        problems.append(
+            f"model: an infinite model needs an explicit truncation;"
+            f" {cfg.method} takes a finite window such as bd:p,q,K"
+        )
+    initial = set()
+    if "init" in params:
+        try:
+            initial = set(parse_distribution(params["init"]).support)
+        except ValueError as exc:
+            problems.append(f"init: cannot read {params['init']!r}: {exc}")
+    if cfg.method == "afp" and "start" in params:
+        initial = {_p(params, "start", int, None)}
+    # the states the run lives on: up to trunc, else the finite model's
+    window = model.state_window(_p(params, "trunc", int, None)) if "trunc" in params else model.states
+    if window is not None:
+        if not window:
+            problems.append(f"trunc: no state of the model lies at or below {params['trunc']}")
+        elif not initial <= set(window):
+            outside = sorted(initial - set(window))
+            problems.append(f"initial states {outside} lie outside the model's window")
+    if problems:
+        raise ConfigInvalid(problems)
 
 
 def run_config(cfg: ExperimentConfig, out_dir) -> RunRecord:
@@ -257,13 +313,10 @@ def run_config(cfg: ExperimentConfig, out_dir) -> RunRecord:
     time and similar run facts live only in the summary (and its sidecar
     ``summary.json``).
     """
-    # scan reports a sample standard error (ddof=1), which needs two replicas
-    least = 2 if cfg.method == "scan" else 1
-    if cfg.replicas < least:
-        raise ConfigInvalid([f"replicas: {cfg.method} needs at least {least}, got {cfg.replicas}"])
+    model = resolve_model(cfg.model)
+    _check_runnable(cfg, model)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = resolve_model(cfg.model)
     t0 = time.perf_counter()
     runner = _RUNNERS.get(cfg.method)
     if runner is None:
@@ -440,11 +493,6 @@ def _run_couple(cfg, model, out):
     params = cfg.params
     n = _p(params, "particles", int, None)
     horizon = _p(params, "horizon", float, None)
-    if not model.is_finite:
-        raise ConfigInvalid(
-            ["model: an infinite model needs an explicit truncation;"
-             " couple takes a finite window such as bd:p,q,K"]
-        )
     mu = parse_distribution(params["init"]) if "init" in params else Distribution.delta(
         model.states[0]
     )

@@ -2,17 +2,21 @@
 
 On a finite window the QSD is the normalized left Perron vector of the live
 block of the generator.  The solvers here run power iteration on the
-uniformized matrix M = I + Q/rate, which works directly on sparse transition
-lists and scales to windows of ~1e5 states; nothing ever densifies beyond
-the window itself.
+uniformized matrix M = I + Q/rate, built from the sparse transition lists;
+nothing ever densifies beyond the window itself.  The iteration count grows
+quickly with the window on drifted chains: on bd:1,2 it takes 44,536
+iterations at K=200 and 143,663 at K=400, and at K >= 800 it raises
+:class:`NoConvergence` within the default 200,000 iterations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .chain import AbsorbedChainModel, Distribution, tv_distance
 from .errors import NoConvergence, NoStabilization, NotIrreducible
@@ -27,6 +31,11 @@ class QsdSolution:
     ``lam`` is the principal eigenvalue of the live generator block (negative
     in continuous time, in (0, 1) for a discrete skeleton); ``theta = -lam``
     for continuous models.  ``residual`` is the sup-norm fixed-point defect.
+    ``meta["gap_log"]`` is a bounded record of the TV gaps between successive
+    iterates: the gaps of the first ``GAP_HEAD`` iterations, then the last
+    ``GAP_HEAD`` gaps computed after them.  Past the head a gap is computed
+    only at iterations whose growth-factor drift is already below ``tol``,
+    the only ones where it can stop the iteration.
     """
 
     nu: Distribution
@@ -66,30 +75,59 @@ def check_irreducible(model: AbsorbedChainModel, states) -> None:
         raise NotIrreducible(f"window of {len(states)} states is not strongly connected")
 
 
+# Gaps recorded at the start of a power iteration, and again at its end.
+GAP_HEAD = 32
+
+
 def _left_power(mat_t: sp.csr_matrix, start: np.ndarray, tol: float, max_iters: int):
     """Left power iteration; returns (vector, growth factor, iterations, gap log).
 
-    The matrix is passed transposed so each step is a plain csr matvec.
-    Convergence requires both the TV gap between successive normalized
-    iterates and the growth-factor drift to fall below ``tol``.
+    The matrix is passed transposed so each step is a plain csr matvec, run
+    by scipy's own kernel into a reused buffer (the kernel accumulates, so
+    the buffer is zeroed first).  Convergence requires both the TV gap
+    between successive normalized iterates and the growth-factor drift to
+    fall below ``tol``; the gap is only needed where the drift already has,
+    and in the first ``GAP_HEAD`` iterations, which the log keeps.
     """
+    n = mat_t.shape[0]
+    indptr, indices, data = mat_t.indptr, mat_t.indices, mat_t.data
+    add = np.add.reduce
     v = start / start.sum()
+    w = np.empty(n)
+    diff = np.empty(n)
     rho = 0.0
-    gaps = []
+    head: list[float] = []
+    tail: deque[float] = deque(maxlen=GAP_HEAD)
+    gap = None
+
+    def tv_gap() -> float:
+        np.subtract(w, v, out=diff)
+        np.abs(diff, out=diff)
+        return 0.5 * float(add(diff))
+
     for it in range(1, max_iters + 1):
-        w = mat_t @ v
-        total = float(w.sum())
+        w.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, v, w)
+        total = float(add(w))
         if total <= 0.0:
             raise NotIrreducible("iterate left the positive cone; matrix is degenerate")
         w /= total
-        gap = 0.5 * float(np.abs(w - v).sum())
         drift = abs(total - rho)
-        gaps.append(gap)
-        v, rho = w, total
-        if gap < tol and drift < tol and it >= 2:
-            return v, rho, it, gaps
+        if it <= GAP_HEAD:
+            gap = tv_gap()
+            head.append(gap)
+        elif drift < tol:
+            gap = tv_gap()
+            tail.append(gap)
+        else:
+            gap = None
+        v, w, rho = w, v, total
+        if gap is not None and gap < tol and drift < tol and it >= 2:
+            return v, rho, it, head + list(tail)
+    if gap is None and max_iters >= 1:
+        gap = tv_gap()  # skipped in the last iteration; w holds the one before
     raise NoConvergence(
-        f"power iteration did not converge in {max_iters} iterations", last_gap=gaps[-1]
+        f"power iteration did not converge in {max_iters} iterations", last_gap=gap
     )
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,6 +145,56 @@ def simulate_mu_return(
 
 
 PHI_DENSE_LIMIT = 10_000
+# Windows up to this size solve the stationarity system with dense LAPACK.
+PHI_LAPACK_LIMIT = 200
+
+
+@dataclass
+class _ReturnAssembly:
+    """The mu-independent part of the return chain's transposed generator.
+
+    Built once per model and kept on it: the transition entries
+    Q^T[index[y], index[x]] = q(x, y) in COO form, and per column the
+    diagonal partial sum 0 - q(x, y1) - q(x, y2) - ... in transition order,
+    which each solve continues, in mu's state order, with the return terms.
+    """
+
+    index: dict[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    diag: list[float]
+    absorbing: tuple[tuple[int, float], ...]  # (index[x], q(x, 0)) where q(x, 0) > 0
+    irreducible_for: frozenset[int] | None = None  # a mu support that passed the check
+
+
+def _return_assembly(model: AbsorbedChainModel) -> _ReturnAssembly:
+    got = model._return_assembly
+    if got is None:
+        states = model.states
+        index = {x: i for i, x in enumerate(states)}
+        rows, cols, vals, diag, absorbing = [], [], [], [], []
+        for i, x in enumerate(states):
+            d = 0.0
+            for y, r in model.transitions(x):
+                rows.append(index[y])  # transposed: stationarity reads pi Q = 0
+                cols.append(i)
+                vals.append(r)
+                d -= r
+            diag.append(d)
+            a = model.absorb_rate(x)
+            if a > 0:
+                absorbing.append((i, a))
+        got = _ReturnAssembly(
+            index,
+            np.array(rows, dtype=np.intp),
+            np.array(cols, dtype=np.intp),
+            np.array(vals, dtype=float),
+            diag,
+            tuple(absorbing),
+        )
+        model._return_assembly = got
+    return got
 
 
 def phi_map(
@@ -153,9 +205,12 @@ def phi_map(
 ) -> Distribution:
     """Invariant distribution of the mu-return chain.
 
-    Solved exactly from the stationarity equations (sparse direct solve) on
-    finite spaces up to 1e4 states; beyond that the occupation measure of a
-    long simulated trajectory is used instead.
+    Solved exactly from the stationarity equations, with the last equation
+    replaced by the normalization: dense LAPACK on windows of at most
+    ``PHI_LAPACK_LIMIT`` states, a sparse LU solve up to ``PHI_DENSE_LIMIT``
+    states.  Beyond that the occupation measure of a long simulated
+    trajectory is used instead.  The transition part of the system is
+    assembled once per model; a call adds the return terms of mu.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
@@ -164,40 +219,45 @@ def phi_map(
         return simulate_mu_return(
             model, mu, sim_horizon, rng if rng is not None else RngStream(0)
         ).occupation
-    _check_return_irreducible(model, mu)
+    asm = _return_assembly(model)
+    support = set(mu.support)
+    if not support <= asm.index.keys():
+        raise ValueError("mu puts mass outside the model's states")
+    # return targets only add edges, so a superset of a support that passed passes too
+    if asm.irreducible_for is None or not asm.irreducible_for <= support:
+        _check_return_irreducible(model, mu)
+        asm.irreducible_for = frozenset(support)
     n = len(states)
-    index = {x: i for i, x in enumerate(states)}
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    diag = [0.0] * n
-    for x in states:
-        i = index[x]
-        a = model.absorb_rate(x)
-        for y, r in model.transitions(x):
-            add(index[y], i, r)  # transposed: stationarity reads pi Q = 0
-            diag[i] -= r
-        if a > 0:
-            for y, m in mu.items():
-                if y != x:
-                    add(index[y], i, a * m)
-                    diag[i] -= a * m
-    for i in range(n):
-        add(i, i, diag[i])
+    targets = np.array([asm.index[y] for y in mu.support], dtype=np.intp)
+    masses = np.array([m for _, m in mu.items()])
+    rows, cols, vals = [asm.rows], [asm.cols], [asm.vals]
+    diag = list(asm.diag)
+    for i, a in asm.absorbing:
+        # return jumps from x = states[i] to every other state of mu's support
+        other = targets != i
+        am = a * masses[other]
+        rows.append(targets[other])
+        cols.append(np.full(am.size, i))
+        vals.append(am)
+        diag[i] = reduce(operator.sub, am.tolist(), diag[i])  # one term at a time, in order
+    span = np.arange(n)
+    rows = np.concatenate(rows + [span])
+    cols = np.concatenate(cols + [span])
+    vals = np.concatenate(vals + [diag])
     # replace the last equation by the normalization sum(pi) = 1
-    mat = sp.lil_matrix(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
-    mat[n - 1, :] = 1.0
+    keep = rows != n - 1
+    rows = np.append(rows[keep], np.full(n, n - 1))
+    cols = np.append(cols[keep], span)
+    vals = np.append(vals[keep], np.ones(n))
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
-    if n <= 200:
-        pi = np.linalg.solve(mat.toarray(), rhs)
+    if n <= PHI_LAPACK_LIMIT:
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), vals)
+        pi = np.linalg.solve(dense, rhs)
     else:
-        pi = spla.spsolve(sp.csr_matrix(mat), rhs)
-    return Distribution.from_weights({x: max(pi[index[x]], 0.0) for x in states})
+        pi = spla.spsolve(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
+    return Distribution.from_weights({x: max(p, 0.0) for x, p in zip(states, pi.tolist())})
 
 
 def _check_return_irreducible(model: AbsorbedChainModel, mu: Distribution) -> None:

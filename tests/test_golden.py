@@ -1,16 +1,22 @@
 """Golden digests of seeded outputs.
 
-Small seeded runs of every stochastic ``qsd`` method, pinned by the SHA-256
-of the data files they write (``summary.json`` holds wall time and is left
-out).  Reruns of one commit are compared elsewhere; these digests catch a
+Small seeded runs of every stochastic ``qsd`` method, and of the
+deterministic ``oracle``, ``phi`` and ``conditioned`` solvers, pinned by the
+SHA-256 of the data files they write (``summary.json`` holds wall time and is
+left out).  Reruns of one commit are compared elsewhere; these digests catch a
 change of any draw or output byte between commits.  A change that alters
 seeded output on purpose must update the digests and say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsdsim
 from qsdsim import (
     BranchingPopulation,
     Distribution,
@@ -86,7 +92,59 @@ GOLDEN = {
         ),
         {"branch.json": "b619f14d633cdf649beba13c72e08d42288d1d00bf922a31c34153f79bafa73b"},
     ),
+    "oracle-bd40": (
+        ExperimentConfig(method="oracle", model="bd:0.6,1.7,40", seed=0),
+        {"oracle.json": "6a246b6682301519817ef59e81c540c85b9970bd3cee464bafc5a9effbb5b936"},
+    ),
+    "oracle-bd-K200": (
+        ExperimentConfig(method="oracle", model="bd:1,2", seed=0, params={"trunc": "200"}),
+        {"oracle.json": "eff58857e670a3e05987f6d24577ae6e10028fe4d378129bf4cabe6ae445efdf"},
+    ),
+    "phi-bd200": (
+        # n = 200: the dense LAPACK branch of phi_map, run on one BLAS thread
+        ExperimentConfig(
+            method="phi", model="bd:1,2,200", seed=0, params={"init": "delta:1", "iters": "10"}
+        ),
+        {
+            "phi.csv": "5b84c1864cecada3d846d9efcbb3d3d7660d89b9f5e88d19fa9f71a6724d24c0",
+            "phi_dist.csv": "694f8b9baa3267f3737aa16f818f54fe078c9305f50bd5c3374d45cb2bc58330",
+        },
+    ),
+    "phi-two-state": (
+        ExperimentConfig(method="phi", model="two-state", seed=0, params={"init": "delta:1"}),
+        {
+            "phi.csv": "71354d39e07eb4331614e1be3d855215ce1e09a18f4de79ba2e60b650250e45a",
+            "phi_dist.csv": "f13218757e31ca46f4747b84164c2521fbc061f01e8f8130729a5e8aea82c13c",
+        },
+    ),
+    "conditioned-two-state": (
+        ExperimentConfig(
+            method="conditioned", model="two-state", seed=0,
+            params={"init": "delta:2", "horizon": "1.0"},
+        ),
+        {"conditioned.csv": "6286a1227ae62bb818b489ab012a1eeb142b7a3217c4a0d881fe33116805dcb3"},
+    ),
 }
+
+
+# A multithreaded LAPACK solve rounds differently from a single-threaded one,
+# so these runs go to a fresh process held to one BLAS thread.
+ONE_BLAS_THREAD = {"phi-bd200"}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_on_one_blas_thread(cfg, out) -> list[str]:
+    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+    env["PYTHONPATH"] = str(Path(qsdsim.__file__).resolve().parents[1])
+    argv = [cfg.method, "--model", cfg.model, "--seed", str(cfg.seed), "--out-dir", str(out)]
+    for key, val in cfg.params.items():
+        argv += [f"--{key}", val]
+    done = subprocess.run(
+        [sys.executable, "-m", "qsdsim.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def _sha256(path) -> str:
@@ -96,10 +154,13 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_run_matches_golden_digest(name, tmp_path):
     cfg, digests = GOLDEN[name]
-    record = run_config(cfg, tmp_path)
+    if name in ONE_BLAS_THREAD:
+        files = _run_on_one_blas_thread(cfg, tmp_path)
+    else:
+        files = run_config(cfg, tmp_path).files
     written = {p.name for p in tmp_path.iterdir()} - {"summary.json"}
     assert written == set(digests)
-    assert len(record.files) == len(digests)
+    assert len(files) == len(digests)
     for fname, digest in digests.items():
         assert _sha256(tmp_path / fname) == digest, fname
 

@@ -326,8 +326,48 @@ class TestCli:
             ["scan", "--model", "two-state", "--particles", "10,20", "--horizon", "0.5",
              "--init", "delta:2", "--replicas", "1"],
             ["couple", "--model", "bd:1,2", "--particles", "5", "--horizon", "0.5"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1"],
+            ["fv", "--model", "two-state", "--particles", "1", "--horizon", "1",
+             "--init", "delta:1"],
+            ["couple", "--model", "two-state", "--particles", "1", "--horizon", "1"],
+            ["scan", "--model", "two-state", "--particles", "1,10", "--horizon", "1",
+             "--init", "delta:2", "--replicas", "2"],
+            ["afp", "--model", "two-state", "--steps", "0", "--start", "1"],
+            ["couple", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--init", "delta:7"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "delta:7"],
+            ["phi", "--model", "two-state", "--init", "delta:7"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--init", "delta:7"],
+            ["scan", "--model", "two-state", "--particles", "5,10", "--horizon", "1",
+             "--init", "delta:7", "--replicas", "2"],
+            ["conditioned", "--model", "bd:1,2", "--trunc", "10", "--horizon", "1",
+             "--init", "delta:20"],
+            ["phi", "--model", "two-state", "--init", "delta:"],
+            ["phi", "--model", "bd:1,2", "--init", "delta:1"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "7"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--burnin", "1"],
+            ["branch", "--model", "bd:1,2", "--horizon", "1"],
+            ["conditioned", "--model", "two-state", "--horizon", "-1", "--init", "delta:1"],
+            ["couple", "--model", "two-state", "--particles", "5", "--horizon", "0"],
+            ["oracle", "--model", "two-state", "--trunc", "0"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "delta:1",
+             "--dt", "0"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--init", "delta:1", "--grid", "0"],
+            ["branch", "--model", "two-state", "--horizon", "1", "--cap", "0"],
         ],
-        ids=["couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite"],
+        ids=[
+            "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
+            "fv-fixed-time-no-init", "fv-one-particle", "couple-one-particle",
+            "scan-one-particle", "afp-zero-steps", "couple-init-outside",
+            "conditioned-init-outside", "phi-init-outside", "fv-init-outside",
+            "scan-init-outside", "conditioned-init-outside-trunc", "phi-init-unreadable",
+            "phi-infinite", "afp-start-outside", "fv-horizon-not-past-burnin",
+            "branch-infinite", "conditioned-negative-horizon", "couple-zero-horizon",
+            "oracle-empty-window", "conditioned-zero-step", "fv-zero-grid", "branch-zero-cap",
+        ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -343,6 +383,26 @@ class TestCli:
         rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,section,problem",
+        [
+            ("fv", "particles = 10\nhorizon = 1\n", "init"),
+            ("afp", "steps = 0\nstart = 1\n", "steps"),
+            ("phi", "init = delta:7\n", "outside"),
+            ("couple", "particles = 1\nhorizon = 1\n", "particles"),
+        ],
+        ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle"],
+    )
+    def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"qsdconfig v1\nmethod = {method}\nmodel = two-state\nseed = 1\n[{method}]\n{section}"
+        )
+        rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
+
+from qsdsim import oracle
 
 from qsdsim import (
     BirthDeathSpec,
@@ -71,6 +75,86 @@ class TestSolvePower:
         gaps = sol.meta["gap_log"]
         tail = gaps[2:]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
+
+
+def reference_left_power(mat_t, start, tol, max_iters):
+    """The plain power-iteration loop: one ``mat_t @ v`` and one TV gap per step."""
+    v = start / start.sum()
+    rho = 0.0
+    gaps = []
+    for it in range(1, max_iters + 1):
+        w = mat_t @ v
+        total = float(w.sum())
+        w /= total
+        gap = 0.5 * float(np.abs(w - v).sum())
+        drift = abs(total - rho)
+        gaps.append(gap)
+        v, rho = w, total
+        if gap < tol and drift < tol and it >= 2:
+            return v, rho, it, gaps
+    raise NoConvergence("reference loop did not converge", last_gap=gaps[-1])
+
+
+def _power_inputs(monkeypatch, solve):
+    """The (matrix, start, tol, max_iters) that a solver hands to _left_power."""
+    seen = []
+    real = oracle._left_power
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_left_power", spy)
+    solve()
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestPowerKernel:
+    def test_raw_matvec_matches_matmul_bitwise(self):
+        mat = sp.random(300, 300, density=0.02, format="csr", random_state=3)
+        v = np.random.default_rng(4).random(300)
+        w = np.full(300, np.nan)
+        w.fill(0.0)
+        csr_matvec(300, 300, mat.indptr, mat.indices, mat.data, v, w)
+        assert w.tobytes() == (mat @ v).tobytes()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_qsd_power(build_birth_death(BirthDeathSpec(1.0, 2.0)), truncation=200),
+            lambda: solve_qsd_power(build_galton_watson(GaltonWatsonSpec(1.0, 2.0)), truncation=100),
+            lambda: solve_qsd_discrete(uniformize(resolve_model("bd:1,2,100"))),
+        ],
+        ids=["bd12-K200", "gw12-K100", "discrete-bd12-100"],
+    )
+    def test_left_power_matches_reference_loop(self, solve, monkeypatch):
+        mat_t, start, tol, max_iters = _power_inputs(monkeypatch, solve)
+        v, rho, iters, gaps = oracle._left_power(mat_t, start, tol, max_iters)
+        v_ref, rho_ref, iters_ref, gaps_ref = reference_left_power(mat_t, start, tol, max_iters)
+        assert v.tobytes() == v_ref.tobytes()
+        assert rho == rho_ref
+        assert iters == iters_ref
+        head = oracle.GAP_HEAD
+        assert gaps[:head] == gaps_ref[:head]
+        assert gaps[-1] == gaps_ref[-1]
+
+    def test_no_convergence_gap_matches_reference(self, monkeypatch):
+        # drift is far above tol after 100 steps, so the last gap is computed after the loop
+        model = build_birth_death(BirthDeathSpec(1.0, 2.0), truncation=50)
+        mat_t, start, tol, _ = _power_inputs(monkeypatch, lambda: solve_qsd_power(model))
+        with pytest.raises(NoConvergence) as err:
+            oracle._left_power(mat_t, start, tol, 100)
+        with pytest.raises(NoConvergence) as ref:
+            reference_left_power(mat_t, start, tol, 100)
+        assert err.value.last_gap == ref.value.last_gap
+
+    def test_gap_log_is_bounded(self):
+        sol = solve_qsd_power(build_birth_death(BirthDeathSpec(1.0, 2.0)), truncation=200)
+        gaps = sol.meta["gap_log"]
+        assert sol.iterations > 2 * oracle.GAP_HEAD
+        assert len(gaps) <= 2 * oracle.GAP_HEAD
+        assert gaps[-1] < 1e-12
 
 
 class TestSolveDiscrete:

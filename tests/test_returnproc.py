@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from qsdsim import returnproc
 
 from qsdsim import (
     Distribution,
@@ -14,6 +18,7 @@ from qsdsim import (
     fv_run_graphical,
     phi_iterate,
     phi_map,
+    resolve_model,
     simulate_mu_return,
     simulate_tagged_limit,
     tv_distance,
@@ -91,6 +96,68 @@ class TestPhiMap:
         exact = phi_map(t2, mu)
         occ = simulate_mu_return(t2, mu, 2e4, RngStream(23)).occupation
         assert tv_distance(exact, occ) <= 0.02
+
+
+def reference_phi_map(model, mu):
+    """Phi(mu) assembled from scratch per call, with the last row set through lil_matrix."""
+    states = model.states
+    n = len(states)
+    index = {x: i for i, x in enumerate(states)}
+    rows, cols, vals = [], [], []
+    diag = [0.0] * n
+    for x in states:
+        i = index[x]
+        a = model.absorb_rate(x)
+        for y, r in model.transitions(x):
+            rows.append(index[y])
+            cols.append(i)
+            vals.append(r)
+            diag[i] -= r
+        if a > 0:
+            for y, m in mu.items():
+                if y != x:
+                    rows.append(index[y])
+                    cols.append(i)
+                    vals.append(a * m)
+                    diag[i] -= a * m
+    rows += range(n)
+    cols += range(n)
+    vals += diag
+    mat = sp.lil_matrix(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+    mat[n - 1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[n - 1] = 1.0
+    if n <= 200:
+        pi = np.linalg.solve(mat.toarray(), rhs)
+    else:
+        pi = spla.spsolve(sp.csr_matrix(mat), rhs)
+    return Distribution.from_weights({x: max(pi[index[x]], 0.0) for x in states})
+
+
+class TestPhiAssembly:
+    @pytest.mark.parametrize(
+        "spec,iters", [("bd:1,2,200", 10), ("bd:1,2,250", 3), ("bd:0.6,1.7,40", 30)],
+        ids=["dense-200", "sparse-250", "dense-40"],
+    )
+    def test_iterates_match_per_call_lil_assembly(self, spec, iters, monkeypatch):
+        got = phi_iterate(resolve_model(spec), Distribution.delta(1), max_iters=iters)
+        monkeypatch.setattr(returnproc, "phi_map", reference_phi_map)
+        ref = phi_iterate(resolve_model(spec), Distribution.delta(1), max_iters=iters)
+        assert got.dist == ref.dist
+        assert got.tv_log == ref.tv_log
+        assert got.iterations == ref.iterations
+
+    def test_irreducibility_rechecked_when_support_shrinks(self):
+        # 3 -> 2 -> 1 -> absorbed: only returns onto 3 make 3 reachable
+        model = build_finite({(1, 0): 1.0, (2, 1): 1.0, (3, 2): 1.0})
+        phi_map(model, Distribution.uniform([1, 2, 3]))
+        phi_map(model, Distribution.uniform([1, 3]))
+        with pytest.raises(NotIrreducible):
+            phi_map(model, Distribution.delta(2))
+
+    def test_mu_outside_the_states_is_rejected(self, t2):
+        with pytest.raises(ValueError, match="outside"):
+            phi_map(t2, Distribution.delta(7))
 
 
 class TestPhiIterate:

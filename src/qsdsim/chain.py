@@ -12,7 +12,7 @@ package and the plain Gillespie simulation of the chain up to absorption.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -77,11 +77,10 @@ class Distribution:
         return self._states
 
     def mass(self, x: int) -> float:
-        # support is small; bisect would be noise here
-        try:
-            return self._masses[self._states.index(x)]
-        except ValueError:
-            return 0.0
+        i = bisect_left(self._states, x)
+        if i < len(self._states) and self._states[i] == x:
+            return self._masses[i]
+        return 0.0
 
     def items(self):
         """(state, mass) pairs in increasing state order."""

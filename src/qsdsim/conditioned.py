@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain import AbsorbedChainModel, Distribution
 from .errors import StepUnstable, TruncationLeak
@@ -23,6 +22,8 @@ from .errors import StepUnstable, TruncationLeak
 # means the step size is unstable for the given rates.
 NEG_TOL = 1e-8
 LEAK_TOL = 1e-6
+# Windows up to this many states get a dense operator; larger ones a CSR matrix.
+DENSE_WINDOW_LIMIT = 400
 
 
 class ConditionedPath:
@@ -81,7 +82,12 @@ class ConditionedPath:
 
 
 def _window_operator(model: AbsorbedChainModel, states):
-    """(transpose generator, absorption-rate vector, boundary index set)."""
+    """(transpose generator, absorption-rate vector, boundary index set).
+
+    The generator is a dense numpy array on windows of at most
+    ``DENSE_WINDOW_LIMIT`` states and a scipy CSR matrix on larger ones, the
+    only place this module loads scipy.
+    """
     index = {x: i for i, x in enumerate(states)}
     n = len(states)
     rows, cols, vals = [], [], []
@@ -101,7 +107,6 @@ def _window_operator(model: AbsorbedChainModel, states):
         rows.append(i)
         cols.append(i)
         vals.append(-total)
-    qt = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     absorb = np.array([model.absorb_rate(x) for x in states])
     # one step back from the boundary counts as "near" it
     near = set(boundary)
@@ -111,8 +116,13 @@ def _window_operator(model: AbsorbedChainModel, states):
                 near.add(x)
                 break
     near_idx = np.array(sorted(index[x] for x in near), dtype=int)
-    if n <= 400:
-        qt = qt.toarray()
+    if n <= DENSE_WINDOW_LIMIT:
+        qt = np.zeros((n, n))
+        np.add.at(qt, (rows, cols), vals)
+    else:
+        import scipy.sparse as sp
+
+        qt = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return qt, absorb, near_idx
 
 

@@ -144,7 +144,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_distribution(text: str) -> Distribution:
-    """Initial-law syntax: delta:x, uniform:a-b, or x:mass comma pairs."""
+    """Initial-law syntax: delta:x, uniform:a-b, or x:mass comma pairs (each state once)."""
     text = text.strip()
     if text.startswith("delta:"):
         return Distribution.delta(int(text[6:]))
@@ -154,7 +154,10 @@ def parse_distribution(text: str) -> Distribution:
     pairs = {}
     for item in text.split(","):
         state, mass = item.split(":")
-        pairs[int(state)] = float(mass)
+        x = int(state)
+        if x in pairs:
+            raise ValueError(f"state {x} is given more than once")
+        pairs[x] = float(mass)
     return Distribution.from_weights(pairs)
 
 

@@ -7,21 +7,28 @@ nothing ever densifies beyond the window itself.  The iteration count grows
 quickly with the window on drifted chains: on bd:1,2 it takes 44,536
 iterations at K=200 and 143,663 at K=400, and at K >= 800 it raises
 :class:`NoConvergence` within the default 200,000 iterations.
+
+scipy is used here only for the power iteration's matrix: ``scipy.sparse``
+builds it and its ``csr_matvec`` kernel runs each step.  It is imported when
+a solver first runs, not with the module, so runs that never call the oracle
+never load it; ``scipy.sparse.linalg`` and ``scipy.linalg`` are not used.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .chain import AbsorbedChainModel, Distribution, tv_distance
 from .errors import NoConvergence, NoStabilization, NotIrreducible
 from .conditioned import qsd_residual
 from .models import DiscreteChainModel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -89,6 +96,8 @@ def _left_power(mat_t: sp.csr_matrix, start: np.ndarray, tol: float, max_iters: 
     fall below ``tol``; the gap is only needed where the drift already has,
     and in the first ``GAP_HEAD`` iterations, which the log keeps.
     """
+    from scipy.sparse._sparsetools import csr_matvec
+
     n = mat_t.shape[0]
     indptr, indices, data = mat_t.indptr, mat_t.indices, mat_t.data
     add = np.add.reduce
@@ -143,6 +152,8 @@ def solve_qsd_power(
     total rate; the principal eigenvalue of the generator is recovered as
     rate * (growth - 1).
     """
+    import scipy.sparse as sp
+
     if truncation is None:
         if not model.is_finite:
             raise ValueError("an infinite model needs an explicit truncation")
@@ -191,6 +202,8 @@ def solve_qsd_discrete(
     periodic inputs fail over to :class:`NoConvergence` instead of landing on
     the uniform vector by accident.
     """
+    import scipy.sparse as sp
+
     n = d.n
     # irreducibility via reachability on the positive entries
     adj_f = {i: list(np.nonzero(d.sub[i] > 0)[0]) for i in range(n)}

@@ -10,6 +10,11 @@ The second half of the module realizes the Fleming-Viot system from marked
 Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
 indicator that the two trajectories have split.
+
+scipy is used only by ``phi_map``'s sparse LU solve on windows of more than
+``PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.spsolve``), and through
+``evolve_conditioned`` on windows of more than ``DENSE_WINDOW_LIMIT`` (400)
+states; both import it when they run.  Smaller windows need numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .chain import AbsorbedChainModel, Distribution
 from .conditioned import ConditionedPath, evolve_conditioned
@@ -256,6 +259,9 @@ def phi_map(
         np.add.at(dense, (rows, cols), vals)
         pi = np.linalg.solve(dense, rhs)
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         pi = spla.spsolve(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
     return Distribution.from_weights({x: max(p, 0.0) for x, p in zip(states, pi.tolist())})
 

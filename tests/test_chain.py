@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ class TestTvDistance:
             assert 0.0 <= tv_distance(a, b) <= 1.0
             if tv_distance(a, b) == 0.0:
                 assert a == b
+
+
+def _tv_reference(a: Distribution, b: Distribution) -> float:
+    """Total variation through dict lookups: the definition, with no search."""
+    da, db = a.as_dict(), b.as_dict()
+    return 0.5 * math.fsum(abs(da.get(x, 0.0) - db.get(x, 0.0)) for x in set(da) | set(db))
+
+
+class TestTvDistanceLargeSupport:
+    def test_20k_states_match_reference_quickly(self):
+        rng = np.random.default_rng(11)
+        # overlapping but unequal supports, so both the shared and the one-sided terms count
+        a = Distribution.from_weights({x: float(w) for x, w in zip(range(1, 20_001), rng.random(20_000))})
+        b = Distribution.from_weights({x: float(w) for x, w in zip(range(5_001, 25_001), rng.random(20_000))})
+        t0 = time.perf_counter()
+        got = tv_distance(a, b)
+        elapsed = time.perf_counter() - t0
+        assert got == _tv_reference(a, b)
+        assert elapsed < 1.0
+
+    def test_mass_off_support(self):
+        d = Distribution({2: 0.5, 7: 0.5})
+        assert [d.mass(x) for x in (1, 2, 3, 7, 8)] == [0.0, 0.5, 0.0, 0.5, 0.0]
 
 
 class TestValidateModel:

@@ -357,6 +357,8 @@ class TestCli:
             ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
              "--init", "delta:1", "--grid", "0"],
             ["branch", "--model", "two-state", "--horizon", "1", "--cap", "0"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "1:0.5,2:0.5,1:0.1", "--seed", "1"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -367,6 +369,7 @@ class TestCli:
             "phi-infinite", "afp-start-outside", "fv-horizon-not-past-burnin",
             "branch-infinite", "conditioned-negative-horizon", "couple-zero-horizon",
             "oracle-empty-window", "conditioned-zero-step", "fv-zero-grid", "branch-zero-cap",
+            "fv-init-repeated-state",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -391,8 +394,10 @@ class TestCli:
             ("afp", "steps = 0\nstart = 1\n", "steps"),
             ("phi", "init = delta:7\n", "outside"),
             ("couple", "particles = 1\nhorizon = 1\n", "particles"),
+            ("fv", "particles = 10\nhorizon = 1\ninit = 1:0.5,2:0.5,1:0.1\n", "more than once"),
         ],
-        ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle"],
+        ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
+             "fv-init-repeated-state"],
     )
     def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

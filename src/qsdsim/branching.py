@@ -64,7 +64,6 @@ def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
     states = model.states
     check_irreducible(model, states)
     n = len(states)
-    index = {x: i for i, x in enumerate(states)}
     maxrate = model.max_total_rate(states)
 
     auto_bumped = False
@@ -79,12 +78,10 @@ def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
     else:
         alpha = float(alpha)
 
+    b = model.live_block()
     means = np.zeros((n, n))
-    for x in states:
-        i = index[x]
-        means[i, i] = alpha + 1.0 - model.total_rate(x)
-        for y, r in model.transitions(x):
-            means[i, index[y]] += r
+    np.fill_diagonal(means, alpha + 1.0 - b.total)
+    np.add.at(means, (b.src, b.dst), b.rate)
     if means.diagonal().min() < 0:
         worst = states[int(means.diagonal().argmin())]
         raise NegativeMean(

@@ -5,7 +5,8 @@ exposes, for every state x, the finite list of jump rates q(x, y) to other
 states y >= 1 together with the absorption rate q(x, 0).  The diagonal
 q(x, x) = -(sum of off-diagonal rates) is never stored, always derived.
 
-This module also holds the sparse probability vectors used throughout the
+This module also holds the live generator block that every deterministic
+solver builds from, the sparse probability vectors used throughout the
 package and the plain Gillespie simulation of the chain up to absorption.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -146,6 +147,62 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
     return 0.5 * math.fsum(abs(a.mass(x) - b.mass(x)) for x in states)
 
 
+@dataclass
+class LiveBlock:
+    """The live block Q_live of the generator on a window of states.
+
+    ``src``, ``dst`` and ``rate`` hold the in-window jumps
+    Q[src[k], dst[k]] = rate[k] as COO index arrays, in state order and then
+    in transition order.  ``total[i]`` is ``total_rate(states[i])``, the
+    ``jump_table`` sum with absorption first, so the diagonal is ``-total``;
+    ``absorb[i]`` is q(x, 0); ``boundary`` holds the states with a jump that
+    leaves the window.
+
+    The block keeps the model's truncation convention.  On a
+    ``restricted(K)`` model (the oracle, uniformization, the branching
+    means) a dropped jump is gone from ``total`` too: it leaves the
+    diagonal, and the window's edge reflects.  On the full model over a
+    window (the conditioned flow) ``total`` still counts it: a dropped jump
+    kills, and the flow guards that leak with ``TruncationLeak``, using
+    ``boundary``.
+
+    ``memo`` holds what a consumer derives from the block and caches with it.
+    """
+
+    states: tuple[int, ...]
+    index: dict[int, int]
+    src: np.ndarray
+    dst: np.ndarray
+    rate: np.ndarray
+    total: np.ndarray
+    absorb: np.ndarray
+    boundary: tuple[int, ...]
+    memo: dict = field(default_factory=dict, repr=False)
+
+
+def strongly_connected(n: int, src, dst) -> bool:
+    """Whether the graph on 0..n-1 with edges src[k] -> dst[k] is strongly connected.
+
+    Every vertex must be reachable from vertex 0 both along the edges and
+    against them.
+    """
+    src, dst = np.asarray(src).tolist(), np.asarray(dst).tolist()
+    for tails, heads in ((src, dst), (dst, src)):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for x, y in zip(tails, heads):
+            adj[x].append(y)
+        seen = {0} if n else set()
+        stack = list(seen)
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < n:
+            return False
+    return True
+
+
 class AbsorbedChainModel:
     """Rate matrix of an absorbed chain, exposed as per-state transition lists.
 
@@ -185,7 +242,7 @@ class AbsorbedChainModel:
         self._trans_cache: dict[int, tuple[tuple[int, float], ...]] = {}
         self._absorb_cache: dict[int, float] = {}
         self._jump_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        self._return_assembly = None  # built by returnproc.phi_map
+        self._blocks: dict[tuple[int, ...], LiveBlock] = {}
 
     # -- basic access -----------------------------------------------------
 
@@ -251,6 +308,36 @@ class AbsorbedChainModel:
         return targets[idx]
 
     # -- derived views ----------------------------------------------------
+
+    def live_block(self, states: Sequence[int] | None = None) -> LiveBlock:
+        """The live generator block on ``states`` (default: all states), cached per window."""
+        if states is None:
+            if not self.is_finite:
+                raise ValueError("an infinite model needs an explicit window")
+            states = self.states
+        states = tuple(states)
+        got = self._blocks.get(states)
+        if got is None:
+            index = {x: i for i, x in enumerate(states)}
+            src, dst, rate, boundary = [], [], [], {}
+            for i, x in enumerate(states):
+                for y, r in self.transitions(x):
+                    j = index.get(y)
+                    if j is None:
+                        boundary[x] = None
+                    else:
+                        src.append(i)
+                        dst.append(j)
+                        rate.append(r)
+            total = [self.total_rate(x) for x in states]
+            absorb = [self.absorb_rate(x) for x in states]
+            src, dst = (np.array(v, dtype=np.intp) for v in (src, dst))
+            rate, total, absorb = (np.array(v, dtype=float) for v in (rate, total, absorb))
+            for arr in (src, dst, rate, total, absorb):
+                arr.flags.writeable = False  # shared by every consumer of the window
+            got = LiveBlock(states, index, src, dst, rate, total, absorb, tuple(boundary))
+            self._blocks[states] = got
+        return got
 
     def state_window(self, K: int) -> tuple[int, ...]:
         """States covered by a truncation at K (ids <= K)."""

@@ -86,36 +86,19 @@ def _window_operator(model: AbsorbedChainModel, states):
 
     The generator is a dense numpy array on windows of at most
     ``DENSE_WINDOW_LIMIT`` states and a scipy CSR matrix on larger ones, the
-    only place this module loads scipy.
+    only place this module loads scipy.  Jumps that leave the window stay in
+    the diagonal, so they kill.
     """
-    index = {x: i for i, x in enumerate(states)}
-    n = len(states)
-    rows, cols, vals = [], [], []
-    boundary = set()
-    for x in states:
-        i = index[x]
-        total = model.absorb_rate(x)
-        for y, r in model.transitions(x):
-            total += r
-            j = index.get(y)
-            if j is None:
-                boundary.add(x)  # transition dropped by the truncation
-                continue
-            rows.append(j)
-            cols.append(i)
-            vals.append(r)
-        rows.append(i)
-        cols.append(i)
-        vals.append(-total)
-    absorb = np.array([model.absorb_rate(x) for x in states])
-    # one step back from the boundary counts as "near" it
-    near = set(boundary)
-    for x in states:
-        for y, _ in model.transitions(x):
-            if y in boundary:
-                near.add(x)
-                break
-    near_idx = np.array(sorted(index[x] for x in near), dtype=int)
+    b = model.live_block(states)
+    n = len(b.states)
+    span = np.arange(n)
+    rows = np.concatenate([b.dst, span])
+    cols = np.concatenate([b.src, span])
+    vals = np.concatenate([b.rate, -b.total])
+    near = np.zeros(n, dtype=bool)
+    near[[b.index[x] for x in b.boundary]] = True
+    near[b.src[near[b.dst]]] = True  # one step back from the boundary counts as "near" it
+    near_idx = np.flatnonzero(near)
     if n <= DENSE_WINDOW_LIMIT:
         qt = np.zeros((n, n))
         np.add.at(qt, (rows, cols), vals)
@@ -123,7 +106,7 @@ def _window_operator(model: AbsorbedChainModel, states):
         import scipy.sparse as sp
 
         qt = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return qt, absorb, near_idx
+    return qt, b.absorb, near_idx
 
 
 def _rhs(qt, absorb, u):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution, mean_distribution
+from .chain import AbsorbedChainModel, Distribution
 from .errors import DeadConfig, EventCapExceeded
 from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT
 
@@ -428,8 +428,3 @@ def correlation_probe(
         raise ValueError("the model must declare C0 for the decorrelation bound")
     bound = 2.0 * math.exp(2.0 * c0 * t) / n
     return CorrelationProbe(abs(cov), bound, stderr, replicas)
-
-
-def mean_trace_distribution(traces: list[FvTrace], when: int = -1) -> Distribution:
-    """Replica average of the sampled empirical measure at one grid index."""
-    return mean_distribution([tr.measures[when] for tr in traces])

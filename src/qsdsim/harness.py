@@ -36,12 +36,11 @@ METHODS = ("oracle", "conditioned", "fv", "phi", "afp", "branch", "couple", "sca
 
 
 def worker_count() -> int:
-    """Concurrency cap from QSD_THREADS (default 1: fully sequential)."""
+    """Concurrency cap from QSD_THREADS, a positive integer (default 1: fully sequential)."""
     raw = os.environ.get("QSD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigInvalid([f"QSD_THREADS: must be a positive integer, got {raw!r}"])
+    return int(raw)
 
 
 def map_replicas(fn, n: int):
@@ -158,6 +157,8 @@ def parse_distribution(text: str) -> Distribution:
         if x in pairs:
             raise ValueError(f"state {x} is given more than once")
         pairs[x] = float(mass)
+        if not 0.0 <= pairs[x] < math.inf:
+            raise ValueError(f"state {x} has mass {mass.strip()}; masses must be finite and >= 0")
     return Distribution.from_weights(pairs)
 
 
@@ -263,6 +264,7 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     parameters become config errors rather than failures deep in a route.
     Missing parameters are left to the method runners.
     """
+    worker_count()  # a bad QSD_THREADS fails here, before any work
     params = cfg.params
     problems = []
     # scan reports a sample standard error (ddof=1), which needs two replicas

@@ -200,17 +200,12 @@ def uniformize(
         rate = 1.05 * maxrate if maxrate > 0 else 1.0
     if rate < maxrate - 1e-12:
         raise RateTooSmall(f"uniformization rate {rate} < max total rate {maxrate}")
+    b = finite.live_block()
     n = len(states)
-    index = {s: i for i, s in enumerate(states)}
     sub = np.zeros((n, n))
-    kill = np.zeros(n)
-    for x in states:
-        i = index[x]
-        sub[i, i] = 1.0 - finite.total_rate(x) / rate
-        kill[i] = finite.absorb_rate(x) / rate
-        for y, r in finite.transitions(x):
-            sub[i, index[y]] += r / rate
-    return DiscreteChainModel(states, sub, kill, name=f"unif({finite.name},{rate:g})")
+    np.fill_diagonal(sub, 1.0 - b.total / rate)
+    np.add.at(sub, (b.src, b.dst), b.rate / rate)
+    return DiscreteChainModel(states, sub, b.absorb / rate, name=f"unif({finite.name},{rate:g})")
 
 
 # -- builtin model names ----------------------------------------------------

@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution
+from .chain import AbsorbedChainModel, Distribution, strongly_connected
 from .conditioned import ConditionedPath, evolve_conditioned
 from .errors import EventCapExceeded, NotIrreducible, PathTooShort
 from .fv import FvTrace, ParticleConfig
@@ -56,19 +56,16 @@ class ReturnRates:
         The self-return mass q(x, 0) mu(x) is a null event and is left out,
         so rows sum to zero exactly.
         """
-        states = list(states)
-        index = {x: i for i, x in enumerate(states)}
-        n = len(states)
+        b = self.model.live_block(states)
+        n = len(b.states)
         gen = np.zeros((n, n))
-        for x in states:
-            i = index[x]
-            a = self.model.absorb_rate(x)
-            for y, r in self.model.transitions(x):
-                gen[i, index[y]] += r
+        np.add.at(gen, (b.src, b.dst), b.rate)
+        for i, x in enumerate(b.states):
+            a = b.absorb[i]
             if a > 0:
                 for y, m in self.mu.items():
                     if y != x:
-                        gen[i, index[y]] += a * m
+                        gen[i, b.index[y]] += a * m
             gen[i, i] = -gen[i].sum()
         return gen
 
@@ -152,54 +149,6 @@ PHI_DENSE_LIMIT = 10_000
 PHI_LAPACK_LIMIT = 200
 
 
-@dataclass
-class _ReturnAssembly:
-    """The mu-independent part of the return chain's transposed generator.
-
-    Built once per model and kept on it: the transition entries
-    Q^T[index[y], index[x]] = q(x, y) in COO form, and per column the
-    diagonal partial sum 0 - q(x, y1) - q(x, y2) - ... in transition order,
-    which each solve continues, in mu's state order, with the return terms.
-    """
-
-    index: dict[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    diag: list[float]
-    absorbing: tuple[tuple[int, float], ...]  # (index[x], q(x, 0)) where q(x, 0) > 0
-    irreducible_for: frozenset[int] | None = None  # a mu support that passed the check
-
-
-def _return_assembly(model: AbsorbedChainModel) -> _ReturnAssembly:
-    got = model._return_assembly
-    if got is None:
-        states = model.states
-        index = {x: i for i, x in enumerate(states)}
-        rows, cols, vals, diag, absorbing = [], [], [], [], []
-        for i, x in enumerate(states):
-            d = 0.0
-            for y, r in model.transitions(x):
-                rows.append(index[y])  # transposed: stationarity reads pi Q = 0
-                cols.append(i)
-                vals.append(r)
-                d -= r
-            diag.append(d)
-            a = model.absorb_rate(x)
-            if a > 0:
-                absorbing.append((i, a))
-        got = _ReturnAssembly(
-            index,
-            np.array(rows, dtype=np.intp),
-            np.array(cols, dtype=np.intp),
-            np.array(vals, dtype=float),
-            diag,
-            tuple(absorbing),
-        )
-        model._return_assembly = got
-    return got
-
-
 def phi_map(
     model: AbsorbedChainModel,
     mu: Distribution,
@@ -212,8 +161,8 @@ def phi_map(
     replaced by the normalization: dense LAPACK on windows of at most
     ``PHI_LAPACK_LIMIT`` states, a sparse LU solve up to ``PHI_DENSE_LIMIT``
     states.  Beyond that the occupation measure of a long simulated
-    trajectory is used instead.  The transition part of the system is
-    assembled once per model; a call adds the return terms of mu.
+    trajectory is used instead.  The transition part of the system is the
+    model's cached live block; a call adds the return terms of mu.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
@@ -222,27 +171,34 @@ def phi_map(
         return simulate_mu_return(
             model, mu, sim_horizon, rng if rng is not None else RngStream(0)
         ).occupation
-    asm = _return_assembly(model)
+    b = model.live_block()
     support = set(mu.support)
-    if not support <= asm.index.keys():
+    if not support <= b.index.keys():
         raise ValueError("mu puts mass outside the model's states")
-    # return targets only add edges, so a superset of a support that passed passes too
-    if asm.irreducible_for is None or not asm.irreducible_for <= support:
-        _check_return_irreducible(model, mu)
-        asm.irreducible_for = frozenset(support)
     n = len(states)
-    targets = np.array([asm.index[y] for y in mu.support], dtype=np.intp)
+    targets = np.array([b.index[y] for y in mu.support], dtype=np.intp)
     masses = np.array([m for _, m in mu.items()])
-    rows, cols, vals = [asm.rows], [asm.cols], [asm.vals]
-    diag = list(asm.diag)
-    for i, a in asm.absorbing:
+    # transposed, since stationarity reads pi Q = 0: column src feeds row dst
+    rows, cols, vals = [b.dst], [b.src], [b.rate]
+    diag = np.zeros(n)
+    np.subtract.at(diag, b.src, b.rate)  # 0 - q(x, y1) - q(x, y2) - ..., in order
+    for i in np.nonzero(b.absorb > 0)[0].tolist():
         # return jumps from x = states[i] to every other state of mu's support
         other = targets != i
-        am = a * masses[other]
+        am = b.absorb[i] * masses[other]
         rows.append(targets[other])
         cols.append(np.full(am.size, i))
         vals.append(am)
-        diag[i] = reduce(operator.sub, am.tolist(), diag[i])  # one term at a time, in order
+        diag[i] = reduce(operator.sub, am.tolist(), float(diag[i]))  # one term at a time, in order
+    # return targets only add edges, so a superset of a support that passed passes too
+    passed = b.memo.get("return_irreducible_for")
+    if passed is None or not passed <= support:
+        positive = b.rate > 0
+        src = np.concatenate([b.src[positive], *cols[1:]])
+        dst = np.concatenate([b.dst[positive], *rows[1:]])
+        if not strongly_connected(n, src, dst):
+            raise NotIrreducible("the return chain is not strongly connected for this mu")
+        b.memo["return_irreducible_for"] = frozenset(support)
     span = np.arange(n)
     rows = np.concatenate(rows + [span])
     cols = np.concatenate(cols + [span])
@@ -264,35 +220,6 @@ def phi_map(
 
         pi = spla.spsolve(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
     return Distribution.from_weights({x: max(p, 0.0) for x, p in zip(states, pi.tolist())})
-
-
-def _check_return_irreducible(model: AbsorbedChainModel, mu: Distribution) -> None:
-    states = model.states
-    sset = set(states)
-    fwd = {x: [y for y, r in model.transitions(x) if r > 0] for x in states}
-    for x in states:
-        if model.absorb_rate(x) > 0:
-            fwd[x] = sorted(set(fwd[x]) | (set(mu.support) - {x}))
-    bwd: dict[int, list[int]] = {x: [] for x in states}
-    for x, ys in fwd.items():
-        for y in ys:
-            bwd[y].append(x)
-    seen_f = _walk(fwd, states[0])
-    seen_b = _walk(bwd, states[0])
-    if seen_f != sset or seen_b != sset:
-        raise NotIrreducible("the return chain is not strongly connected for this mu")
-
-
-def _walk(adj, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 @dataclass

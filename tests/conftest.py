@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,56 @@ from qsdsim import resolve_model, solve_qsd_power
 # closed-form two-state solution: principal root of l^2 + 3l + 1 = 0
 T2_LAMBDA = (-3.0 + math.sqrt(5.0)) / 2.0
 T2_NU1 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+# Twelve states, eight of them absorbing with two or three jumps as well, so
+# that the order of a + r1 + r2 + ... sums is pinned; no builtin model has
+# more than one jump out of an absorbing state.  Irreducible on 1..12 and on
+# the window 1..9, which drops the jumps 5 -> 11 and 9 -> 10.
+MULTI_JUMP_MODEL = """qsdmodel v1
+1 0 0.3
+1 2 0.7
+1 5 0.1
+2 1 1.1
+2 3 0.45
+3 2 0.2
+3 4 1.3
+3 0 0.1
+4 3 0.6
+4 5 0.35
+4 1 0.15
+4 0 0.05
+5 4 0.9
+5 6 0.3
+5 11 0.07
+6 5 0.8
+6 7 0.55
+6 0 0.2
+7 6 1.7
+7 8 0.25
+7 2 0.01
+8 7 0.4
+8 9 0.65
+8 0 0.3
+9 8 2.1
+9 10 0.12
+9 0 0.03
+10 9 0.33
+10 11 0.44
+10 1 0.11
+11 10 0.5
+11 12 0.6
+11 0 0.7
+12 11 1.9
+12 3 0.2
+12 0 0.13
+"""
+
+
+def multi_jump_model_file(directory) -> Path:
+    path = Path(directory) / "multi_jump.qsdmodel"
+    path.write_text(MULTI_JUMP_MODEL)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -9,12 +9,15 @@ from qsdsim import (
     RngStream,
     branch_step,
     build_shifted,
+    build_finite,
     ks_estimate,
+    read_model_file,
+    resolve_model,
     tv_distance,
 )
-from qsdsim.errors import AllExtinct, Extinct, NegativeMean
+from qsdsim.errors import AllExtinct, Extinct, NegativeMean, NotIrreducible
 
-from conftest import T2_LAMBDA
+from conftest import T2_LAMBDA, multi_jump_model_file
 
 
 class TestBuildShifted:
@@ -44,6 +47,38 @@ class TestBuildShifted:
         sm = build_shifted(t2, 1.2)
         assert sm.means.diagonal().min() >= 0
         assert not sm.supercritical
+
+
+    def test_disconnected_types_rejected(self):
+        model = build_finite({(1, 0): 1.0, (2, 3): 1.0, (3, 2): 1.0, (3, 0): 0.5})
+        with pytest.raises(NotIrreducible):
+            build_shifted(model)
+
+
+def reference_means(model, alpha: float) -> np.ndarray:
+    """Shifted mean matrix filled entry by entry from the transition lists."""
+    states = model.states
+    index = {x: i for i, x in enumerate(states)}
+    means = np.zeros((len(states), len(states)))
+    for x in states:
+        i = index[x]
+        means[i, i] = alpha + 1.0 - model.total_rate(x)
+        for y, r in model.transitions(x):
+            means[i, index[y]] += r
+    return means
+
+
+@pytest.mark.parametrize("name, alpha", [
+    ("point", "auto"), ("two-state", 2.0), ("two-state", "auto"), ("bd:1,2,30", "auto"),
+    ("bd:0.6,1.7,40", 3.1), ("multi-jump", "auto"), ("multi-jump", 4.7),
+])
+def test_shifted_means_match_reference_loop(name, alpha, tmp_path):
+    if name == "multi-jump":
+        model = read_model_file(multi_jump_model_file(tmp_path))
+    else:
+        model = resolve_model(name)
+    sm = build_shifted(model, alpha)
+    assert sm.means.tobytes() == reference_means(model, sm.alpha).tobytes()
 
 
 class TestBranchStep:

@@ -9,14 +9,16 @@ from qsdsim import (
     RngStream,
     build_finite,
     read_model_file,
+    resolve_model,
     simulate_until_absorption,
     tv_distance,
     validate_model,
     write_model_file,
 )
+from qsdsim.chain import strongly_connected
 from qsdsim.errors import EventCapExceeded, ModelFormatError
 
-from conftest import T2_NU1
+from conftest import T2_NU1, multi_jump_model_file
 
 
 class TestDistribution:
@@ -118,6 +120,59 @@ class TestTvDistanceLargeSupport:
     def test_mass_off_support(self):
         d = Distribution({2: 0.5, 7: 0.5})
         assert [d.mass(x) for x in (1, 2, 3, 7, 8)] == [0.0, 0.5, 0.0, 0.5, 0.0]
+
+
+class TestStronglyConnected:
+    @pytest.mark.parametrize("n, edges, expected", [
+        (0, [], True),
+        (1, [], True),
+        (2, [], False),
+        (3, [(0, 1), (1, 2), (2, 0)], True),
+        (3, [(0, 1), (1, 2), (2, 1)], False),  # nothing leads back to 0
+        (3, [(1, 0), (2, 1), (0, 2), (0, 0)], True),
+        (4, [(0, 1), (1, 0), (2, 3), (3, 2)], False),
+    ])
+    def test_small_graphs(self, n, edges, expected):
+        src = np.array([a for a, _ in edges], dtype=np.intp)
+        dst = np.array([b for _, b in edges], dtype=np.intp)
+        assert strongly_connected(n, src, dst) is expected
+
+
+class TestLiveBlock:
+    def test_entries_follow_state_then_transition_order(self, tmp_path):
+        model = read_model_file(multi_jump_model_file(tmp_path))
+        b = model.live_block()
+        triples = [
+            (b.states[i], b.states[j], r) for i, j, r in zip(b.src, b.dst, b.rate)
+        ]
+        assert triples == [(x, y, r) for x in model.states for y, r in model.transitions(x)]
+        assert b.total.tolist() == [model.total_rate(x) for x in model.states]
+        assert b.absorb.tolist() == [model.absorb_rate(x) for x in model.states]
+        assert b.boundary == ()
+
+    def test_window_of_the_full_model_keeps_dropped_jumps_in_total(self, tmp_path):
+        model = read_model_file(multi_jump_model_file(tmp_path))
+        window = model.state_window(9)
+        full = model.live_block(window)
+        restricted = model.restricted(9).live_block()
+        assert full.boundary == (5, 9)
+        assert restricted.boundary == ()
+        assert full.src.tolist() == restricted.src.tolist()
+        assert full.rate.tolist() == restricted.rate.tolist()
+        i = full.index[9]
+        assert full.total[i] == 0.03 + 2.1 + 0.12  # q(9, 0) + q(9, 8) + q(9, 10)
+        assert restricted.total[i] == 0.03 + 2.1
+
+    def test_cached_per_window_and_read_only(self):
+        model = resolve_model("bd:1,2")
+        b = model.live_block(model.state_window(5))
+        assert model.live_block(range(1, 6)) is b
+        assert model.live_block(model.state_window(6)) is not b
+        assert b.boundary == (5,)
+        with pytest.raises(ValueError):
+            b.total[0] = 0.0
+        with pytest.raises(ValueError, match="window"):
+            model.live_block()
 
 
 class TestValidateModel:

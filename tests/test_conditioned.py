@@ -7,13 +7,15 @@ from qsdsim import (
     build_birth_death,
     evolve_conditioned,
     qsd_residual,
+    read_model_file,
+    resolve_model,
     theta_of,
     tv_distance,
 )
 from qsdsim.conditioned import _window_operator
 from qsdsim.errors import TruncationLeak
 
-from conftest import conditional_law_t2
+from conftest import conditional_law_t2, multi_jump_model_file
 
 
 class TestEvolveConditioned:
@@ -77,6 +79,24 @@ class TestEvolveConditioned:
         qt = np.asarray(qt)
         assert np.allclose(qt.sum(axis=0), -absorb)
         assert near.size == 0  # finite model, nothing dropped
+
+    @pytest.mark.parametrize("name, K, near_states", [
+        ("bd:1,2", 5, [4, 5]),
+        ("multi-jump", 9, [1, 4, 5, 6, 8, 9]),  # 5 -> 11 and 9 -> 10 leave; 1, 4, 6, 8 feed them
+    ])
+    def test_window_operator_near_boundary(self, name, K, near_states, tmp_path):
+        if name == "multi-jump":
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        else:
+            model = resolve_model(name)
+        states = model.state_window(K)
+        qt, _, near = _window_operator(model, states)
+        assert [states[i] for i in near] == near_states
+        # a dropped jump stays in the diagonal: those columns leak past absorption
+        leak = -np.asarray(qt).sum(axis=0) - [model.absorb_rate(x) for x in states]
+        assert [x for x, v in zip(states, leak) if v > 1e-12] == [
+            x for x in states if any(y not in states for y, _ in model.transitions(x))
+        ]
 
 
 class TestResidualAndTheta:

@@ -39,6 +39,8 @@ from qsdsim import (
     uniformize,
 )
 
+from conftest import multi_jump_model_file
+
 GOLDEN = {
     "fv-fixed": (
         ExperimentConfig(
@@ -163,6 +165,52 @@ def test_seeded_run_matches_golden_digest(name, tmp_path):
     assert len(files) == len(digests)
     for fname, digest in digests.items():
         assert _sha256(tmp_path / fname) == digest, fname
+
+
+# Seeded runs on the model file whose absorbing states have several jumps,
+# keyed by name: (method, replicas, params, digests).
+MULTI_JUMP_GOLDEN = {
+    "oracle": (
+        "oracle", 1, {},
+        {"oracle.json": "f0974158a8fef0aacea4b8f650e195ddefa99ac8c86700fbe4dd953dcc92ba66"},
+    ),
+    "oracle-K9": (
+        # the window 1..9 drops two jumps, which leave the restricted diagonal
+        "oracle", 1, {"trunc": "9"},
+        {"oracle.json": "717af7a90549eff4a68a6fd708055c891f953dc7c413c02ce496d6d90ac82094"},
+    ),
+    "phi": (
+        "phi", 1, {"init": "delta:1", "iters": "20"},
+        {
+            "phi.csv": "d588997e1b3fce7e9c984d9fcfbe89c86c926d41f7bc75887dbef46c55115931",
+            "phi_dist.csv": "7aee1b5adaf448af7a2a7c1d3c3ce9a7677e95e07f343da558a7a7999e002147",
+        },
+    ),
+    "conditioned": (
+        "conditioned", 1, {"init": "delta:1", "horizon": "1.0"},
+        {"conditioned.csv": "3a0eea2d678486e746591c6f8d6f42c5fb2a285a593f40cd9785be7fde637943"},
+    ),
+    "afp": (
+        "afp", 1, {"steps": "20000", "start": "1"},
+        {"afp.csv": "1f5a697b6f4a1742a0a2b7bd37d6f6b9ad332045f80738c9037823cf7a3ecd27"},
+    ),
+    "branch": (
+        "branch", 3, {"horizon": "3.0", "cap": "2000"},
+        {"branch.json": "5258a6db49a01ccc3977d00b481d635f3fb4ae13fe1863a7d4890e41c0dff432"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_JUMP_GOLDEN))
+def test_multi_jump_run_matches_golden_digest(name, tmp_path):
+    method, replicas, params, digests = MULTI_JUMP_GOLDEN[name]
+    model = f"file:{multi_jump_model_file(tmp_path)}"
+    cfg = ExperimentConfig(method=method, model=model, seed=9, replicas=replicas, params=params)
+    run_config(cfg, tmp_path / "out")
+    written = {p.name for p in (tmp_path / "out").iterdir()} - {"summary.json"}
+    assert written == set(digests)
+    for fname, digest in digests.items():
+        assert _sha256(tmp_path / "out" / fname) == digest, fname
 
 
 API_DIGEST = "c1b2e236b0a98ccce25ef291f71ffc8c3de4428e646445cfec22e450f21f5645"

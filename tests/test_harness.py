@@ -17,7 +17,7 @@ from qsdsim import (
 )
 from qsdsim.cli import main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
-from qsdsim.harness import map_replicas, write_csv
+from qsdsim.harness import map_replicas, worker_count, write_csv
 from qsdsim.returnproc import coupled_tagged_run
 
 
@@ -247,6 +247,17 @@ class TestThreads:
             seq = (tmp_path / cfg.method / "seq" / fname).read_bytes()
             assert seq == (tmp_path / cfg.method / "par" / fname).read_bytes()
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_thread_count_is_a_config_error(self, raw, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QSD_THREADS", raw)
+        assert cli_main(["oracle", "--model", "two-state", "--out-dir", str(tmp_path)]) == 2
+        assert "QSD_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_unset_thread_count_means_one(self, monkeypatch):
+        monkeypatch.delenv("QSD_THREADS", raising=False)
+        assert worker_count() == 1
+
 
 class TestCrossMethodReport:
     def test_point_model_all_exact(self, t1):
@@ -359,6 +370,10 @@ class TestCli:
             ["branch", "--model", "two-state", "--horizon", "1", "--cap", "0"],
             ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
              "--init", "1:0.5,2:0.5,1:0.1", "--seed", "1"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "1:-0.5,2:1", "--seed", "1"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "1:nan,2:1", "--seed", "1"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -369,7 +384,7 @@ class TestCli:
             "phi-infinite", "afp-start-outside", "fv-horizon-not-past-burnin",
             "branch-infinite", "conditioned-negative-horizon", "couple-zero-horizon",
             "oracle-empty-window", "conditioned-zero-step", "fv-zero-grid", "branch-zero-cap",
-            "fv-init-repeated-state",
+            "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -395,9 +410,11 @@ class TestCli:
             ("phi", "init = delta:7\n", "outside"),
             ("couple", "particles = 1\nhorizon = 1\n", "particles"),
             ("fv", "particles = 10\nhorizon = 1\ninit = 1:0.5,2:0.5,1:0.1\n", "more than once"),
+            ("fv", "particles = 10\nhorizon = 1\ninit = 1:-0.5,2:1\n", "state 1"),
+            ("fv", "particles = 10\nhorizon = 1\ninit = 1:nan,2:1\n", "state 1"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
-             "fv-init-repeated-state"],
+             "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass"],
     )
     def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

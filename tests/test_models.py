@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qsdsim import (
@@ -12,9 +13,12 @@ from qsdsim import (
     solve_qsd_discrete,
     solve_qsd_power,
     tv_distance,
+    read_model_file,
     uniformize,
 )
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
+
+from conftest import multi_jump_model_file
 
 
 class TestBuildFinite:
@@ -147,6 +151,45 @@ class TestUniformize:
         cont = solve_qsd_power(t2)
         disc = solve_qsd_discrete(uniformize(t2, rate=2.0))
         assert disc.lam == pytest.approx(1.0 + cont.lam / 2.0, abs=1e-10)
+
+
+def reference_uniformize(model, truncation=None, rate=None):
+    """(sub, kill, rate) filled entry by entry from the transition lists."""
+    finite = model if model.is_finite and truncation is None else model.restricted(
+        truncation if truncation is not None else max(model.states)
+    )
+    states = finite.states
+    if rate is None:
+        maxrate = finite.max_total_rate(states)
+        rate = 1.05 * maxrate if maxrate > 0 else 1.0
+    n = len(states)
+    index = {s: i for i, s in enumerate(states)}
+    sub = np.zeros((n, n))
+    kill = np.zeros(n)
+    for x in states:
+        i = index[x]
+        sub[i, i] = 1.0 - finite.total_rate(x) / rate
+        kill[i] = finite.absorb_rate(x) / rate
+        for y, r in finite.transitions(x):
+            sub[i, index[y]] += r / rate
+    return sub, kill, rate
+
+
+@pytest.mark.parametrize("name, truncation, rate", [
+    ("point", None, None), ("two-state", None, 2.0), ("bd:1,2,30", None, None),
+    ("bd:0.6,1.7,40", None, None), ("bd:1,2", 60, None), ("gw:1,2", 50, None),
+    ("multi-jump", None, None), ("multi-jump", 9, None), ("multi-jump", None, 7.3),
+])
+def test_uniformize_matches_reference_loop(name, truncation, rate, tmp_path):
+    if name == "multi-jump":
+        model = read_model_file(multi_jump_model_file(tmp_path))
+    else:
+        model = resolve_model(name)
+    d = uniformize(model, truncation=truncation, rate=rate)
+    sub, kill, used = reference_uniformize(model, truncation, rate)
+    assert d.name.endswith(f",{used:g})")
+    assert d.sub.tobytes() == sub.tobytes()
+    assert d.kill.tobytes() == kill.tobytes()
 
 
 class TestResolveModel:

@@ -177,6 +177,20 @@ class TestSolveDiscrete:
         with pytest.raises(NoConvergence):
             solve_qsd_discrete(d, max_iters=500)
 
+    def test_disconnected_window_rejected(self):
+        # 1 <-> 2 and 3 alone: neither side reaches the other
+        sub = np.array([[0.25, 0.25, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 0.5]])
+        d = DiscreteChainModel((1, 2, 3), sub, 1.0 - sub.sum(axis=1))
+        with pytest.raises(NotIrreducible):
+            solve_qsd_discrete(d)
+
+    def test_one_way_window_rejected(self):
+        # 1 -> 2 but never back: reachable forward, not backward
+        sub = np.array([[0.25, 0.25], [0.0, 0.5]])
+        d = DiscreteChainModel((1, 2), sub, 1.0 - sub.sum(axis=1))
+        with pytest.raises(NotIrreducible):
+            solve_qsd_discrete(d)
+
     def test_theta_from_kill_column(self, t2):
         # theta recovered as nu . kill * rate on the uniformized skeleton
         d = uniformize(t2, rate=2.0)

@@ -25,7 +25,7 @@ from qsdsim import (
 )
 from qsdsim.errors import NotIrreducible, PathTooShort
 
-from conftest import one_sample_chi2_pvalue, two_sample_chi2_pvalue
+from conftest import multi_jump_model_file, one_sample_chi2_pvalue, two_sample_chi2_pvalue
 
 
 class TestReturnRates:
@@ -136,10 +136,13 @@ def reference_phi_map(model, mu):
 
 class TestPhiAssembly:
     @pytest.mark.parametrize(
-        "spec,iters", [("bd:1,2,200", 10), ("bd:1,2,250", 3), ("bd:0.6,1.7,40", 30)],
-        ids=["dense-200", "sparse-250", "dense-40"],
+        "spec,iters",
+        [("bd:1,2,200", 10), ("bd:1,2,250", 3), ("bd:0.6,1.7,40", 30), ("multi-jump", 30)],
+        ids=["dense-200", "sparse-250", "dense-40", "multi-jump"],
     )
-    def test_iterates_match_per_call_lil_assembly(self, spec, iters, monkeypatch):
+    def test_iterates_match_per_call_lil_assembly(self, spec, iters, monkeypatch, tmp_path):
+        if spec == "multi-jump":
+            spec = f"file:{multi_jump_model_file(tmp_path)}"
         got = phi_iterate(resolve_model(spec), Distribution.delta(1), max_iters=iters)
         monkeypatch.setattr(returnproc, "phi_map", reference_phi_map)
         ref = phi_iterate(resolve_model(spec), Distribution.delta(1), max_iters=iters)

@@ -20,6 +20,8 @@ import scipy.sparse as sp
 from qsdsim import read_model_file, resolve_model
 from qsdsim.conditioned import DENSE_WINDOW_LIMIT, _window_operator
 
+from conftest import multi_jump_model_file
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
@@ -124,12 +126,15 @@ MODEL_FILE = """qsdmodel v1
 
 @pytest.mark.parametrize("name, K", [
     ("two-state", 2), ("bd:1,2,200", 200), ("bd:0.6,1.7,40", 40), ("gw:1,2", 100), ("file", 3),
+    ("multi-jump", 12), ("multi-jump", 9),
 ])
 def test_dense_window_operator_matches_csr(name, K, tmp_path):
     if name == "file":
         path = tmp_path / "chain.qsdmodel"
         path.write_text(MODEL_FILE)
         model = read_model_file(path)
+    elif name == "multi-jump":
+        model = read_model_file(multi_jump_model_file(tmp_path))
     else:
         model = resolve_model(name)
     states = model.state_window(K)

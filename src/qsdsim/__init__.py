@@ -66,8 +66,6 @@ from .returnproc import (
     CouplingIndicator,
     MarkStream,
     PhiIterationResult,
-    ReturnRates,
-    TimeDepReturnRates,
     Trajectory,
     coupled_tagged_run,
     fv_run_graphical,
@@ -101,9 +99,7 @@ __all__ = [
     "QsdSolution",
     "RateFit",
     "ReportBudget",
-    "ReturnRates",
     "RngStream",
-    "TimeDepReturnRates",
     "ShiftedMeanMatrix",
     "Trajectory",
     "afp_run",

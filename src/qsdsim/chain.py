@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,11 +67,21 @@ class Distribution:
 
     @classmethod
     def from_weights(cls, weights: Mapping[int, float]) -> "Distribution":
-        """Normalize nonnegative weights into a distribution."""
-        total = math.fsum(w for w in weights.values() if w > MASS_EPS)
+        """Normalize nonnegative weights into a distribution.
+
+        Weights of magnitude at most ``MASS_EPS`` are dropped as round-off; a
+        NaN, infinite or more negative weight raises ``ValueError``.
+        """
+        kept = {}
+        for x, w in weights.items():
+            if not math.isfinite(w) or w < -MASS_EPS:
+                raise ValueError(f"weight {w} at state {x} is not finite and nonnegative")
+            if w > MASS_EPS:
+                kept[x] = w
+        total = math.fsum(kept.values())
         if total <= 0:
             raise ValueError("weights sum to zero")
-        return cls({x: w / total for x, w in weights.items() if w > MASS_EPS})
+        return cls({x: w / total for x, w in kept.items()})
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -165,8 +175,6 @@ class LiveBlock:
     window (the conditioned flow) ``total`` still counts it: a dropped jump
     kills, and the flow guards that leak with ``TruncationLeak``, using
     ``boundary``.
-
-    ``memo`` holds what a consumer derives from the block and caches with it.
     """
 
     states: tuple[int, ...]
@@ -177,7 +185,6 @@ class LiveBlock:
     total: np.ndarray
     absorb: np.ndarray
     boundary: tuple[int, ...]
-    memo: dict = field(default_factory=dict, repr=False)
 
 
 def strongly_connected(n: int, src, dst) -> bool:

@@ -4,15 +4,21 @@ A chain that re-enters the live states with law mu whenever it absorbs has
 effective rates q(x, y) + q(x, 0) mu(y).  Its invariant law defines the map
 Phi(mu); QSDs are exactly the fixed points of Phi, which makes both the
 direct iteration and the time-inhomogeneous "tagged particle" limit process
-(return law T_t mu) useful simulation routes.
+(return law T_t mu) useful simulation routes.  By the renewal argument of
+Ferrari, Kesten, Martinez and Picco (1995), Phi(mu) = mu A^-1 / |mu A^-1|
+with A = -Q_live, the normalized occupation law before absorption from mu;
+``phi_map`` computes it as one linear solve, and ``simulate_mu_return``
+checks it by simulation.  On an infinite space every QSD nu_theta of
+``bd:p,q`` is a fixed point of Phi, so the return map alone cannot select
+the minimal QSD.
 
 The second half of the module realizes the Fleming-Viot system from marked
 Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
 indicator that the two trajectories have split.
 
-scipy is used only by ``phi_map``'s sparse LU solve on windows of more than
-``PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.spsolve``), and through
+scipy is used only by the return map's sparse LU factorization on windows of
+more than ``PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.splu``), and through
 ``evolve_conditioned`` on windows of more than ``DENSE_WINDOW_LIMIT`` (400)
 states; both import it when they run.  Smaller windows need numpy alone.
 """
@@ -21,10 +27,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -35,63 +39,6 @@ from .fv import FvTrace, ParticleConfig
 from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, TAG_INTERNAL, TAG_VOTER
 
 MU_RETURN_EVENT_CAP = 10**8
-
-
-class ReturnRates:
-    """Effective rates of the chain that re-enters with law mu on absorption."""
-
-    def __init__(self, model: AbsorbedChainModel, mu: Distribution):
-        self.model = model
-        self.mu = mu
-
-    def rate(self, x: int, y: int) -> float:
-        if x == y:
-            raise ValueError("diagonal entries are derived, not stored")
-        base = dict(self.model.transitions(x)).get(y, 0.0)
-        return base + self.model.absorb_rate(x) * self.mu.mass(y)
-
-    def matrix(self, states) -> np.ndarray:
-        """Dense generator of the return chain on the given states.
-
-        The self-return mass q(x, 0) mu(x) is a null event and is left out,
-        so rows sum to zero exactly.
-        """
-        b = self.model.live_block(states)
-        n = len(b.states)
-        gen = np.zeros((n, n))
-        np.add.at(gen, (b.src, b.dst), b.rate)
-        for i, x in enumerate(b.states):
-            a = b.absorb[i]
-            if a > 0:
-                for y, m in self.mu.items():
-                    if y != x:
-                        gen[i, b.index[y]] += a * m
-            gen[i, i] = -gen[i].sum()
-        return gen
-
-
-class TimeDepReturnRates:
-    """Rates of the limit process: the return law at time t is the conditioned law.
-
-    Where the supplied path is constant and equal to a QSD, these rates are
-    time-independent and coincide with :class:`ReturnRates` of that QSD.
-    """
-
-    def __init__(self, model: AbsorbedChainModel, path: ConditionedPath):
-        self.model = model
-        self.path = path
-
-    def rate(self, t: float, x: int, y: int) -> float:
-        if x == y:
-            raise ValueError("diagonal entries are derived, not stored")
-        base = dict(self.model.transitions(x)).get(y, 0.0)
-        vec = self.path.vector_at(t)
-        mass = 0.0
-        for state, m in zip(self.path.states, vec):
-            if state == y:
-                mass = float(m)
-                break
-        return base + self.model.absorb_rate(x) * mass
 
 
 @dataclass
@@ -144,82 +91,79 @@ def simulate_mu_return(
     return OccupationResult(Distribution.from_weights(acc), events, returns, horizon)
 
 
-PHI_DENSE_LIMIT = 10_000
-# Windows up to this size solve the stationarity system with dense LAPACK.
+# Windows up to this size solve with dense LAPACK; larger ones factor a sparse LU.
 PHI_LAPACK_LIMIT = 200
 
 
-def phi_map(
-    model: AbsorbedChainModel,
-    mu: Distribution,
-    sim_horizon: float = 1e5,
-    rng: RngStream | None = None,
-) -> Distribution:
-    """Invariant distribution of the mu-return chain.
+def _phi_step(model: AbsorbedChainModel):
+    """The return map on mass vectors over ``model.states``.
 
-    Solved exactly from the stationarity equations, with the last equation
-    replaced by the normalization: dense LAPACK on windows of at most
-    ``PHI_LAPACK_LIMIT`` states, a sparse LU solve up to ``PHI_DENSE_LIMIT``
-    states.  Beyond that the occupation measure of a long simulated
-    trajectory is used instead.  The transition part of the system is the
-    model's cached live block; a call adds the return terms of mu.
+    Builds A = -Q_live from the model's cached live block and factors it
+    once; the returned step maps v to v A^-1 / |v A^-1|.  A is nonsingular
+    exactly when every live state can reach absorption, which is checked
+    here with a virtual absorbing node.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
-    states = model.states
-    if len(states) > PHI_DENSE_LIMIT:
-        return simulate_mu_return(
-            model, mu, sim_horizon, rng if rng is not None else RngStream(0)
-        ).occupation
     b = model.live_block()
-    support = set(mu.support)
-    if not support <= b.index.keys():
-        raise ValueError("mu puts mass outside the model's states")
-    n = len(states)
-    targets = np.array([b.index[y] for y in mu.support], dtype=np.intp)
-    masses = np.array([m for _, m in mu.items()])
-    # transposed, since stationarity reads pi Q = 0: column src feeds row dst
-    rows, cols, vals = [b.dst], [b.src], [b.rate]
-    diag = np.zeros(n)
-    np.subtract.at(diag, b.src, b.rate)  # 0 - q(x, y1) - q(x, y2) - ..., in order
-    for i in np.nonzero(b.absorb > 0)[0].tolist():
-        # return jumps from x = states[i] to every other state of mu's support
-        other = targets != i
-        am = b.absorb[i] * masses[other]
-        rows.append(targets[other])
-        cols.append(np.full(am.size, i))
-        vals.append(am)
-        diag[i] = reduce(operator.sub, am.tolist(), float(diag[i]))  # one term at a time, in order
-    # return targets only add edges, so a superset of a support that passed passes too
-    passed = b.memo.get("return_irreducible_for")
-    if passed is None or not passed <= support:
-        positive = b.rate > 0
-        src = np.concatenate([b.src[positive], *cols[1:]])
-        dst = np.concatenate([b.dst[positive], *rows[1:]])
-        if not strongly_connected(n, src, dst):
-            raise NotIrreducible("the return chain is not strongly connected for this mu")
-        b.memo["return_irreducible_for"] = frozenset(support)
+    n = len(b.states)
     span = np.arange(n)
-    rows = np.concatenate(rows + [span])
-    cols = np.concatenate(cols + [span])
-    vals = np.concatenate(vals + [diag])
-    # replace the last equation by the normalization sum(pi) = 1
-    keep = rows != n - 1
-    rows = np.append(rows[keep], np.full(n, n - 1))
-    cols = np.append(cols[keep], span)
-    vals = np.append(vals[keep], np.ones(n))
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
+    absorbing = np.nonzero(b.absorb > 0)[0]
+    # edges into the virtual node n from the absorbing states, and out of it to all
+    src = np.concatenate([b.src, absorbing, np.full(n, n)])
+    dst = np.concatenate([b.dst, np.full(absorbing.size, n), span])
+    if not strongly_connected(n + 1, src, dst):
+        raise NotIrreducible("some live state cannot reach absorption, so Phi is undefined")
+    # transposed, so that solving A^T w = v gives the row vector w = v A^-1
     if n <= PHI_LAPACK_LIMIT:
-        dense = np.zeros((n, n))
-        np.add.at(dense, (rows, cols), vals)
-        pi = np.linalg.solve(dense, rhs)
+        a_t = np.diag(b.total)
+        np.subtract.at(a_t, (b.dst, b.src), b.rate)
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            return np.linalg.solve(a_t, v)
+
     else:
         import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
+        from scipy.sparse.linalg import splu
 
-        pi = spla.spsolve(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), rhs)
-    return Distribution.from_weights({x: max(p, 0.0) for x, p in zip(states, pi.tolist())})
+        rows = np.concatenate([span, b.dst])
+        cols = np.concatenate([span, b.src])
+        vals = np.concatenate([b.total, -b.rate])
+        solve = splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n))).solve
+
+    def step(v: np.ndarray) -> np.ndarray:
+        w = np.maximum(solve(v), 0.0)  # A^-1 is entrywise nonnegative; this clips round-off
+        return w / w.sum()
+
+    return step
+
+
+def _mass_vector(model: AbsorbedChainModel, mu: Distribution) -> np.ndarray:
+    if not set(mu.support) <= set(model.states):
+        raise ValueError("mu puts mass outside the model's states")
+    return mu.as_vector(model.states)
+
+
+def _distribution(states, v: np.ndarray) -> Distribution:
+    return Distribution.from_weights(dict(zip(states, v.tolist())))
+
+
+def phi_map(model: AbsorbedChainModel, mu: Distribution) -> Distribution:
+    """Invariant distribution of the mu-return chain.
+
+    By the renewal argument of Ferrari, Kesten, Martinez and Picco (1995) it
+    is the occupation law before absorption from mu:
+    Phi(mu) = mu A^-1 / |mu A^-1| with A = -Q_live.  One linear solve gives
+    it: dense LAPACK on windows of at most ``PHI_LAPACK_LIMIT`` states, a
+    sparse LU factorization above.
+
+    QSDs are the fixed points of Phi, but on an infinite space it has more
+    than one: every QSD nu_theta of ``bd:p,q`` (0 < theta <= theta*) is a
+    fixed point, so the return map alone cannot select the minimal QSD.
+    On an irreducible finite window the fixed point is unique.
+    """
+    step = _phi_step(model)
+    return _distribution(model.states, step(_mass_vector(model, mu)))
 
 
 @dataclass
@@ -240,21 +184,24 @@ def phi_iterate(
 ) -> PhiIterationResult:
     """Iterate mu -> Phi(mu) until successive iterates agree in TV.
 
+    The iterate is a dense mass vector over ``model.states`` and A is
+    factored once per call; a ``Distribution`` is built only for the result.
     Exhausting ``max_iters`` is reported through ``converged=False`` rather
     than an exception; the TV log is the useful diagnostic either way.
     """
-    from .chain import tv_distance
-
-    mu = mu0
+    step = _phi_step(model)
+    mu = _mass_vector(model, mu0)
     log: list[float] = []
-    for k in range(1, max_iters + 1):
-        nxt = phi_map(model, mu)
-        gap = tv_distance(nxt, mu)
+    converged = False
+    for _ in range(max_iters):
+        nxt = step(mu)
+        gap = 0.5 * float(np.abs(nxt - mu).sum())
         log.append(gap)
         mu = nxt
         if gap < tol:
-            return PhiIterationResult(mu, log, True, k)
-    return PhiIterationResult(mu, log, False, max_iters)
+            converged = True
+            break
+    return PhiIterationResult(_distribution(model.states, mu), log, converged, len(log))
 
 
 # -- the time-inhomogeneous limit process ----------------------------------

@@ -76,6 +76,67 @@ def t2_oracle(t2):
     return solve_qsd_power(t2)
 
 
+class ReturnRates:
+    """Effective rates of the chain that re-enters with law mu on absorption.
+
+    Reference code for the return-map tests: the rates q(x, y) + q(x, 0) mu(y)
+    entry by entry, and the dense generator they form.
+    """
+
+    def __init__(self, model, mu):
+        self.model = model
+        self.mu = mu
+
+    def rate(self, x: int, y: int) -> float:
+        if x == y:
+            raise ValueError("diagonal entries are derived, not stored")
+        base = dict(self.model.transitions(x)).get(y, 0.0)
+        return base + self.model.absorb_rate(x) * self.mu.mass(y)
+
+    def matrix(self, states) -> np.ndarray:
+        """Dense generator of the return chain on the given states.
+
+        The self-return mass q(x, 0) mu(x) is a null event and is left out,
+        so rows sum to zero exactly.
+        """
+        b = self.model.live_block(states)
+        n = len(b.states)
+        gen = np.zeros((n, n))
+        np.add.at(gen, (b.src, b.dst), b.rate)
+        for i, x in enumerate(b.states):
+            a = b.absorb[i]
+            if a > 0:
+                for y, m in self.mu.items():
+                    if y != x:
+                        gen[i, b.index[y]] += a * m
+            gen[i, i] = -gen[i].sum()
+        return gen
+
+
+class TimeDepReturnRates:
+    """Rates of the limit process: the return law at time t is the conditioned law.
+
+    Where the supplied path is constant and equal to a QSD, these rates are
+    time-independent and coincide with :class:`ReturnRates` of that QSD.
+    """
+
+    def __init__(self, model, path):
+        self.model = model
+        self.path = path
+
+    def rate(self, t: float, x: int, y: int) -> float:
+        if x == y:
+            raise ValueError("diagonal entries are derived, not stored")
+        base = dict(self.model.transitions(x)).get(y, 0.0)
+        vec = self.path.vector_at(t)
+        mass = 0.0
+        for state, m in zip(self.path.states, vec):
+            if state == y:
+                mass = float(m)
+                break
+        return base + self.model.absorb_rate(x) * mass
+
+
 def full_generator_t2() -> np.ndarray:
     """Generator of the two-state chain including the absorbing state.
 

@@ -52,6 +52,11 @@ class TestDistribution:
         d = Distribution.from_weights({1: 2.0, 2: 6.0})
         assert d.mass(1) == 0.25
         assert abs(math.fsum(m for _, m in d.items()) - 1.0) <= 1e-12
+        # round-off below MASS_EPS is dropped; a negative, NaN or infinite weight is an error
+        assert Distribution.from_weights({1: -1e-16, 2: 1.0}) == Distribution.delta(2)
+        for bad in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="state 1"):
+                Distribution.from_weights({1: bad, 2: 1.0})
 
     def test_constructors_preserve_normalization(self):
         rng = np.random.default_rng(7)

@@ -103,19 +103,19 @@ GOLDEN = {
         {"oracle.json": "eff58857e670a3e05987f6d24577ae6e10028fe4d378129bf4cabe6ae445efdf"},
     ),
     "phi-bd200": (
-        # n = 200: the dense LAPACK branch of phi_map, run on one BLAS thread
+        # n = 200: the dense LAPACK branch of the return map, run on one BLAS thread
         ExperimentConfig(
             method="phi", model="bd:1,2,200", seed=0, params={"init": "delta:1", "iters": "10"}
         ),
         {
-            "phi.csv": "5b84c1864cecada3d846d9efcbb3d3d7660d89b9f5e88d19fa9f71a6724d24c0",
-            "phi_dist.csv": "694f8b9baa3267f3737aa16f818f54fe078c9305f50bd5c3374d45cb2bc58330",
+            "phi.csv": "dd5a9485c38f0cf9b30b2b8b7af477a523bfd5a68bbf705de7e0ff3ac1662725",
+            "phi_dist.csv": "95b7255c2d4ca130c5cefe15152129df4699237172f65ac916eef207b98837c8",
         },
     ),
     "phi-two-state": (
         ExperimentConfig(method="phi", model="two-state", seed=0, params={"init": "delta:1"}),
         {
-            "phi.csv": "71354d39e07eb4331614e1be3d855215ce1e09a18f4de79ba2e60b650250e45a",
+            "phi.csv": "12103628c08edee2240f900dd6ef9566d17a27388d9573356dbd17ea8ada8755",
             "phi_dist.csv": "f13218757e31ca46f4747b84164c2521fbc061f01e8f8130729a5e8aea82c13c",
         },
     ),
@@ -182,8 +182,8 @@ MULTI_JUMP_GOLDEN = {
     "phi": (
         "phi", 1, {"init": "delta:1", "iters": "20"},
         {
-            "phi.csv": "d588997e1b3fce7e9c984d9fcfbe89c86c926d41f7bc75887dbef46c55115931",
-            "phi_dist.csv": "7aee1b5adaf448af7a2a7c1d3c3ce9a7677e95e07f343da558a7a7999e002147",
+            "phi.csv": "f86944efdfdb4912d1a89284a8a7e681a400c7e5329fb9f997e3735e6916e0c5",
+            "phi_dist.csv": "3d23d51762476838cc95ca7a5cb14855c0f9acf2e83b3795059ca80d2ddd4971",
         },
     ),
     "conditioned": (

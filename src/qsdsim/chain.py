@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -185,6 +186,31 @@ class LiveBlock:
     total: np.ndarray
     absorb: np.ndarray
     boundary: tuple[int, ...]
+
+    @cached_property
+    def two_way_path(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(up, down) rates when the block is a two-way path, else None.
+
+        A two-way path has every positive in-window jump between window
+        neighbours i and i+1, and a positive rate both ways across each
+        neighbour pair; ``up[i]`` sums the rates i -> i+1 and ``down[i]``
+        those i+1 -> i.  Such a block is strongly connected and, in the
+        symmetrized form, tridiagonal.  A single state is a path.
+        """
+        n = len(self.states)
+        keep = self.rate > 0
+        src, dst, rate = self.src[keep], self.dst[keep], self.rate[keep]
+        step = dst - src
+        if not np.all((step == 1) | (step == -1)):
+            return None
+        rise = step == 1
+        pairs = max(n - 1, 0)
+        up = np.bincount(src[rise], weights=rate[rise], minlength=pairs)
+        down = np.bincount(dst[~rise], weights=rate[~rise], minlength=pairs)
+        if not (np.all(up > 0) and np.all(down > 0)):
+            return None
+        up.flags.writeable = down.flags.writeable = False
+        return up, down
 
 
 def strongly_connected(n: int, src, dst) -> bool:

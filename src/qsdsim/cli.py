@@ -30,7 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="principal-eigenvector QSD on a finite window")
     _add_common(p)
     p.add_argument("--trunc", type=int)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="power-iteration stop tolerance; windows that are two-way paths "
+        "(every builtin chain) are solved directly and ignore it",
+    )
 
     p = sub.add_parser("conditioned", help="integrate the conditioned evolution")
     _add_common(p)

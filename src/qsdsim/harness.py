@@ -27,7 +27,9 @@ from .conditioned import evolve_conditioned
 from .errors import ConfigInvalid, DegenerateInput, QsdError
 from .fv import fv_run, fv_stationary
 from .models import resolve_model, uniformize
-from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power
+# solve_qsd_discrete is unused here but stays importable from the harness,
+# whose solvers perfbench/spans.py wraps by name
+from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power  # noqa: F401
 from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
 
@@ -347,7 +349,7 @@ def _run_oracle(cfg, model, out):
     }
     path = out / "oracle.json"
     write_json(path, payload)
-    return [path], {"iterations": sol.iterations}
+    return [path], {"iterations": sol.iterations, "solver": sol.meta["solver"]}
 
 
 def _run_conditioned(cfg, model, out):
@@ -461,7 +463,8 @@ def _run_afp(cfg, model, out):
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
     lu = _p(params, "uniformization-rate", float, 0.0)
     d = uniformize(model, truncation=trunc, rate=lu if lu > 0 else None)
-    reference = solve_qsd_discrete(d).nu
+    # uniformization keeps the left Perron vector, and both restrict to the same window
+    reference = solve_qsd_power(model, truncation=trunc).nu
     n_checkpoints = _p(params, "checkpoints", int, 4)
     checkpoints = sorted({max(1, steps >> k) for k in range(n_checkpoints)})
     res = afp_run(d, start, steps, RngStream(cfg.seed), checkpoints=checkpoints, reference=reference)

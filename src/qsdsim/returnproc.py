@@ -100,19 +100,24 @@ def _phi_step(model: AbsorbedChainModel):
 
     Builds A = -Q_live from the model's cached live block and factors it
     once; the returned step maps v to v A^-1 / |v A^-1|.  A is nonsingular
-    exactly when every live state can reach absorption, which is checked
-    here with a virtual absorbing node.
+    exactly when every live state can reach absorption.  On a two-way path
+    that holds when some state absorbs; other blocks are checked with a
+    virtual absorbing node.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
     b = model.live_block()
     n = len(b.states)
     span = np.arange(n)
-    absorbing = np.nonzero(b.absorb > 0)[0]
-    # edges into the virtual node n from the absorbing states, and out of it to all
-    src = np.concatenate([b.src, absorbing, np.full(n, n)])
-    dst = np.concatenate([b.dst, np.full(absorbing.size, n), span])
-    if not strongly_connected(n + 1, src, dst):
+    if b.two_way_path is not None:
+        well_posed = bool((b.absorb > 0).any())
+    else:
+        absorbing = np.nonzero(b.absorb > 0)[0]
+        # edges into the virtual node n from the absorbing states, and out of it to all
+        src = np.concatenate([b.src, absorbing, np.full(n, n)])
+        dst = np.concatenate([b.dst, np.full(absorbing.size, n), span])
+        well_posed = strongly_connected(n + 1, src, dst)
+    if not well_posed:
         raise NotIrreducible("some live state cannot reach absorption, so Phi is undefined")
     # transposed, so that solving A^T w = v gives the row vector w = v A^-1
     if n <= PHI_LAPACK_LIMIT:

@@ -179,6 +179,39 @@ class TestLiveBlock:
         with pytest.raises(ValueError, match="window"):
             model.live_block()
 
+    def test_two_way_path_rates(self):
+        b = resolve_model("gw:1,2").restricted(5).live_block()
+        up, down = b.two_way_path
+        assert up.tolist() == [1.0, 2.0, 3.0, 4.0]  # b n from n = 1..4
+        assert down.tolist() == [4.0, 6.0, 8.0, 10.0]  # d n from n = 2..5
+        assert b.two_way_path is b.two_way_path  # computed once per block
+        assert strongly_connected(len(b.states), b.src, b.dst)  # what the path test stands for
+        with pytest.raises(ValueError):
+            up[0] = 0.0
+        single = resolve_model("point").live_block()
+        assert [a.size for a in single.two_way_path] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {(1, 2): 1.0, (2, 3): 1.0, (3, 2): 1.0, (1, 0): 1.0},  # 1 -> 2 one-way
+            {(1, 2): 1.0, (2, 1): 1.0, (2, 3): 1.0, (3, 2): 1.0, (1, 3): 0.5},  # skips 2
+            {(1, 2): 1.0, (2, 1): 1.0, (3, 0): 1.0},  # 3 has no neighbour jump
+        ],
+        ids=["one-way", "skip", "split"],
+    )
+    def test_not_a_two_way_path(self, rates):
+        assert build_finite(rates).live_block().two_way_path is None
+
+    def test_zero_rate_jumps_do_not_break_a_path(self):
+        rates = {(1, 2): 1.0, (2, 1): 1.0, (2, 3): 1.0, (3, 2): 1.0, (1, 3): 0.0, (3, 0): 1.0}
+        up, down = build_finite(rates).live_block().two_way_path
+        assert up.tolist() == [1.0, 1.0] and down.tolist() == [1.0, 1.0]
+
+    def test_multi_jump_file_is_not_a_path(self, tmp_path):
+        model = read_model_file(multi_jump_model_file(tmp_path))
+        assert model.live_block().two_way_path is None
+
 
 class TestValidateModel:
     def test_t1_clean(self, t1):

@@ -6,6 +6,12 @@ SHA-256 of the data files they write (``summary.json`` holds wall time and is
 left out).  Reruns of one commit are compared elsewhere; these digests catch a
 change of any draw or output byte between commits.  A change that alters
 seeded output on purpose must update the digests and say why.
+
+Files that carry oracle numbers also pin the oracle's route: both
+``oracle`` runs on builtin chains, stationary FV's ``fv_summary.json`` (its
+TV to the oracle) and both ``afp.csv`` files (their ``tv_to_oracle`` cells)
+come from the path solver, while the multi-jump ``oracle`` digests come from
+power iteration.
 """
 
 import hashlib
@@ -59,7 +65,7 @@ GOLDEN = {
         ),
         {
             "fv.csv": "209e32b72f4c14a5a70a7e10d276072de8aeb726d987d77a94136d6196d743c0",
-            "fv_summary.json": "ce8d97b03d6da019d9566f3f090007a89440e743ecb6176a02635ff1c4d7abba",
+            "fv_summary.json": "25923c61a8887e036c38727910862d510cd57840626ff3251633389df0c6f78a",
         },
     ),
     "scan": (
@@ -84,7 +90,7 @@ GOLDEN = {
         ExperimentConfig(
             method="afp", model="bd:1,2,30", seed=7, params={"steps": "20000", "start": "1"}
         ),
-        {"afp.csv": "13d0edb7e13b7556f09e94ec98283d080b484d3b39c0f86dd60942aca548af21"},
+        {"afp.csv": "197e49ae1154df35cbd4744319767a758e318c3f0dcdbea10af214fd4044ec76"},
     ),
     "branch": (
         # reaches the cap once, so the shared generator's multinomial draw is pinned too
@@ -96,11 +102,11 @@ GOLDEN = {
     ),
     "oracle-bd40": (
         ExperimentConfig(method="oracle", model="bd:0.6,1.7,40", seed=0),
-        {"oracle.json": "6a246b6682301519817ef59e81c540c85b9970bd3cee464bafc5a9effbb5b936"},
+        {"oracle.json": "36b7222b0a9f5637e8c9c35b9c94f20824db9d30d5bf6d5662bb17bfd171f8b4"},
     ),
     "oracle-bd-K200": (
         ExperimentConfig(method="oracle", model="bd:1,2", seed=0, params={"trunc": "200"}),
-        {"oracle.json": "eff58857e670a3e05987f6d24577ae6e10028fe4d378129bf4cabe6ae445efdf"},
+        {"oracle.json": "fe3d9426042edf29b99ab87a2d201fbb6b9e4ad7e46014471611875ef971ff75"},
     ),
     "phi-bd200": (
         # n = 200: the dense LAPACK branch of the return map, run on one BLAS thread
@@ -192,7 +198,7 @@ MULTI_JUMP_GOLDEN = {
     ),
     "afp": (
         "afp", 1, {"steps": "20000", "start": "1"},
-        {"afp.csv": "1f5a697b6f4a1742a0a2b7bd37d6f6b9ad332045f80738c9037823cf7a3ecd27"},
+        {"afp.csv": "665ba690566fb058d833246fcfda9717a936f5f359c9c7ff887aee7a0c9206a7"},
     ),
     "branch": (
         "branch", 3, {"horizon": "3.0", "cap": "2000"},

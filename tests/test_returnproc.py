@@ -93,6 +93,13 @@ class TestPhiMap:
         with pytest.raises(NotIrreducible):
             phi_map(model, Distribution.delta(1))
 
+    def test_path_without_absorption_is_rejected(self):
+        # a two-way path is strongly connected, but nothing ever absorbs
+        model = build_finite({(1, 2): 1.0, (2, 1): 1.0, (2, 3): 1.0, (3, 2): 1.0})
+        assert model.live_block().two_way_path is not None
+        with pytest.raises(NotIrreducible):
+            phi_map(model, Distribution.delta(1))
+
     def test_matches_long_simulation(self, t2):
         mu = Distribution.uniform([1, 2])
         exact = phi_map(t2, mu)

@@ -1,9 +1,11 @@
 """Which scipy modules each kind of run loads, and the dense window operator.
 
 scipy is imported only by the code that calls it: the oracle's power
-iteration (``scipy.sparse``), ``phi_map`` on more than ``PHI_LAPACK_LIMIT``
-states (``scipy.sparse.linalg``) and the conditioned flow on more than
-``DENSE_WINDOW_LIMIT`` states.  Each case runs in a fresh interpreter,
+iteration on windows that are not two-way paths (``scipy.sparse``),
+``phi_map`` on more than ``PHI_LAPACK_LIMIT`` states
+(``scipy.sparse.linalg``) and the conditioned flow on more than
+``DENSE_WINDOW_LIMIT`` states.  Every builtin chain is a two-way path, so
+the oracle, AFP and stationary FV need numpy alone on them.  Each case runs in a fresh interpreter,
 because this one has long since loaded scipy.
 """
 
@@ -61,13 +63,15 @@ NO_SCIPY = {
     "branch": ["branch", "--model", "two-state", "--alpha", "2", "--horizon", "5",
                "--cap", "1000", "--replicas", "2", "--seed", "1"],
     "phi": ["phi", "--model", "two-state", "--init", "delta:1"],
-}
-
-SPARSE_ONLY = {
     "oracle": ["oracle", "--model", "bd:1,2", "--trunc", "200"],
     "afp": ["afp", "--model", "two-state", "--steps", "1000", "--start", "1", "--seed", "1"],
     "fv-stationary": ["fv", "--model", "two-state", "--particles", "10", "--horizon", "4",
                       "--burnin", "1", "--seed", "1"],
+}
+
+# "{model_file}" stands for the 12-state multi-jump model file, not a two-way path
+SPARSE_ONLY = {
+    "oracle-multi-jump": ["oracle", "--model", "file:{model_file}"],
 }
 
 
@@ -78,7 +82,9 @@ def test_small_runs_load_no_scipy(case, tmp_path):
 
 @pytest.mark.parametrize("case", sorted(SPARSE_ONLY))
 def test_oracle_runs_load_scipy_sparse_only(case, tmp_path):
-    loaded = scipy_modules(SPARSE_ONLY[case], tmp_path)
+    model_file = multi_jump_model_file(tmp_path)
+    argv = [arg.format(model_file=model_file) for arg in SPARSE_ONLY[case]]
+    loaded = scipy_modules(argv, tmp_path / "out")
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
     assert "scipy.linalg" not in loaded

@@ -36,11 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(every builtin chain) are solved directly and ignore it",
     )
 
-    p = sub.add_parser("conditioned", help="integrate the conditioned evolution")
+    p = sub.add_parser("conditioned", help="the law conditioned on survival, by uniformization")
     _add_common(p)
     p.add_argument("--init", required=True, help="delta:x | uniform:a-b | x:m,y:m")
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--dt", type=float, help="step at which the law is checked and recorded")
     p.add_argument("--trunc", type=int)
     p.add_argument("--grid", type=float)
 

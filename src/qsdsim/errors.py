@@ -29,10 +29,6 @@ class TruncationLeak(QsdError):
     """Probability mass is piling up against the truncation boundary."""
 
 
-class StepUnstable(QsdError):
-    """An integration step produced significantly negative mass."""
-
-
 class NotIrreducible(QsdError):
     """The restricted chain is not strongly connected."""
 

@@ -90,9 +90,6 @@ class _RateIndex:
                 i += 1
         return self.state_of[i - cap]
 
-    def exact_total(self) -> float:
-        return math.fsum(self.tree[self.cap : self.cap + len(self.slot_of)])
-
 
 class ParticleConfig:
     """Positions of the N particles plus the indexes the event loop needs.
@@ -137,9 +134,6 @@ class ParticleConfig:
 
     def empirical(self) -> Distribution:
         return Distribution.from_weights({x: c for x, c in self.occupancy.items() if c})
-
-    def occupancy_snapshot(self) -> dict[int, int]:
-        return {x: c for x, c in self.occupancy.items() if c}
 
     def move(self, i: int, target: int) -> None:
         """Relocate particle i, updating occupancy, membership and weights."""

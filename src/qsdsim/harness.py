@@ -368,13 +368,17 @@ def _run_conditioned(cfg, model, out):
                 rows.append((float(t), x, float(path_obj.masses[i, j])))
     path = out / "conditioned.csv"
     write_csv(path, ["t", "state", "mass"], rows)
-    return [path], {"renorm_max": path_obj.meta["renorm_max"], "steps": len(path_obj.times) - 1}
+    steps = round(path_obj.horizon / path_obj.meta["step"])
+    return [path], {"tail_bound": path_obj.meta["tail_bound"], "steps": steps}
 
 
-def _reference_path(model, mu, horizon, trunc):
-    """Conditioned law from mu on the window up to trunc, at the default RK4 step."""
+def _reference_path(model, mu, horizon, trunc, grid_dt=None):
+    """Conditioned law from mu on the window up to trunc, at step min(1e-3, 0.1/max rate).
+
+    Recorded every step unless ``grid_dt`` is given; ``.final`` readers pass the horizon.
+    """
     maxrate = model.max_total_rate(model.state_window(trunc))
-    return evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), trunc)
+    return evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), trunc, grid_dt)
 
 
 def _fv_reference(model, params):
@@ -396,7 +400,9 @@ def _run_fv(cfg, model, out):
     root = RngStream(cfg.seed)
 
     if burnin > 0.0:
-        # stationary mode: one trajectory per replica, time-averaged
+        # stationary mode, time-averaged; the reference draws nothing, so it fails first
+        reference = _fv_reference(model, params)
+
         def one(r):
             return fv_stationary(model, n, burnin, horizon, root.child(r), init=init)
 
@@ -407,7 +413,6 @@ def _run_fv(cfg, model, out):
                 rows.append((r, float(horizon), x, m))
         path = out / "fv.csv"
         write_csv(path, ["replica", "t", "state", "mass"], rows)
-        reference = _fv_reference(model, params)
         tvs = [tv_distance(d, reference) for d in results]
         summary = {"mean_tv_to_reference": float(np.mean(tvs)), "mode": "stationary"}
         spath = out / "fv_summary.json"
@@ -435,7 +440,7 @@ def _run_fv(cfg, model, out):
         # same start, on the model's own window (or the given truncation)
         trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else 0)
         if trunc:
-            ref = _reference_path(model, init, horizon, trunc).final
+            ref = _reference_path(model, init, horizon, trunc, grid_dt=horizon).final
             tvs = [tv_distance(tr.measures[-1], ref) for tr in traces]
             summary["mean_tv_to_reference"] = float(np.mean(tvs))
     spath = out / "fv_summary.json"
@@ -529,7 +534,7 @@ def _run_scan(cfg, model, out):
     horizon = _p(params, "horizon", float, None)
     mu = parse_distribution(_p(params, "init", str, None))
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    ref = _reference_path(model, mu, horizon, trunc).final
+    ref = _reference_path(model, mu, horizon, trunc, grid_dt=horizon).final
     probe_state = _p(params, "state", int, ref.support[0])
     ref_mass = ref.mass(probe_state)
     root = RngStream(cfg.seed)

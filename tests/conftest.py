@@ -156,8 +156,9 @@ def expm_uniformized(gen: np.ndarray, t: float, tol: float = 1e-16) -> np.ndarra
     """Matrix exponential by the uniformization series.
 
     e^{tQ} = sum_k e^{-Lt} (Lt)^k / k! P^k with P = I + Q/L; the series is
-    truncated once the remaining Poisson tail is below tol.  Independent of
-    the RK4 integrator it is used to check.
+    truncated once the remaining Poisson tail is below tol.  One series over
+    [0, t] on the full generator, absorbing state included, independent of
+    the stepped window operator of the conditioned flow.
     """
     rate = max(-np.diag(gen)) or 1.0
     p = np.eye(len(gen)) + gen / rate
@@ -182,6 +183,35 @@ def conditional_law_t2(t: float) -> np.ndarray:
     row = pt[2]
     alive = row[1] + row[2]
     return np.array([row[1] / alive, row[2] / alive])
+
+
+def expm_window_law(model, mu, t: float, truncation: int) -> tuple[np.ndarray, float]:
+    """(mu e^{tQ_w} / |mu e^{tQ_w}|, |mu e^{tQ_w}|) by ``scipy.linalg.expm``.
+
+    Q_w is the generator on the window up to truncation, built here from
+    ``model.transitions``; a jump that leaves the window stays in the
+    diagonal, so it kills, as in the conditioned flow.  The second value is
+    the probability of staying alive in the window up to t.
+    """
+    from scipy.linalg import expm
+
+    states = model.state_window(truncation)
+    index = {x: i for i, x in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for x in states:
+        i = index[x]
+        q[i, i] -= model.absorb_rate(x)
+        for y, r in model.transitions(x):
+            q[i, i] -= r
+            if y in index:
+                q[i, index[y]] += r
+    v = mu.as_vector(states) @ expm(t * q)
+    return v / v.sum(), float(v.sum())
+
+
+def poisson_tail(x: float, first: int) -> float:
+    """P(Poisson(x) >= first), summed term by term (no cancellation); x <= 1."""
+    return math.fsum(math.exp(-x) * x**k / math.factorial(k) for k in range(first, first + 40))
 
 
 def merge_bins(counts_a: dict, counts_b: dict, min_expected: float = 5.0):

@@ -29,6 +29,7 @@ from qsdsim import (
     phi_iterate,
     phi_map,
     qsd_residual,
+    read_model_file,
     rate_fit,
     resolve_model,
     run_config,
@@ -40,7 +41,15 @@ from qsdsim import (
     uniformize,
 )
 
-from conftest import conditional_law_t2, one_sample_chi2_pvalue, two_sample_chi2_pvalue
+from qsdsim import conditioned
+
+from conftest import (
+    expm_window_law,
+    multi_jump_model_file,
+    one_sample_chi2_pvalue,
+    poisson_tail,
+    two_sample_chi2_pvalue,
+)
 
 
 def criterion(number, title):
@@ -84,18 +93,34 @@ def test_c02_theta_identity(t1, t2):
     assert 2.0 * (1.0 - ds.lam) == pytest.approx(theta_of(t2, ds.nu), abs=1e-9)
 
 
-@criterion(3, "conditioned flow matches the matrix-exponential law at 1e-8; RK4 order 4")
-def test_c03_conditioned_flow(t2):
-    path = evolve_conditioned(t2, Distribution.delta(2), 1.0, 1e-3, 2)
-    exact = conditional_law_t2(1.0)
-    assert np.abs(path.final.as_vector((1, 2)) - exact).max() <= 1e-8
+@criterion(
+    3, "conditioned flow matches the matrix-exponential law at 1e-12; the reported Poisson tail bound holds"
+)
+def test_c03_conditioned_flow(t2, tmp_path, monkeypatch):
+    cases = [
+        (t2, 2, 5.0),
+        (resolve_model("bd:1,2,200"), 1, 2.0),
+        (build_birth_death(BirthDeathSpec(0.6, 1.7), truncation=40), 1, 3.0),
+        (read_model_file(multi_jump_model_file(tmp_path)), 1, 1.0),
+    ]
+    for model, x, horizon in cases:
+        K = max(model.states)
+        rate = model.max_total_rate(model.state_window(K))
+        step = min(1e-3, 0.1 / rate)
+        path = evolve_conditioned(model, Distribution.delta(x), horizon, step, K, grid_dt=horizon)
+        exact, _ = expm_window_law(model, Distribution.delta(x), horizon, K)
+        assert np.abs(path.masses[-1] - exact).max() <= 1e-12
+        steps = round(horizon / path.meta["step"])
+        dropped = steps * poisson_tail(rate * path.meta["step"], path.meta["terms"])
+        assert dropped <= path.meta["tail_bound"] <= 1e-12
 
-    def err(h):
-        p = evolve_conditioned(t2, Distribution.delta(2), 1.0, h, 2)
-        return np.abs(p.final.as_vector((1, 2)) - exact).max()
-
-    ratio = err(0.05) / err(0.025)
-    assert 10.0 <= ratio <= 24.0
+    # with a coarse tail tolerance the truncation error shows, and stays
+    # within 2 tail_bound / (survival in the window)
+    monkeypatch.setattr(conditioned, "TAIL_TOL", 1e-6)
+    coarse = evolve_conditioned(t2, Distribution.delta(2), 5.0, 1e-3, 2)
+    exact, survival = expm_window_law(t2, Distribution.delta(2), 5.0, 2)
+    err = np.abs(coarse.masses[-1] - exact).sum()
+    assert 1e-12 < err <= 2.0 * coarse.meta["tail_bound"] / survival
 
 
 @criterion(4, "FV fixed-time error under the a-priori bound; rate slope in [-0.65, -0.35]")

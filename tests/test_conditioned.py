@@ -12,10 +12,18 @@ from qsdsim import (
     theta_of,
     tv_distance,
 )
-from qsdsim.conditioned import _window_operator
+from qsdsim import conditioned
+from qsdsim.conditioned import DENSE_WINDOW_LIMIT, _window_operator
 from qsdsim.errors import TruncationLeak
 
-from conftest import conditional_law_t2, multi_jump_model_file
+from conftest import conditional_law_t2, expm_window_law, multi_jump_model_file, poisson_tail
+
+
+def _default_run(model, init, horizon, **kw):
+    """The flow on the model's whole (finite) window at the default step."""
+    K = max(model.states)
+    step = min(1e-3, 0.1 / model.max_total_rate(model.state_window(K)))
+    return evolve_conditioned(model, Distribution.delta(init), horizon, step, K, **kw)
 
 
 class TestEvolveConditioned:
@@ -32,18 +40,20 @@ class TestEvolveConditioned:
         path = evolve_conditioned(t2, Distribution.delta(2), 1.0, 1e-3, 2)
         exact = conditional_law_t2(1.0)
         got = path.final.as_vector((1, 2))
-        assert np.abs(got - exact).max() <= 1e-8
+        assert np.abs(got - exact).max() <= 1e-12
 
-    def test_rk4_order(self, t2):
-        # halving the step shrinks the terminal error ~16x (4th order)
-        exact = conditional_law_t2(1.0)
-
-        def err(h):
-            p = evolve_conditioned(t2, Distribution.delta(2), 1.0, h, 2)
-            return np.abs(p.final.as_vector((1, 2)) - exact).max()
-
-        ratio = err(0.05) / err(0.025)
-        assert 10.0 <= ratio <= 24.0
+    @pytest.mark.parametrize("name, init, horizon", [
+        ("two-state", 2, 5.0), ("bd:1,2,200", 1, 2.0), ("bd:0.6,1.7,40", 1, 3.0),
+        ("multi-jump", 1, 1.0),
+    ])
+    def test_matches_scipy_expm(self, name, init, horizon, tmp_path):
+        if name == "multi-jump":
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        else:
+            model = resolve_model(name)
+        path = _default_run(model, init, horizon)
+        exact, _ = expm_window_law(model, Distribution.delta(init), horizon, max(model.states))
+        assert np.abs(path.masses[-1] - exact).max() <= 1e-12
 
     def test_semigroup_property(self, t2):
         full = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)
@@ -51,11 +61,28 @@ class TestEvolveConditioned:
         rest = evolve_conditioned(t2, half.final, 1.0, 1e-3, 2)
         assert tv_distance(full.final, rest.final) <= 1e-7
 
-    def test_renormalization_is_tiny(self, t2):
-        # the nonlinear term conserves mass analytically; per-step drift is
-        # integrator error only
+    def test_tail_bound_holds(self, t2, monkeypatch):
         path = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)
-        assert path.meta["renorm_max"] <= 1e-8
+        steps = round(path.horizon / path.meta["step"])
+        x = t2.max_total_rate((1, 2)) * path.meta["step"]
+        assert steps * poisson_tail(x, path.meta["terms"]) <= path.meta["tail_bound"] <= 1e-12
+        # a coarse tail tolerance makes the truncation error visible: the
+        # normalized law is then off by at most 2 tail_bound / survival
+        monkeypatch.setattr(conditioned, "TAIL_TOL", 1e-6)
+        coarse = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)
+        assert coarse.meta["terms"] < path.meta["terms"]
+        exact, survival = expm_window_law(t2, Distribution.delta(2), 2.0, 2)
+        err = np.abs(coarse.masses[-1] - exact).sum()
+        assert 1e-12 < err <= 2.0 * coarse.meta["tail_bound"] / survival
+
+    def test_csr_window_matches_dense(self, monkeypatch):
+        model = resolve_model("bd:1,2,500")
+        assert len(model.states) > DENSE_WINDOW_LIMIT
+        sparse = _default_run(model, 1, 0.5, grid_dt=0.1)
+        monkeypatch.setattr(conditioned, "DENSE_WINDOW_LIMIT", 500)
+        dense = _default_run(model, 1, 0.5, grid_dt=0.1)
+        assert np.array_equal(sparse.times, dense.times)
+        assert np.abs(sparse.masses - dense.masses).max() <= 1e-12
 
     def test_step_limit_enforced(self, t2):
         with pytest.raises(ValueError, match="step"):
@@ -75,9 +102,8 @@ class TestEvolveConditioned:
 
     def test_window_operator_rows_balance(self, t2):
         # columns of the transposed generator sum to -(absorption rate)
-        qt, absorb, near = _window_operator(t2, (1, 2))
-        qt = np.asarray(qt)
-        assert np.allclose(qt.sum(axis=0), -absorb)
+        qt, near = _window_operator(t2, (1, 2))
+        assert np.allclose(qt.sum(axis=0), [-t2.absorb_rate(x) for x in (1, 2)])
         assert near.size == 0  # finite model, nothing dropped
 
     @pytest.mark.parametrize("name, K, near_states", [
@@ -90,7 +116,7 @@ class TestEvolveConditioned:
         else:
             model = resolve_model(name)
         states = model.state_window(K)
-        qt, _, near = _window_operator(model, states)
+        qt, near = _window_operator(model, states)
         assert [states[i] for i in near] == near_states
         # a dropped jump stays in the diagonal: those columns leak past absorption
         leak = -np.asarray(qt).sum(axis=0) - [model.absorb_rate(x) for x in states]

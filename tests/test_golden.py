@@ -11,7 +11,9 @@ Files that carry oracle numbers also pin the oracle's route: both
 ``oracle`` runs on builtin chains, stationary FV's ``fv_summary.json`` (its
 TV to the oracle) and both ``afp.csv`` files (their ``tv_to_oracle`` cells)
 come from the path solver, while the multi-jump ``oracle`` digests come from
-power iteration.
+power iteration.  Files that carry conditioned-law numbers (both
+``conditioned.csv`` files, fixed-time FV's ``fv_summary.json``, ``scan.csv``
+and ``scan_fit.json``) pin the uniformization step.
 """
 
 import hashlib
@@ -55,7 +57,7 @@ GOLDEN = {
         ),
         {
             "fv.csv": "dabe6abefd95ee45c2ad717dce3fb7e66452f3bf773a210b302492f226a8997e",
-            "fv_summary.json": "c6cb3b3968953a24415b1b013e87b046cf0e60e2db5d2afac581312716dc103b",
+            "fv_summary.json": "63f4e7cd8b3e94758ccf3ba2a62ff55e349abe59acbeece349a27e4afe034839",
         },
     ),
     "fv-stationary": (
@@ -74,9 +76,9 @@ GOLDEN = {
             params={"particles": "10,20,40", "horizon": "1.0", "init": "delta:2", "state": "1"},
         ),
         {
-            "scan.csv": "0272dab9a54ff99f0af7fa45ae1f7b162ad7c08b9e5cf3a60c37458466f4a8f6",
+            "scan.csv": "3e071f2e83218329a7301cc4fc69ac2d1c814eb0e123d68ef51e1629cfd63556",
             "scan.gp": "584ca0e223356d5ae69ea77e9c4f545b1b95641f4723ba43968bf677c14b3f6c",
-            "scan_fit.json": "78899578b4609c82b998d3c5c1498cc2eb2c12d3d69088193022aef256b66d51",
+            "scan_fit.json": "1221c6ec51615207dd7cffbb21906e50c19f20a8cfb5c0651dba5ae11b53d56f",
         },
     ),
     "couple": (
@@ -130,7 +132,7 @@ GOLDEN = {
             method="conditioned", model="two-state", seed=0,
             params={"init": "delta:2", "horizon": "1.0"},
         ),
-        {"conditioned.csv": "6286a1227ae62bb818b489ab012a1eeb142b7a3217c4a0d881fe33116805dcb3"},
+        {"conditioned.csv": "57cff704c2dc66f64e1b531ebd3b25d23cdf8f62f31722d538ebc37ccdcefca1"},
     ),
 }
 
@@ -194,7 +196,7 @@ MULTI_JUMP_GOLDEN = {
     ),
     "conditioned": (
         "conditioned", 1, {"init": "delta:1", "horizon": "1.0"},
-        {"conditioned.csv": "3a0eea2d678486e746591c6f8d6f42c5fb2a285a593f40cd9785be7fde637943"},
+        {"conditioned.csv": "49bb70d8ad12ee01579217f7eaf693290bcd17457fffc74d959ef9969aef5f72"},
     ),
     "afp": (
         "afp", 1, {"steps": "20000", "start": "1"},

@@ -17,6 +17,7 @@ from qsdsim import (
 )
 from qsdsim.cli import main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
+from qsdsim import harness
 from qsdsim.harness import map_replicas, worker_count, write_csv
 from qsdsim.returnproc import coupled_tagged_run
 
@@ -143,12 +144,17 @@ class TestRunConfig:
             seed=0,
             params={"init": "delta:2", "horizon": "2.0"},
         )
-        run_config(cfg, tmp_path)
+        summary = run_config(cfg, tmp_path).summary
         lines = (tmp_path / "conditioned.csv").read_text().splitlines()
         assert lines[0] == "t,state,mass"
         t_final, state, mass = lines[-1].split(",")
         assert float(t_final) == 2.0
         assert state in ("1", "2")
+        # 2000 steps of the default 1e-3, recorded on 50 grid intervals (the
+        # start, a point mass, has one row)
+        assert len(lines) == 1 + 1 + 50 * 2
+        assert summary["steps"] == 2000
+        assert 0.0 < summary["tail_bound"] <= 1e-12
 
     def test_report_csv_and_runtime_sidecar(self, tmp_path):
         cfg = ExperimentConfig(
@@ -326,6 +332,17 @@ class TestCli:
             ["oracle", "--model", f"file:{model_file}", "--out-dir", str(tmp_path)]
         )
         assert rc == 3
+
+    def test_uncomputable_fv_reference_fails_before_simulating(self, tmp_path, monkeypatch):
+        # bd:1,2 without --trunc has no stabilizing truncation reference
+        def fv_stationary(*args, **kwargs):
+            raise AssertionError("stationary FV ran before its reference was known")
+
+        monkeypatch.setattr(harness, "fv_stationary", fv_stationary)
+        argv = ["fv", "--model", "bd:1,2", "--particles", "10", "--burnin", "1",
+                "--horizon", "3", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 3
+        assert not (tmp_path / "fv.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",

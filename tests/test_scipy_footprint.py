@@ -4,7 +4,8 @@ scipy is imported only by the code that calls it: the oracle's power
 iteration on windows that are not two-way paths (``scipy.sparse``),
 ``phi_map`` on more than ``PHI_LAPACK_LIMIT`` states
 (``scipy.sparse.linalg``) and the conditioned flow on more than
-``DENSE_WINDOW_LIMIT`` states.  Every builtin chain is a two-way path, so
+``DENSE_WINDOW_LIMIT`` states (``scipy.sparse`` alone: its uniformization
+steps are CSR matvecs, not ``expm_multiply``).  Every builtin chain is a two-way path, so
 the oracle, AFP and stationary FV need numpy alone on them.  Each case runs in a fresh interpreter,
 because this one has long since loaded scipy.
 """
@@ -69,9 +70,12 @@ NO_SCIPY = {
                       "--burnin", "1", "--seed", "1"],
 }
 
-# "{model_file}" stands for the 12-state multi-jump model file, not a two-way path
+# "{model_file}" stands for the 12-state multi-jump model file, not a two-way path;
+# a conditioned flow on more than DENSE_WINDOW_LIMIT states steps with CSR matvecs
 SPARSE_ONLY = {
     "oracle-multi-jump": ["oracle", "--model", "file:{model_file}"],
+    "conditioned-large": ["conditioned", "--model", "bd:1,2,500", "--init", "delta:1",
+                          "--horizon", "0.5"],
 }
 
 
@@ -145,7 +149,7 @@ def test_dense_window_operator_matches_csr(name, K, tmp_path):
         model = resolve_model(name)
     states = model.state_window(K)
     assert len(states) <= DENSE_WINDOW_LIMIT
-    qt, _, _ = _window_operator(model, states)
+    qt, _ = _window_operator(model, states)
     assert isinstance(qt, np.ndarray)
     ref = reference_window_generator(model, states)
     assert qt.dtype == ref.dtype and qt.shape == ref.shape
@@ -155,6 +159,6 @@ def test_dense_window_operator_matches_csr(name, K, tmp_path):
 def test_large_window_operator_stays_sparse():
     model = resolve_model("bd:1,2")
     states = model.state_window(DENSE_WINDOW_LIMIT + 1)
-    qt, _, _ = _window_operator(model, states)
+    qt, _ = _window_operator(model, states)
     assert sp.issparse(qt)
     assert np.array_equal(qt.toarray(), reference_window_generator(model, states))

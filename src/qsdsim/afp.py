@@ -4,7 +4,9 @@ A walker moves with the substochastic matrix; on a kill event it re-enters
 according to the empirical distribution of its own past positions.  The
 normalized history converges to the QSD of the discrete chain (the
 Aldous-Flannery-Palacios scheme).  The history starts as a unit atom at the
-start state so the renewal draw is always well defined.
+start state so the renewal draw is always well defined.  One loop,
+``_advance``, takes the steps: :func:`afp_run` advances it from checkpoint to
+checkpoint and :func:`afp_step` by one step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .chain import Distribution, tv_distance
 from .models import DiscreteChainModel
-from .rng import RngStream, UniformBlock, TAG_EVENTS
+from .rng import RngStream, UniformBlock, event_block
 
 # 64-bit counts; refuse to grow the history past this total mass.
 MASS_LIMIT = 1 << 62
@@ -42,28 +44,45 @@ class HistoryState:
 def afp_step(h: HistoryState, d: DiscreteChainModel, rng) -> HistoryState:
     """One renewal step; h is updated in place and returned.
 
-    The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|.
-    Drawing a uniform element of the stored history list realizes the
-    renewal part exactly in O(1).
+    ``rng`` may be an RngStream, a Generator or a UniformBlock; the step is
+    the first one :func:`afp_run` would draw from it.
     """
-    blocks = rng if isinstance(rng, UniformBlock) else UniformBlock(
-        rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng
-    )
-    if h.total >= MASS_LIMIT:
-        raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
-    i = d.index[h.walker]
-    cum = d.cum_rows[i]
-    u = blocks.u()
-    if u < cum[-1]:
-        y = d.states[bisect_right(cum, u)]
-    else:
-        y = h.history[int(blocks.u() * h.total)]
-    h.walker = y
-    h.counts[y] = h.counts.get(y, 0) + 1
-    h.total += 1
-    h.step += 1
-    h.history.append(y)
+    _advance(h, d, event_block(rng), 1)
     return h
+
+
+def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps: int) -> None:
+    """Take ``steps`` renewal steps in place.
+
+    The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|:
+    one uniform picks a within-window move from the cumulative row, and a
+    kill (the uniform past the row's mass) draws a second uniform that picks
+    an element of the stored history list, which realizes the renewal part
+    exactly in O(1).
+    """
+    if h.total + steps > MASS_LIMIT:
+        raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
+    cums = d.cum_rows
+    index = d.index
+    states = d.states
+    history = h.history
+    counts = h.counts
+    u = blocks.u
+    walker = h.walker
+    total = h.total
+    for _ in range(steps):
+        v = u()
+        cum = cums[index[walker]]
+        if v < cum[-1]:
+            walker = states[bisect_right(cum, v)]
+        else:
+            walker = history[int(u() * total)]
+        counts[walker] = counts.get(walker, 0) + 1
+        history.append(walker)
+        total += 1
+    h.walker = walker
+    h.total = total
+    h.step += steps
 
 
 @dataclass
@@ -97,37 +116,14 @@ def afp_run(
     if checkpoints is None:
         checkpoints = sorted({max(1, steps // 8), max(1, steps // 4), max(1, steps // 2), steps})
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints[-1] != steps:
-        raise ValueError("the last checkpoint must equal steps")
+    if checkpoints[0] < 1 or checkpoints[-1] != steps:
+        raise ValueError("checkpoints must lie in 1..steps, the last equal to steps")
 
     h = HistoryState.start_at(start)
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
-    cums = [tuple(row) for row in d.cum_rows]
-    states = d.states
-    index = d.index
-    history = h.history
-    counts = h.counts
-
-    ci = 0
+    blocks = event_block(rng)
     tv_log: list[float] = []
-    n = 0
-    walker = h.walker
-    while n < steps:
-        u = blocks.u()
-        cum = cums[index[walker]]
-        if u < cum[-1]:
-            walker = states[bisect_right(cum, u)]
-        else:
-            walker = history[int(blocks.u() * (n + 1))]
-        counts[walker] = counts.get(walker, 0) + 1
-        history.append(walker)
-        n += 1
-        if n == checkpoints[ci]:
-            if reference is not None:
-                est = Distribution.from_weights({x: c for x, c in counts.items()})
-                tv_log.append(tv_distance(est, reference))
-            ci += 1
-    h.walker = walker
-    h.total = 1 + steps
-    h.step = steps
+    for cp in checkpoints:
+        _advance(h, d, blocks, cp - h.step)
+        if reference is not None:
+            tv_log.append(tv_distance(h.distribution(), reference))
     return AfpResult(h.distribution(), checkpoints, tv_log, steps)

@@ -7,9 +7,12 @@ system tracks the conditioned evolution at fixed times and, in its
 stationary regime, approximates the QSD (the minimal one when several
 exist).
 
-Per-event work is kept at O(log S) in the number of occupied states via a
-weighted tree over states, because position-dependent rates (the branching
-population chain) make per-event rate scans too expensive.
+One event kernel, the generator ``_fv_events``, draws every event:
+fixed-time sampling (:func:`fv_run`), time averaging (:func:`fv_stationary`)
+and the single-step view (:func:`fv_step`) consume it, so all three see the
+same draws.  Per-event work is kept at O(log S) in the number of occupied
+states via a weighted tree over states, because position-dependent rates
+(the branching population chain) make per-event rate scans too expensive.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
 from .errors import DeadConfig, EventCapExceeded
-from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT
+from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, event_block
 
 FV_EVENT_CAP = 10**8
 
@@ -179,38 +182,57 @@ def fv_step(cfg: ParticleConfig, model: AbsorbedChainModel, rng) -> tuple[float,
     Waits an exponential time at the aggregate rate, picks a particle
     proportionally to its total rate, then either performs the driving jump
     or, on an absorption attempt, a revival onto a uniformly chosen other
-    particle.  ``rng`` may be an RngStream, a Generator or a UniformBlock.
+    particle.  ``rng`` may be an RngStream, a Generator or a UniformBlock;
+    the event is the first one :func:`fv_run` would draw from it.
     """
-    blocks = _as_blocks(rng)
-    dt, event = _fv_event(cfg, model, blocks)
-    return dt, cfg, event
-
-
-def _as_blocks(rng) -> UniformBlock:
-    if isinstance(rng, UniformBlock):
-        return rng
-    return UniformBlock(rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng)
-
-
-def _fv_event(cfg: ParticleConfig, model: AbsorbedChainModel, blocks: UniformBlock):
-    agg = cfg.aggregate_rate
-    if agg <= 0.0:
-        raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
-    dt = blocks.exp(agg)
-    x = cfg.index.sample(blocks.u())
-    lst = cfg.members[x]
-    i = lst[int(blocks.u() * len(lst))]
-    target = model.sample_jump(x, blocks.u())
-    if target == 0:
-        # revival: uniform over the other N - 1 particles, single rejection loop
-        j = i
-        while j == i:
-            j = int(blocks.u() * cfg.N)
-        target = cfg.positions[j]
-        cfg.move(i, target)
-        return dt, FvEvent("revival", i, x, target)
+    events = _fv_events(cfg, model, event_block(rng), math.inf, FV_EVENT_CAP)
+    dt, i, x, target, revived = next(events)
     cfg.move(i, target)
-    return dt, FvEvent("jump", i, x, target)
+    return dt, cfg, FvEvent("revival" if revived else "jump", i, x, target)
+
+
+def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, blocks: UniformBlock,
+               until: float, event_cap: int):
+    """The system's events before time ``until``, drawn from ``blocks``.
+
+    Yields ``(t, particle, source, target, revived)`` with cfg still as it
+    was before the event, and moves the particle when resumed.  Each event
+    draws, in order: the exponential wait, the state (rate-weighted), the
+    particle there, the jump, and on an absorption attempt the other
+    particle to copy (uniform, by rejection).  Nothing is drawn after the
+    first event time >= ``until``.
+    """
+    index = cfg.index
+    members = cfg.members
+    positions = cfg.positions
+    n = cfg.N
+    move = cfg.move
+    u = blocks.u
+    sample_jump = model.sample_jump
+    t = 0.0
+    events = 0
+    while True:
+        agg = index.tree[1]
+        if agg <= 0.0:
+            raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
+        t += blocks.exp(agg)
+        if t >= until:
+            return
+        x = index.sample(u())
+        lst = members[x]
+        i = lst[int(u() * len(lst))]
+        target = sample_jump(x, u())
+        revived = target == 0
+        if revived:
+            j = i
+            while j == i:
+                j = int(u() * n)
+            target = positions[j]
+        yield t, i, x, target, revived
+        move(i, target)
+        events += 1
+        if events > event_cap:
+            raise EventCapExceeded(f"more than {event_cap} events before t={until}")
 
 
 @dataclass
@@ -243,58 +265,30 @@ def fv_run(
     rng: RngStream,
     n: int | None = None,
     event_cap: int = FV_EVENT_CAP,
-    debug_every: int = 0,
 ) -> FvTrace:
-    """Run the system to the horizon, recording the empirical measure on a grid.
+    """Run the system to the last grid time, recording the empirical measure on the grid.
 
-    ``grid`` is an increasing sequence of sample times (a scalar is treated
-    as a single sample time).  Deterministic for a fixed (seed, path).
+    ``grid`` is an increasing sequence of sample times within the horizon
+    (a scalar is treated as a single sample time).  Deterministic for a
+    fixed (seed, path).
     """
     cfg = _resolve_init(model, init, n, rng)
-    blocks = _as_blocks(rng)
+    blocks = event_block(rng)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if (np.diff(grid) <= 0).any() or (grid < 0).any() or grid[-1] > horizon + 1e-12:
         raise ValueError("grid must be increasing, nonnegative and within the horizon")
-    t = 0.0
-    gi = 0
-    times = []
+    times = grid.tolist()
     measures = []
     events = 0
     revivals = 0
-    while gi < len(grid) and grid[gi] <= 0.0:
-        times.append(grid[gi])
-        measures.append(cfg.empirical())
-        gi += 1
-    while gi < len(grid):
-        agg = cfg.aggregate_rate
-        if agg <= 0.0:
-            raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
-        dt = blocks.exp(agg)
-        while gi < len(grid) and t + dt >= grid[gi]:
-            times.append(grid[gi])
+    for t, _, _, _, revived in _fv_events(cfg, model, blocks, times[-1], event_cap):
+        # the grid times up to this event see the configuration before it
+        while times[len(measures)] <= t:
             measures.append(cfg.empirical())
-            gi += 1
-        if gi >= len(grid):
-            break
-        t += dt
-        # replay the event draw only after the grid bookkeeping
-        x = cfg.index.sample(blocks.u())
-        lst = cfg.members[x]
-        i = lst[int(blocks.u() * len(lst))]
-        target = model.sample_jump(x, blocks.u())
-        if target == 0:
-            j = i
-            while j == i:
-                j = int(blocks.u() * cfg.N)
-            cfg.move(i, cfg.positions[j])
-            revivals += 1
-        else:
-            cfg.move(i, target)
         events += 1
-        if events > event_cap:
-            raise EventCapExceeded(f"more than {event_cap} events before t={horizon}")
-        if debug_every and events % debug_every == 0:
-            cfg.check_consistency()
+        revivals += revived
+    while len(measures) < len(times):
+        measures.append(cfg.empirical())
     return FvTrace(
         times=np.array(times),
         measures=measures,
@@ -329,45 +323,21 @@ def fv_stationary(
     if init is None:
         init = Distribution.delta(model.states[0] if model.is_finite else 1)
     cfg = _resolve_init(model, init, n, rng)
-    blocks = _as_blocks(rng)
-    t = 0.0
-    events = 0
+    occupancy = cfg.occupancy
     acc: dict[int, float] = {}
     last_change: dict[int, float] = {}
 
     def flush(x: int, now: float):
-        c = cfg.occupancy.get(x, 0)
+        c = occupancy.get(x, 0)
         if c:
             acc[x] = acc.get(x, 0.0) + c * (now - last_change.get(x, burn_in))
         last_change[x] = now
 
-    while True:
-        agg = cfg.aggregate_rate
-        if agg <= 0.0:
-            raise DeadConfig("aggregate rate is 0")
-        dt = blocks.exp(agg)
-        t_next = t + dt
-        if t_next >= horizon:
-            break
-        t = t_next
-        x = cfg.index.sample(blocks.u())
-        lst = cfg.members[x]
-        i = lst[int(blocks.u() * len(lst))]
-        target = model.sample_jump(x, blocks.u())
-        if target == 0:
-            j = i
-            while j == i:
-                j = int(blocks.u() * cfg.N)
-            target = cfg.positions[j]
+    for t, _, x, target, _ in _fv_events(cfg, model, event_block(rng), horizon, event_cap):
         if t > burn_in and target != x:
-            src = int(cfg.positions[i])
-            flush(src, t)
+            flush(x, t)
             flush(target, t)
-        cfg.move(i, target)
-        events += 1
-        if events > event_cap:
-            raise EventCapExceeded(f"more than {event_cap} events before t={horizon}")
-    for x in list(cfg.occupancy):
+    for x in list(occupancy):
         flush(x, horizon)
     total = math.fsum(acc.values())
     if total <= 0:

@@ -279,9 +279,15 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
             problems.append(f"particles: a Fleming-Viot system needs at least 2, got {min(ns)}")
     if cfg.method == "afp" and _p(params, "steps", int, 1) < 1:
         problems.append(f"steps: afp needs at least 1, got {params['steps']}")
-    for key in ("horizon", "dt", "grid", "cap"):
-        if _p(params, key, float, 1.0) <= 0.0:
+    for key in ("horizon", "dt", "grid", "cap", "burnin", "uniformization-rate"):
+        value = _p(params, key, float, 1.0)
+        if not math.isfinite(value):
+            problems.append(f"{key}: must be finite, got {params[key]}")
+        elif value <= 0.0 and key in ("horizon", "dt", "grid", "cap"):
             problems.append(f"{key}: must be positive, got {params[key]}")
+    if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
+        if not math.isfinite(_p(params, "alpha", float, None)):
+            problems.append(f"alpha: must be finite or auto, got {params['alpha']}")
     if cfg.method == "fv":
         burnin = _p(params, "burnin", float, 0.0)
         if 0.0 < _p(params, "horizon", float, math.inf) <= burnin:
@@ -396,7 +402,12 @@ def _run_fv(cfg, model, out):
     burnin = _p(params, "burnin", float, 0.0)
     grid_dt = _p(params, "grid", float, horizon / 20)
     init = parse_distribution(params["init"]) if "init" in params else None
+    # sample every grid_dt and at the horizon itself: drop arange points past
+    # it and append it unless the last point is within round-off of it
     grid = np.arange(grid_dt, horizon + grid_dt / 2, grid_dt)
+    grid = grid[grid <= horizon + 1e-12]
+    if not grid.size or grid[-1] < horizon - 1e-12:
+        grid = np.append(grid, horizon)
     root = RngStream(cfg.seed)
 
     if burnin > 0.0:

@@ -170,8 +170,8 @@ class DiscreteChainModel:
             raise ValueError("rows plus kill mass must sum to 1")
         self.index = {s: i for i, s in enumerate(self.states)}
         # cumulative rows for categorical draws: within-window mass first,
-        # anything above it is the kill event
-        self.cum_rows = np.cumsum(self.sub, axis=1)
+        # anything above it is the kill event; tuples, for bisect in the walk
+        self.cum_rows = tuple(map(tuple, np.cumsum(self.sub, axis=1).tolist()))
 
     @property
     def n(self) -> int:

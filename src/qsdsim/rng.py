@@ -91,3 +91,14 @@ class UniformBlock:
         """Next exponential waiting time with the given rate."""
         # -log(1 - u) keeps u = 0 safe; u is in [0, 1).
         return -math.log1p(-self.u()) / rate
+
+
+def event_block(rng: RngStream | np.random.Generator | UniformBlock) -> UniformBlock:
+    """The block an event loop draws from.
+
+    A block is used as is; a stream gives a block on its ``TAG_EVENTS``
+    child; a generator is borrowed.
+    """
+    if isinstance(rng, UniformBlock):
+        return rng
+    return UniformBlock(rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng)

@@ -1,9 +1,11 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsdsim
 from qsdsim import resolve_model, solve_qsd_power
 
 # closed-form two-state solution: principal root of l^2 + 3l + 1 = 0
@@ -59,6 +61,16 @@ def multi_jump_model_file(directory) -> Path:
     path = Path(directory) / "multi_jump.qsdmodel"
     path.write_text(MULTI_JUMP_MODEL)
     return path
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def one_blas_thread_env() -> dict[str, str]:
+    """Environment for a fresh interpreter on one BLAS thread that imports this qsdsim."""
+    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+    env["PYTHONPATH"] = str(Path(qsdsim.__file__).resolve().parents[1])
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,12 @@ class TestAfpRun:
         with pytest.raises(ValueError):
             afp_run(t2_disc, 1, 100, RngStream(0), checkpoints=[50, 80])
 
+    @pytest.mark.parametrize("first", [0, -5])
+    def test_checkpoints_start_at_one(self, t2_disc, first):
+        # the run advances from checkpoint to checkpoint, so none may precede step 1
+        with pytest.raises(ValueError):
+            afp_run(t2_disc, 1, 100, RngStream(0), checkpoints=[first, 100])
+
     def test_start_must_be_in_window(self, t2_disc):
         with pytest.raises(ValueError):
             afp_run(t2_disc, 7, 100, RngStream(0))

@@ -17,6 +17,7 @@ from qsdsim import (
     tv_distance,
 )
 from qsdsim.errors import DeadConfig
+from qsdsim.rng import TAG_EVENTS, UniformBlock
 
 from conftest import two_sample_chi2_pvalue
 
@@ -97,17 +98,28 @@ class TestFvRun:
         assert all(x == y for x, y in zip(a.measures, b.measures))
 
     def test_consistency_checks_along_run(self):
+        # the gw run, event by event through fv_step on one shared block, with
+        # the indexes checked every 500 events: it is fv_run's run
         gw = build_galton_watson(GaltonWatsonSpec(1.0, 2.0))
-        tr = fv_run(
-            gw,
-            Distribution.delta(3),
-            4.0,
-            [4.0],
-            RngStream(6),
-            n=100,
-            debug_every=500,
-        )
-        cfg = tr.final
+        rng = RngStream(6)
+        tr = fv_run(gw, Distribution.delta(3), 4.0, [4.0], rng, n=100)
+        cfg = ParticleConfig.from_distribution(gw, Distribution.delta(3), 100, rng)
+        blocks = UniformBlock(rng.child(TAG_EVENTS))
+        t = 0.0
+        events = revivals = 0
+        while True:
+            dt, cfg, ev = fv_step(cfg, gw, blocks)
+            t += dt
+            if t >= 4.0:
+                cfg.move(ev.particle, ev.source)  # fv_run stops before this event
+                break
+            events += 1
+            revivals += ev.kind == "revival"
+            if events % 500 == 0:
+                cfg.check_consistency()
+        assert events > 1000
+        assert (events, revivals) == (tr.events, tr.revivals)
+        assert cfg.positions == tr.final.positions
         cfg.check_consistency()
         assert sum(cfg.occupancy.values()) == 100
         assert 0 not in cfg.occupancy

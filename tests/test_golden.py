@@ -13,18 +13,17 @@ TV to the oracle) and both ``afp.csv`` files (their ``tv_to_oracle`` cells)
 come from the path solver, while the multi-jump ``oracle`` digests come from
 power iteration.  Files that carry conditioned-law numbers (both
 ``conditioned.csv`` files, fixed-time FV's ``fv_summary.json``, ``scan.csv``
-and ``scan_fit.json``) pin the uniformization step.
+and ``scan_fit.json``) pin the uniformization step.  The multi-jump ``fv``
+runs pin the FV event kernel's draw order where a jump has several targets
+and revivals are frequent.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qsdsim
 from qsdsim import (
     BranchingPopulation,
     Distribution,
@@ -47,7 +46,7 @@ from qsdsim import (
     uniformize,
 )
 
-from conftest import multi_jump_model_file
+from conftest import multi_jump_model_file, one_blas_thread_env
 
 GOLDEN = {
     "fv-fixed": (
@@ -140,18 +139,15 @@ GOLDEN = {
 # A multithreaded LAPACK solve rounds differently from a single-threaded one,
 # so these runs go to a fresh process held to one BLAS thread.
 ONE_BLAS_THREAD = {"phi-bd200"}
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _run_on_one_blas_thread(cfg, out) -> list[str]:
-    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
-    env["PYTHONPATH"] = str(Path(qsdsim.__file__).resolve().parents[1])
     argv = [cfg.method, "--model", cfg.model, "--seed", str(cfg.seed), "--out-dir", str(out)]
     for key, val in cfg.params.items():
         argv += [f"--{key}", val]
     done = subprocess.run(
         [sys.executable, "-m", "qsdsim.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=one_blas_thread_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -186,6 +182,21 @@ MULTI_JUMP_GOLDEN = {
         # the window 1..9 drops two jumps, which leave the restricted diagonal
         "oracle", 1, {"trunc": "9"},
         {"oracle.json": "717af7a90549eff4a68a6fd708055c891f953dc7c413c02ce496d6d90ac82094"},
+    ),
+    "fv-fixed": (
+        # several jump targets per state and frequent revivals (40 of 292 events)
+        "fv", 3, {"particles": "40", "horizon": "2.0", "init": "delta:1"},
+        {
+            "fv.csv": "2a4fee24d9ce926255e9c78659211f671a4617ef857d54def2179b0a61dfed98",
+            "fv_summary.json": "a77194fa3c955f94e27a5713f3729dc66d69665699c66a02f1343e89b0d629a0",
+        },
+    ),
+    "fv-stationary": (
+        "fv", 2, {"particles": "40", "burnin": "1.0", "horizon": "6.0"},
+        {
+            "fv.csv": "a8ea3482cf96ed48c24b12e3d53e0ac2471521ca21ba517cd884dc02ebb7fcae",
+            "fv_summary.json": "dec03c7e32d7e2d9fb5ad7151291f320e8626ffff0ca3469f56f425e470c37b0",
+        },
     ),
     "phi": (
         "phi", 1, {"init": "delta:1", "iters": "20"},

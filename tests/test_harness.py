@@ -156,6 +156,16 @@ class TestRunConfig:
         assert summary["steps"] == 2000
         assert 0.0 < summary["tail_bound"] <= 1e-12
 
+    @pytest.mark.parametrize("grid,times", [("5", [1.0]), ("0.7", [0.7, 1.0]), ("0.6", [0.6, 1.0])])
+    def test_fixed_time_fv_grid_ends_at_the_horizon(self, grid, times, tmp_path):
+        # the terminal sample, which the TV to the conditioned law reads, is at the horizon
+        argv = ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+                "--init", "delta:2", "--grid", grid, "--seed", "1", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        rows = (tmp_path / "fv.csv").read_text().splitlines()[1:]
+        assert sorted({float(row.split(",")[1]) for row in rows}) == times
+        assert float(rows[-1].split(",")[1]) == 1.0
+
     def test_report_csv_and_runtime_sidecar(self, tmp_path):
         cfg = ExperimentConfig(
             method="report",
@@ -391,6 +401,18 @@ class TestCli:
              "--init", "1:-0.5,2:1", "--seed", "1"],
             ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
              "--init", "1:nan,2:1", "--seed", "1"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "nan",
+             "--init", "delta:2"],
+            ["couple", "--model", "two-state", "--particles", "5", "--horizon", "inf"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "delta:1",
+             "--dt", "nan"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "delta:2", "--grid", "inf"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "2",
+             "--burnin", "nan"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
+             "--uniformization-rate", "nan"],
+            ["branch", "--model", "two-state", "--alpha", "nan", "--horizon", "1"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -402,6 +424,9 @@ class TestCli:
             "branch-infinite", "conditioned-negative-horizon", "couple-zero-horizon",
             "oracle-empty-window", "conditioned-zero-step", "fv-zero-grid", "branch-zero-cap",
             "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
+            "fv-nan-horizon", "couple-infinite-horizon", "conditioned-nan-step",
+            "fv-infinite-grid", "fv-nan-burnin", "afp-nan-uniformization-rate",
+            "branch-nan-alpha",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -429,9 +454,19 @@ class TestCli:
             ("fv", "particles = 10\nhorizon = 1\ninit = 1:0.5,2:0.5,1:0.1\n", "more than once"),
             ("fv", "particles = 10\nhorizon = 1\ninit = 1:-0.5,2:1\n", "state 1"),
             ("fv", "particles = 10\nhorizon = 1\ninit = 1:nan,2:1\n", "state 1"),
+            ("conditioned", "horizon = inf\ninit = delta:1\n", "horizon"),
+            ("conditioned", "horizon = 1\ninit = delta:1\ndt = nan\n", "dt"),
+            ("fv", "particles = 10\nhorizon = 1\ninit = delta:2\ngrid = nan\n", "grid"),
+            ("branch", "horizon = 1\ncap = inf\n", "cap"),
+            ("fv", "particles = 10\nhorizon = 2\nburnin = nan\n", "burnin"),
+            ("afp", "steps = 10\nstart = 1\nuniformization-rate = nan\n", "uniformization-rate"),
+            ("branch", "horizon = 1\nalpha = nan\n", "alpha"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
-             "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass"],
+             "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
+             "conditioned-infinite-horizon", "conditioned-nan-step",
+             "fv-nan-grid", "branch-infinite-cap", "fv-nan-burnin",
+             "afp-nan-uniformization-rate", "branch-nan-alpha"],
     )
     def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

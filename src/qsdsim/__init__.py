@@ -17,7 +17,6 @@ from .chain import (
     read_model_file,
     simulate_until_absorption,
     tv_distance,
-    validate_model,
     write_model_file,
 )
 from .conditioned import ConditionedPath, evolve_conditioned, qsd_residual, theta_of
@@ -31,12 +30,11 @@ from .models import (
     resolve_model,
     uniformize,
 )
-from .afp import AfpResult, HistoryState, afp_run, afp_step
+from .afp import AfpResult, HistoryState, afp_run
 from .branching import (
     BranchingPopulation,
     KsEstimate,
     ShiftedMeanMatrix,
-    branch_step,
     build_shifted,
     ks_estimate,
 )
@@ -47,7 +45,6 @@ from .fv import (
     correlation_probe,
     fv_run,
     fv_stationary,
-    fv_step,
 )
 from .harness import (
     ExperimentConfig,
@@ -103,8 +100,6 @@ __all__ = [
     "ShiftedMeanMatrix",
     "Trajectory",
     "afp_run",
-    "afp_step",
-    "branch_step",
     "build_birth_death",
     "build_finite",
     "build_galton_watson",
@@ -117,7 +112,6 @@ __all__ = [
     "fv_run",
     "fv_run_graphical",
     "fv_stationary",
-    "fv_step",
     "ks_estimate",
     "mean_distribution",
     "minimal_qsd_reference",
@@ -138,7 +132,6 @@ __all__ = [
     "theta_of",
     "tv_distance",
     "uniformize",
-    "validate_model",
     "write_model_file",
 ]
 

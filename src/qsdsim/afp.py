@@ -5,8 +5,8 @@ according to the empirical distribution of its own past positions.  The
 normalized history converges to the QSD of the discrete chain (the
 Aldous-Flannery-Palacios scheme).  The history starts as a unit atom at the
 start state so the renewal draw is always well defined.  One loop,
-``_advance``, takes the steps: :func:`afp_run` advances it from checkpoint to
-checkpoint and :func:`afp_step` by one step.
+``_advance``, takes the steps; :func:`afp_run` advances it from checkpoint
+to checkpoint.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .chain import Distribution, tv_distance
 from .models import DiscreteChainModel
-from .rng import RngStream, UniformBlock, event_block
+from .rng import RngStream, UniformBlock, TAG_EVENTS
 
 # 64-bit counts; refuse to grow the history past this total mass.
 MASS_LIMIT = 1 << 62
@@ -39,16 +39,6 @@ class HistoryState:
     def distribution(self) -> Distribution:
         """Normalized history mu_n / |mu_n|."""
         return Distribution.from_weights({x: c for x, c in self.counts.items()})
-
-
-def afp_step(h: HistoryState, d: DiscreteChainModel, rng) -> HistoryState:
-    """One renewal step; h is updated in place and returned.
-
-    ``rng`` may be an RngStream, a Generator or a UniformBlock; the step is
-    the first one :func:`afp_run` would draw from it.
-    """
-    _advance(h, d, event_block(rng), 1)
-    return h
 
 
 def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps: int) -> None:
@@ -120,7 +110,7 @@ def afp_run(
         raise ValueError("checkpoints must lie in 1..steps, the last equal to steps")
 
     h = HistoryState.start_at(start)
-    blocks = event_block(rng)
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     tv_log: list[float] = []
     for cp in checkpoints:
         _advance(h, d, blocks, cp - h.step)

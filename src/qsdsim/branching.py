@@ -192,20 +192,6 @@ def _one_event(pop: BranchingPopulation, blocks: UniformBlock, offspring: _Offsp
     return new_total
 
 
-def branch_step(pop: BranchingPopulation, sm: ShiftedMeanMatrix, rng) -> BranchingPopulation:
-    """Advance the population by one event; raises :class:`Extinct` at size 0."""
-    if pop.total < 1:
-        raise Extinct("population is already empty")
-    if isinstance(rng, RngStream):
-        gen = rng.child(TAG_EVENTS).generator()
-    else:
-        gen = rng
-    blocks = UniformBlock(gen, size=8)
-    offspring = _OffspringBlocks(gen, sm.means, size=1)
-    _one_event(pop, blocks, offspring, gen)
-    return pop
-
-
 @dataclass
 class KsEstimate:
     """Averaged surviving-type profile with survival and growth statistics."""

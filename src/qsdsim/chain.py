@@ -431,39 +431,6 @@ def exact_bounds(model: AbsorbedChainModel) -> tuple[float, float, float]:
     return c0, qbar, max(col.values())
 
 
-def validate_model(model: AbsorbedChainModel, states: Iterable[int]) -> list[str]:
-    """Check standing assumptions on the given states; violations are data.
-
-    Verifies nonnegative rates, absence of listed self-loops, and that any
-    declared C0 / qbar / column bound actually holds on ``states``.
-    """
-    states = sorted(set(int(s) for s in states))
-    problems: list[str] = []
-    inflow: dict[int, float] = {0: 0.0}
-    for x in states:
-        a = model.absorb_rate(x)
-        if a < 0:
-            problems.append(f"negative absorption rate at state {x}")
-        out = 0.0
-        for y, r in model.transitions(x):
-            if r < 0:
-                problems.append(f"negative rate on transition {x} -> {y}")
-            if y == x:
-                problems.append(f"self-loop listed at state {x}")
-            out += r
-            inflow[y] = inflow.get(y, 0.0) + r
-        inflow[0] += max(a, 0.0)
-        if model.c0 is not None and a > model.c0:
-            problems.append(f"C0 exceeded at state {x}")
-        if model.qbar is not None and out > model.qbar * (1 + 1e-12):
-            problems.append(f"qbar exceeded at state {x}")
-    if model.column_bound is not None:
-        for y, total in sorted(inflow.items()):
-            if total > model.column_bound * (1 + 1e-12):
-                problems.append(f"column bound exceeded at state {y}")
-    return problems
-
-
 @dataclass(frozen=True)
 class AbsorptionSample:
     """Absorption time and the last live state visited before absorbing."""

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--init", required=True, help="delta:x | uniform:a-b | x:m,y:m")
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--dt", type=float, help="step at which the law is checked and recorded")
+    p.add_argument("--dt", type=float, help="step at which the law is checked and recorded;"
+                   " at most 0.1 over the window's largest total rate")
     p.add_argument("--trunc", type=int)
     p.add_argument("--grid", type=float)
 
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--uniformization-rate", type=float, default=0.0)
+    p.add_argument("--uniformization-rate", type=float)
     p.add_argument("--trunc", type=int)
     p.add_argument("--checkpoints", type=int, default=4)
 

@@ -8,11 +8,12 @@ stationary regime, approximates the QSD (the minimal one when several
 exist).
 
 One event kernel, the generator ``_fv_events``, draws every event:
-fixed-time sampling (:func:`fv_run`), time averaging (:func:`fv_stationary`)
-and the single-step view (:func:`fv_step`) consume it, so all three see the
-same draws.  Per-event work is kept at O(log S) in the number of occupied
-states via a weighted tree over states, because position-dependent rates
-(the branching population chain) make per-event rate scans too expensive.
+fixed-time sampling (:func:`fv_run`) and time averaging
+(:func:`fv_stationary`) consume it, each from a block on its stream's
+``TAG_EVENTS`` child.  Per-event work is kept at O(log S) in the number of
+occupied states via a weighted tree over states, because position-dependent
+rates (the branching population chain) make per-event rate scans too
+expensive.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
 from .errors import DeadConfig, EventCapExceeded
-from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, event_block
+from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT
 
 FV_EVENT_CAP = 10**8
 
@@ -158,38 +159,6 @@ class ParticleConfig:
         self.occupancy[target] = self.occupancy.get(target, 0) + 1
         self.index.set_weight(target, self.occupancy[target] * self.model.total_rate(target))
 
-    def check_consistency(self, tol: float = 1e-9) -> None:
-        """Debug invariants: counts sum to N and the tree matches a recompute."""
-        assert sum(c for c in self.occupancy.values()) == self.N
-        assert all(x > 0 for x, c in self.occupancy.items() if c)
-        exact = math.fsum(
-            c * self.model.total_rate(x) for x, c in self.occupancy.items() if c
-        )
-        assert abs(self.index.total - exact) <= tol * max(1.0, exact)
-
-
-@dataclass(frozen=True)
-class FvEvent:
-    kind: str  # "jump" or "revival"
-    particle: int
-    source: int
-    target: int
-
-
-def fv_step(cfg: ParticleConfig, model: AbsorbedChainModel, rng) -> tuple[float, ParticleConfig, FvEvent]:
-    """One event of the particle system; cfg is updated in place.
-
-    Waits an exponential time at the aggregate rate, picks a particle
-    proportionally to its total rate, then either performs the driving jump
-    or, on an absorption attempt, a revival onto a uniformly chosen other
-    particle.  ``rng`` may be an RngStream, a Generator or a UniformBlock;
-    the event is the first one :func:`fv_run` would draw from it.
-    """
-    events = _fv_events(cfg, model, event_block(rng), math.inf, FV_EVENT_CAP)
-    dt, i, x, target, revived = next(events)
-    cfg.move(i, target)
-    return dt, cfg, FvEvent("revival" if revived else "jump", i, x, target)
-
 
 def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, blocks: UniformBlock,
                until: float, event_cap: int):
@@ -273,7 +242,7 @@ def fv_run(
     fixed (seed, path).
     """
     cfg = _resolve_init(model, init, n, rng)
-    blocks = event_block(rng)
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if (np.diff(grid) <= 0).any() or (grid < 0).any() or grid[-1] > horizon + 1e-12:
         raise ValueError("grid must be increasing, nonnegative and within the horizon")
@@ -333,7 +302,8 @@ def fv_stationary(
             acc[x] = acc.get(x, 0.0) + c * (now - last_change.get(x, burn_in))
         last_change[x] = now
 
-    for t, _, x, target, _ in _fv_events(cfg, model, event_block(rng), horizon, event_cap):
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
+    for t, _, x, target, _ in _fv_events(cfg, model, blocks, horizon, event_cap):
         if t > burn_in and target != x:
             flush(x, t)
             flush(target, t)

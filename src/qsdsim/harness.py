@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,24 +37,16 @@ METHODS = ("oracle", "conditioned", "fv", "phi", "afp", "branch", "couple", "sca
 
 
 def worker_count() -> int:
-    """Concurrency cap from QSD_THREADS, a positive integer (default 1: fully sequential)."""
-    raw = os.environ.get("QSD_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigInvalid([f"QSD_THREADS: must be a positive integer, got {raw!r}"])
-    return int(raw)
+    """Replicas run on one thread.  Kept because perfbench/run.py records it as a run fact."""
+    return 1
 
 
 def map_replicas(fn, n: int):
-    """Run fn(0..n-1), possibly on a thread pool, collecting in index order.
+    """fn(0), ..., fn(n-1) in index order; each replica derives its stream from its index.
 
-    Each replica derives its own stream from its index, so the results do
-    not depend on the execution schedule.
+    One named step so that perfbench/spans.py can wrap it to count replicas.
     """
-    workers = worker_count()
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n)))
+    return [fn(i) for i in range(n)]
 
 
 # -- config ------------------------------------------------------------------
@@ -266,7 +257,6 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     parameters become config errors rather than failures deep in a route.
     Missing parameters are left to the method runners.
     """
-    worker_count()  # a bad QSD_THREADS fails here, before any work
     params = cfg.params
     problems = []
     # scan reports a sample standard error (ddof=1), which needs two replicas
@@ -277,14 +267,16 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
         ns = _p(params, "particles", lambda v: [int(n) for n in v.split(",")], None)
         if min(ns) < 2:
             problems.append(f"particles: a Fleming-Viot system needs at least 2, got {min(ns)}")
-    if cfg.method == "afp" and _p(params, "steps", int, 1) < 1:
-        problems.append(f"steps: afp needs at least 1, got {params['steps']}")
+    for key in ("steps", "checkpoints"):
+        if cfg.method == "afp" and _p(params, key, int, 1) < 1:
+            problems.append(f"{key}: afp needs at least 1, got {params[key]}")
     for key in ("horizon", "dt", "grid", "cap", "burnin", "uniformization-rate"):
         value = _p(params, key, float, 1.0)
         if not math.isfinite(value):
             problems.append(f"{key}: must be finite, got {params[key]}")
-        elif value <= 0.0 and key in ("horizon", "dt", "grid", "cap"):
-            problems.append(f"{key}: must be positive, got {params[key]}")
+        elif value < 0.0 or (value == 0.0 and key != "burnin"):
+            least = "at least 0" if key == "burnin" else "positive"
+            problems.append(f"{key}: must be {least}, got {params[key]}")
     if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
         if not math.isfinite(_p(params, "alpha", float, None)):
             problems.append(f"alpha: must be finite or auto, got {params['alpha']}")
@@ -315,6 +307,12 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
         elif not initial <= set(window):
             outside = sorted(initial - set(window))
             problems.append(f"initial states {outside} lie outside the model's window")
+    if cfg.method == "conditioned" and "dt" in params and window:
+        # evolve_conditioned's uniformization steps need h <= 0.1/max rate
+        maxrate = model.max_total_rate(window)
+        dt = _p(params, "dt", float, None)
+        if maxrate > 0 and math.isfinite(dt) and dt > 0.1 / maxrate + 1e-15:
+            problems.append(f"dt: must be at most 0.1/max rate = {0.1 / maxrate:g}, got {params['dt']}")
     if problems:
         raise ConfigInvalid(problems)
 
@@ -477,8 +475,8 @@ def _run_afp(cfg, model, out):
     steps = _p(params, "steps", int, None)
     start = _p(params, "start", int, None)
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    lu = _p(params, "uniformization-rate", float, 0.0)
-    d = uniformize(model, truncation=trunc, rate=lu if lu > 0 else None)
+    rate = float(params["uniformization-rate"]) if "uniformization-rate" in params else None
+    d = uniformize(model, truncation=trunc, rate=rate)
     # uniformization keeps the left Perron vector, and both restrict to the same window
     reference = solve_qsd_power(model, truncation=trunc).nu
     n_checkpoints = _p(params, "checkpoints", int, 4)

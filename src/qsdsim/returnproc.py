@@ -98,8 +98,10 @@ PHI_LAPACK_LIMIT = 200
 def _phi_step(model: AbsorbedChainModel):
     """The return map on mass vectors over ``model.states``.
 
-    Builds A = -Q_live from the model's cached live block and factors it
-    once; the returned step maps v to v A^-1 / |v A^-1|.  A is nonsingular
+    Builds A = -Q_live from the model's cached live block; the returned
+    step maps v to v A^-1 / |v A^-1|.  Above ``PHI_LAPACK_LIMIT`` states A
+    is factored once (sparse LU); at or below it every step is a dense
+    ``np.linalg.solve``, which factors A again.  A is nonsingular
     exactly when every live state can reach absorption.  On a two-way path
     that holds when some state absorbs; other blocks are checked with a
     virtual absorbing node.
@@ -189,8 +191,10 @@ def phi_iterate(
 ) -> PhiIterationResult:
     """Iterate mu -> Phi(mu) until successive iterates agree in TV.
 
-    The iterate is a dense mass vector over ``model.states`` and A is
-    factored once per call; a ``Distribution`` is built only for the result.
+    The iterate is a dense mass vector over ``model.states``, and each
+    iteration is one step of :func:`_phi_step` (a dense solve that factors
+    A again on windows of at most ``PHI_LAPACK_LIMIT`` states, the one
+    sparse LU above); a ``Distribution`` is built only for the result.
     Exhausting ``max_iters`` is reported through ``converged=False`` rather
     than an exception; the TV log is the useful diagnostic either way.
     """
@@ -551,7 +555,6 @@ def coupled_tagged_run(
     rng: RngStream,
     path: ConditionedPath | None = None,
     grid=None,
-    path_step: float | None = None,
     truncation: int | None = None,
     event_cap: int = MU_RETURN_EVENT_CAP,
 ) -> CoupledRun:
@@ -569,8 +572,7 @@ def coupled_tagged_run(
                 raise ValueError("an infinite model needs an explicit truncation")
             truncation = max(model.states)
         maxrate = model.max_total_rate(model.state_window(truncation))
-        step = path_step if path_step is not None else min(1e-3, 0.1 / maxrate)
-        path = evolve_conditioned(model, mu, horizon, step, truncation)
+        path = evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), truncation)
     trace, tagged, limit, indicator = _graphical_engine(
         model, n, mu, horizon, rng, grid, path, event_cap
     )

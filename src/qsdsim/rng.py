@@ -5,7 +5,8 @@ which is a counter-based Philox generator keyed by a root seed and an integer
 path such as ``(replica, particle, purpose)``.  Streams with distinct paths
 are statistically independent, and an identical ``(seed, path)`` pair replays
 the exact same draws, which is what makes replica-level runs bit-for-bit
-reproducible regardless of scheduling.
+reproducible.  Event loops draw their uniforms through a
+:class:`UniformBlock` on their stream's ``TAG_EVENTS`` child.
 """
 
 from __future__ import annotations
@@ -91,14 +92,3 @@ class UniformBlock:
         """Next exponential waiting time with the given rate."""
         # -log(1 - u) keeps u = 0 safe; u is in [0, 1).
         return -math.log1p(-self.u()) / rate
-
-
-def event_block(rng: RngStream | np.random.Generator | UniformBlock) -> UniformBlock:
-    """The block an event loop draws from.
-
-    A block is used as is; a stream gives a block on its ``TAG_EVENTS``
-    child; a generator is borrowed.
-    """
-    if isinstance(rng, UniformBlock):
-        return rng
-    return UniformBlock(rng.child(TAG_EVENTS) if isinstance(rng, RngStream) else rng)

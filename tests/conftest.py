@@ -7,6 +7,11 @@ import pytest
 
 import qsdsim
 from qsdsim import resolve_model, solve_qsd_power
+from qsdsim.afp import _advance
+from qsdsim.branching import _OffspringBlocks, _one_event
+from qsdsim.errors import Extinct
+from qsdsim.fv import FV_EVENT_CAP, _fv_events
+from qsdsim.rng import TAG_EVENTS, UniformBlock
 
 # closed-form two-state solution: principal root of l^2 + 3l + 1 = 0
 T2_LAMBDA = (-3.0 + math.sqrt(5.0)) / 2.0
@@ -86,6 +91,45 @@ def t2():
 @pytest.fixture(scope="session")
 def t2_oracle(t2):
     return solve_qsd_power(t2)
+
+
+def fv_event(cfg, model, rng) -> tuple:
+    """One event of the FV kernel, applied to cfg in place.
+
+    Returns ``(t, particle, source, target, revived)``: the first event
+    ``fv_run`` would draw from the stream ``rng``.
+    """
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
+    event = next(_fv_events(cfg, model, blocks, math.inf, FV_EVENT_CAP))
+    cfg.move(event[1], event[3])
+    return event
+
+
+def afp_advance(h, d, rng):
+    """One renewal step of the AFP kernel, in place: the first ``afp_run`` takes on ``rng``."""
+    _advance(h, d, UniformBlock(rng.child(TAG_EVENTS)), 1)
+    return h
+
+
+def branch_event(pop, sm, rng):
+    """One lifetime event of a branching population, in place.
+
+    Draws from the generator of ``rng``'s TAG_EVENTS child, with refills of
+    8 uniforms and one offspring row; raises ``Extinct`` at size 0.
+    """
+    if pop.total < 1:
+        raise Extinct("population is already empty")
+    gen = rng.child(TAG_EVENTS).generator()
+    _one_event(pop, UniformBlock(gen, size=8), _OffspringBlocks(gen, sm.means, size=1), gen)
+    return pop
+
+
+def check_consistency(cfg, tol: float = 1e-9) -> None:
+    """Invariants of a ParticleConfig: counts sum to N and the rate tree matches a recompute."""
+    assert sum(cfg.occupancy.values()) == cfg.N
+    assert all(x > 0 for x, c in cfg.occupancy.items() if c)
+    exact = math.fsum(c * cfg.model.total_rate(x) for x, c in cfg.occupancy.items() if c)
+    assert abs(cfg.index.total - exact) <= tol * max(1.0, exact)
 
 
 class ReturnRates:

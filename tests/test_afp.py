@@ -9,12 +9,13 @@ from qsdsim import (
     HistoryState,
     RngStream,
     afp_run,
-    afp_step,
     build_birth_death,
     resolve_model,
     solve_qsd_discrete,
     uniformize,
 )
+
+from conftest import afp_advance
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ class TestAfpStep:
         d = uniformize(t1, rate=1.0)
         h = HistoryState.start_at(1)
         for _ in range(1000):
-            afp_step(h, d, RngStream(40, (_,)))
+            afp_advance(h, d, RngStream(40, (_,)))
         assert h.counts == {1: 1001}
         assert h.total == 1001
         assert h.step == 1000
@@ -38,7 +39,7 @@ class TestAfpStep:
         n = 20_000
         for r in range(n):
             h = HistoryState.start_at(1)
-            afp_step(h, t2_disc, RngStream(41, (r,)))
+            afp_advance(h, t2_disc, RngStream(41, (r,)))
             hits += h.walker == 1
         p = hits / n
         assert p == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
@@ -50,14 +51,14 @@ class TestAfpStep:
         for r in range(n):
             h = HistoryState.start_at(2)
             h.walker = 2
-            afp_step(h, t2_disc, RngStream(42, (r,)))
+            afp_advance(h, t2_disc, RngStream(42, (r,)))
             hits += h.walker == 1
         assert hits / n == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
 
     def test_mass_bookkeeping_exact(self, t2_disc):
         h = HistoryState.start_at(1)
         for k in range(500):
-            afp_step(h, t2_disc, RngStream(43, (k,)))
+            afp_advance(h, t2_disc, RngStream(43, (k,)))
             assert h.total == 1 + h.step
             assert sum(h.counts.values()) == h.total
             assert len(h.history) == h.total

@@ -7,7 +7,6 @@ from qsdsim import (
     BranchingPopulation,
     Distribution,
     RngStream,
-    branch_step,
     build_shifted,
     build_finite,
     ks_estimate,
@@ -17,7 +16,7 @@ from qsdsim import (
 )
 from qsdsim.errors import AllExtinct, Extinct, NegativeMean, NotIrreducible
 
-from conftest import T2_LAMBDA, multi_jump_model_file
+from conftest import T2_LAMBDA, branch_event, multi_jump_model_file
 
 
 class TestBuildShifted:
@@ -90,7 +89,7 @@ class TestBranchStep:
         for r in range(n):
             pop = BranchingPopulation.single(sm, 1, cap=1000)
             try:
-                branch_step(pop, sm, RngStream(50, (r,)))
+                branch_event(pop, sm, RngStream(50, (r,)))
             except Extinct:
                 extinct += 1
                 assert pop.extinct
@@ -118,7 +117,7 @@ class TestBranchStep:
         k = 0
         while pop.cap_events == 0:
             try:
-                branch_step(pop, sm, RngStream(52, (k,)))
+                branch_event(pop, sm, RngStream(52, (k,)))
             except Extinct:
                 pop = BranchingPopulation.single(sm, 2, cap=1000)
             k += 1
@@ -143,7 +142,7 @@ class TestBranchStep:
         sm = build_shifted(t2, 2.0)
         pop = BranchingPopulation(states=(1, 2), counts=[0, 0], cap=10)
         with pytest.raises(Extinct):
-            branch_step(pop, sm, RngStream(0))
+            branch_event(pop, sm, RngStream(0))
 
 
 class TestKsEstimate:

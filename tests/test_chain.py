@@ -12,7 +12,6 @@ from qsdsim import (
     resolve_model,
     simulate_until_absorption,
     tv_distance,
-    validate_model,
     write_model_file,
 )
 from qsdsim.chain import strongly_connected
@@ -211,29 +210,6 @@ class TestLiveBlock:
     def test_multi_jump_file_is_not_a_path(self, tmp_path):
         model = read_model_file(multi_jump_model_file(tmp_path))
         assert model.live_block().two_way_path is None
-
-
-class TestValidateModel:
-    def test_t1_clean(self, t1):
-        assert validate_model(t1, [1]) == []
-
-    def test_t2_clean(self, t2):
-        assert validate_model(t2, [1, 2]) == []
-
-    def test_declared_c0_violation(self):
-        model = build_finite({(1, 2): 1.0, (2, 1): 1.0, (1, 0): 1.0})
-        model.c0 = 0.5
-        assert validate_model(model, [1, 2]) == ["C0 exceeded at state 1"]
-
-    def test_declared_qbar_violation(self):
-        model = build_finite({(1, 2): 3.0, (2, 1): 1.0, (1, 0): 1.0})
-        model.qbar = 2.0
-        assert validate_model(model, [1, 2]) == ["qbar exceeded at state 1"]
-
-    def test_column_bound_violation(self):
-        model = build_finite({(1, 2): 3.0, (2, 1): 1.0, (1, 0): 1.0})
-        model.column_bound = 2.0
-        assert "column bound exceeded at state 2" in validate_model(model, [1, 2])
 
 
 class TestSimulateUntilAbsorption:

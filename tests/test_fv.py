@@ -13,13 +13,13 @@ from qsdsim import (
     correlation_probe,
     fv_run,
     fv_stationary,
-    fv_step,
     tv_distance,
 )
 from qsdsim.errors import DeadConfig
+from qsdsim.fv import FV_EVENT_CAP, _fv_events
 from qsdsim.rng import TAG_EVENTS, UniformBlock
 
-from conftest import two_sample_chi2_pvalue
+from conftest import check_consistency, fv_event, two_sample_chi2_pvalue
 
 
 class TestParticleConfig:
@@ -44,14 +44,14 @@ class TestParticleConfig:
         cfg.move(1, 1)  # null move
         assert cfg.occupancy == {1: 2, 2: 3}
         assert sorted(cfg.positions) == [1, 1, 2, 2, 2]
-        cfg.check_consistency()
+        check_consistency(cfg)
 
 
 class TestFvStep:
     def test_point_model_stays_delta(self, t1):
         cfg = ParticleConfig(t1, [1] * 10)
         for _ in range(50):
-            dt, cfg, ev = fv_step(cfg, t1, RngStream(1, (_,)))
+            dt = fv_event(cfg, t1, RngStream(1, (_,)))[0]
             assert dt > 0
         assert cfg.empirical() == Distribution.delta(1)
 
@@ -60,9 +60,9 @@ class TestFvStep:
         cfg = ParticleConfig(t2, [1, 1])
         assert cfg.aggregate_rate == pytest.approx(4.0)
         for k in range(30):
-            _, cfg, ev = fv_step(cfg, t2, RngStream(2, (k,)))
-            if ev.kind == "revival":
-                assert ev.target == 1
+            _, _, _, target, revived = fv_event(cfg, t2, RngStream(2, (k,)))
+            if revived:
+                assert target == 1
                 break
             cfg = ParticleConfig(t2, [1, 1])
 
@@ -72,8 +72,8 @@ class TestFvStep:
         n = 20_000
         for k in range(n):
             cfg = ParticleConfig(t2, [1, 2])
-            _, _, ev = fv_step(cfg, t2, RngStream(3, (k,)))
-            if ev.kind == "revival" and ev.source == 1 and ev.target == 2:
+            _, _, source, target, revived = fv_event(cfg, t2, RngStream(3, (k,)))
+            if revived and source == 1 and target == 2:
                 hits += 1
         p = hits / n
         assert p == pytest.approx(1.0 / 3.0, abs=3 * math.sqrt(p * (1 - p) / n))
@@ -82,7 +82,7 @@ class TestFvStep:
         model = build_finite({(1, 2): 1.0})  # state 2 is inert
         cfg = ParticleConfig(model, [2, 2])
         with pytest.raises(DeadConfig):
-            fv_step(cfg, model, RngStream(0))
+            fv_event(cfg, model, RngStream(0))
 
 
 class TestFvRun:
@@ -98,29 +98,23 @@ class TestFvRun:
         assert all(x == y for x, y in zip(a.measures, b.measures))
 
     def test_consistency_checks_along_run(self):
-        # the gw run, event by event through fv_step on one shared block, with
-        # the indexes checked every 500 events: it is fv_run's run
+        # the gw run, through the event kernel up to t=4 on fv_run's block,
+        # with the indexes checked every 500 events: it is fv_run's run
         gw = build_galton_watson(GaltonWatsonSpec(1.0, 2.0))
         rng = RngStream(6)
         tr = fv_run(gw, Distribution.delta(3), 4.0, [4.0], rng, n=100)
         cfg = ParticleConfig.from_distribution(gw, Distribution.delta(3), 100, rng)
         blocks = UniformBlock(rng.child(TAG_EVENTS))
-        t = 0.0
         events = revivals = 0
-        while True:
-            dt, cfg, ev = fv_step(cfg, gw, blocks)
-            t += dt
-            if t >= 4.0:
-                cfg.move(ev.particle, ev.source)  # fv_run stops before this event
-                break
+        for _, _, _, _, revived in _fv_events(cfg, gw, blocks, 4.0, FV_EVENT_CAP):
             events += 1
-            revivals += ev.kind == "revival"
+            revivals += revived
             if events % 500 == 0:
-                cfg.check_consistency()
+                check_consistency(cfg)
         assert events > 1000
         assert (events, revivals) == (tr.events, tr.revivals)
         assert cfg.positions == tr.final.positions
-        cfg.check_consistency()
+        check_consistency(cfg)
         assert sum(cfg.occupancy.values()) == 100
         assert 0 not in cfg.occupancy
 

@@ -32,12 +32,9 @@ from qsdsim import (
     MarkStream,
     ParticleConfig,
     RngStream,
-    afp_step,
-    branch_step,
     build_shifted,
     evolve_conditioned,
     fv_run_graphical,
-    fv_step,
     resolve_model,
     run_config,
     simulate_mu_return,
@@ -46,7 +43,9 @@ from qsdsim import (
     uniformize,
 )
 
-from conftest import multi_jump_model_file, one_blas_thread_env
+from conftest import (
+    afp_advance, branch_event, fv_event, multi_jump_model_file, one_blas_thread_env,
+)
 
 GOLDEN = {
     "fv-fixed": (
@@ -232,11 +231,11 @@ def test_multi_jump_run_matches_golden_digest(name, tmp_path):
         assert _sha256(tmp_path / "out" / fname) == digest, fname
 
 
-API_DIGEST = "c1b2e236b0a98ccce25ef291f71ffc8c3de4428e646445cfec22e450f21f5645"
+API_DIGEST = "381d68ec0b9a6be5333e0fea1bbecf1122d612f5a7e59e60daf7bf80c2e484cc"
 
 
 def _api_draws() -> list:
-    """Seeded results of the public single-run and single-step APIs."""
+    """Seeded results of the public single-run APIs and of single kernel events."""
     t2 = resolve_model("two-state")
     bd = resolve_model("bd:1,2,8")
     root = RngStream(17)
@@ -251,17 +250,16 @@ def _api_draws() -> list:
     out.append((traj.times, traj.states))
     cfg = ParticleConfig(bd, [1, 2, 3, 4])
     for k in range(5):
-        dt, cfg, ev = fv_step(cfg, bd, root.child(4, k))
-        out.append((dt, ev))
+        out.append(fv_event(cfg, bd, root.child(4, k)))
     d = uniformize(bd)
     h = HistoryState.start_at(1)
     for k in range(5):
-        afp_step(h, d, root.child(5, k))
+        afp_advance(h, d, root.child(5, k))
     out.append(h.history)
     sm = build_shifted(t2, 2.0)
     pop = BranchingPopulation(sm.states, [4, 4], 12)
     for k in range(5):
-        branch_step(pop, sm, root.child(6, k))
+        branch_event(pop, sm, root.child(6, k))
     out.append((pop.t, pop.counts))
     ms = MarkStream(2.0, 1.0, root.child(7))
     out.append([ms.pop_internal() for _ in range(70)] + [ms.pop_voter() for _ in range(70)])

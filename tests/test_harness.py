@@ -18,7 +18,7 @@ from qsdsim import (
 from qsdsim.cli import main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
 from qsdsim import harness
-from qsdsim.harness import map_replicas, worker_count, write_csv
+from qsdsim.harness import write_csv
 from qsdsim.returnproc import coupled_tagged_run
 
 
@@ -228,53 +228,6 @@ class TestRunConfig:
             run_config(cfg, tmp_path)
 
 
-class TestThreads:
-    def test_map_replicas_order_independent_of_workers(self, monkeypatch):
-        def fn(i):
-            return i * i
-
-        monkeypatch.setenv("QSD_THREADS", "1")
-        seq = map_replicas(fn, 20)
-        monkeypatch.setenv("QSD_THREADS", "4")
-        par = map_replicas(fn, 20)
-        assert seq == par == [i * i for i in range(20)]
-
-    def test_threaded_fv_results_identical(self, tmp_path, monkeypatch):
-        fv = ExperimentConfig(
-            method="fv",
-            model="two-state",
-            seed=11,
-            replicas=4,
-            params={"particles": "40", "horizon": "0.5", "init": "delta:2"},
-        )
-        # couple replicas share one conditioned path across worker threads
-        couple = ExperimentConfig(
-            method="couple",
-            model="bd:1,2,8",
-            seed=11,
-            replicas=6,
-            params={"particles": "5", "horizon": "1.0", "init": "delta:1"},
-        )
-        for cfg, fname in ((fv, "fv.csv"), (couple, "couple.csv")):
-            monkeypatch.setenv("QSD_THREADS", "1")
-            run_config(cfg, tmp_path / cfg.method / "seq")
-            monkeypatch.setenv("QSD_THREADS", "3")
-            run_config(cfg, tmp_path / cfg.method / "par")
-            seq = (tmp_path / cfg.method / "seq" / fname).read_bytes()
-            assert seq == (tmp_path / cfg.method / "par" / fname).read_bytes()
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
-    def test_bad_thread_count_is_a_config_error(self, raw, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QSD_THREADS", raw)
-        assert cli_main(["oracle", "--model", "two-state", "--out-dir", str(tmp_path)]) == 2
-        assert "QSD_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "summary.json").exists()
-
-    def test_unset_thread_count_means_one(self, monkeypatch):
-        monkeypatch.delenv("QSD_THREADS", raising=False)
-        assert worker_count() == 1
-
-
 class TestCrossMethodReport:
     def test_point_model_all_exact(self, t1):
         budget = ReportBudget(
@@ -413,6 +366,13 @@ class TestCli:
             ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
              "--uniformization-rate", "nan"],
             ["branch", "--model", "two-state", "--alpha", "nan", "--horizon", "1"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "delta:2", "--burnin", "-1"],
+            ["afp", "--model", "bd:1,2,30", "--steps", "100", "--start", "1",
+             "--uniformization-rate", "-1"],
+            ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1",
+             "--dt", "0.5"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "1", "--checkpoints", "0"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -426,7 +386,8 @@ class TestCli:
             "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
             "fv-nan-horizon", "couple-infinite-horizon", "conditioned-nan-step",
             "fv-infinite-grid", "fv-nan-burnin", "afp-nan-uniformization-rate",
-            "branch-nan-alpha",
+            "branch-nan-alpha", "fv-negative-burnin", "afp-negative-uniformization-rate",
+            "conditioned-step-above-limit", "afp-zero-checkpoints",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -461,12 +422,18 @@ class TestCli:
             ("fv", "particles = 10\nhorizon = 2\nburnin = nan\n", "burnin"),
             ("afp", "steps = 10\nstart = 1\nuniformization-rate = nan\n", "uniformization-rate"),
             ("branch", "horizon = 1\nalpha = nan\n", "alpha"),
+            ("fv", "particles = 10\nhorizon = 1\ninit = delta:2\nburnin = -1\n", "burnin"),
+            ("afp", "steps = 100\nstart = 1\nuniformization-rate = -1\n", "uniformization-rate"),
+            ("conditioned", "horizon = 1\ninit = delta:2\ndt = 0.5\n", "dt"),
+            ("afp", "steps = 10\nstart = 1\ncheckpoints = 0\n", "checkpoints"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
              "conditioned-infinite-horizon", "conditioned-nan-step",
              "fv-nan-grid", "branch-infinite-cap", "fv-nan-burnin",
-             "afp-nan-uniformization-rate", "branch-nan-alpha"],
+             "afp-nan-uniformization-rate", "branch-nan-alpha", "fv-negative-burnin",
+             "afp-negative-uniformization-rate", "conditioned-step-above-limit",
+             "afp-zero-checkpoints"],
     )
     def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

@@ -1,5 +1,8 @@
 """Which scipy modules each kind of run loads, and the dense window operator.
 
+Replicas run in one plain loop, so no run, and no ``import qsdsim``, loads
+``concurrent.futures``; the probe reports that module too.
+
 scipy is imported only by the code that calls it: the oracle's power
 iteration on windows that are not two-way paths (``scipy.sparse``),
 ``phi_map`` on more than ``PHI_LAPACK_LIMIT`` states
@@ -33,17 +36,19 @@ import qsdsim, qsdsim.cli
 argv = json.loads(sys.argv[1])
 if argv and qsdsim.cli.main(argv) != 0:
     sys.exit("qsd run failed")
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures"
+)))
 """
 
 
-def scipy_modules(argv: list[str], out_dir: Path) -> set[str]:
-    """The scipy modules loaded by a fresh process that runs ``qsd argv``."""
+def loaded_modules(argv: list[str], out_dir: Path) -> set[str]:
+    """The scipy modules and concurrent.futures, if loaded, after a fresh ``qsd argv`` run."""
     if argv:
         argv = [*argv, "--out-dir", str(out_dir)]
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop("QSD_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argv)],
         capture_output=True, text=True, env=env, timeout=120, check=False,
@@ -81,14 +86,16 @@ SPARSE_ONLY = {
 
 @pytest.mark.parametrize("case", sorted(NO_SCIPY))
 def test_small_runs_load_no_scipy(case, tmp_path):
-    assert scipy_modules(NO_SCIPY[case], tmp_path) == set()
+    loaded = loaded_modules(NO_SCIPY[case], tmp_path)
+    assert {m for m in loaded if m.startswith("scipy")} == set()
+    assert "concurrent.futures" not in loaded
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_ONLY))
 def test_oracle_runs_load_scipy_sparse_only(case, tmp_path):
     model_file = multi_jump_model_file(tmp_path)
     argv = [arg.format(model_file=model_file) for arg in SPARSE_ONLY[case]]
-    loaded = scipy_modules(argv, tmp_path / "out")
+    loaded = loaded_modules(argv, tmp_path / "out")
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
     assert "scipy.linalg" not in loaded
@@ -96,7 +103,7 @@ def test_oracle_runs_load_scipy_sparse_only(case, tmp_path):
 
 def test_large_phi_loads_sparse_linalg(tmp_path):
     argv = ["phi", "--model", "bd:1,2,250", "--init", "delta:1", "--iters", "2"]
-    assert "scipy.sparse.linalg" in scipy_modules(argv, tmp_path)
+    assert "scipy.sparse.linalg" in loaded_modules(argv, tmp_path)
 
 
 def reference_window_generator(model, states) -> np.ndarray:

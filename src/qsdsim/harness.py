@@ -270,6 +270,11 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     for key in ("steps", "checkpoints"):
         if cfg.method == "afp" and _p(params, key, int, 1) < 1:
             problems.append(f"{key}: afp needs at least 1, got {params[key]}")
+    if cfg.method == "phi" and _p(params, "iters", int, 1) < 1:
+        problems.append(f"iters: phi needs at least 1, got {params['iters']}")
+    tol = _p(params, "tol", float, 1.0)
+    if not (math.isfinite(tol) and tol > 0.0):
+        problems.append(f"tol: must be finite and positive, got {params['tol']}")
     for key in ("horizon", "dt", "grid", "cap", "burnin", "uniformization-rate"):
         value = _p(params, key, float, 1.0)
         if not math.isfinite(value):
@@ -365,11 +370,12 @@ def _run_conditioned(cfg, model, out):
     step = _p(params, "dt", float, min(1e-3, 0.1 / maxrate))
     grid_dt = _p(params, "grid", float, horizon / 50)
     path_obj = evolve_conditioned(model, mu, horizon, step, trunc, grid_dt=grid_dt)
-    rows = []
-    for i, t in enumerate(path_obj.times):
-        for j, x in enumerate(path_obj.states):
-            if path_obj.masses[i, j] > 0:
-                rows.append((float(t), x, float(path_obj.masses[i, j])))
+    rows = [
+        (t, x, m)
+        for t, masses in zip(path_obj.times.tolist(), path_obj.masses.tolist())
+        for x, m in zip(path_obj.states, masses)
+        if m > 0
+    ]
     path = out / "conditioned.csv"
     write_csv(path, ["t", "state", "mass"], rows)
     steps = round(path_obj.horizon / path_obj.meta["step"])

@@ -68,12 +68,31 @@ def multi_jump_model_file(directory) -> Path:
     return path
 
 
+def large_model_file(directory, n: int = 250) -> Path:
+    """A chain on 1..n that is not a two-way path: a walk with skips.
+
+    Each state steps to its neighbours and also jumps two states up, and
+    only state 1 absorbs, so every state reaches absorption.
+    """
+    lines = ["qsdmodel v1", "1 0 0.5"]
+    for x in range(1, n + 1):
+        if x > 1:
+            lines.append(f"{x} {x - 1} 2.0")
+        if x < n:
+            lines.append(f"{x} {x + 1} 0.5")
+        if x + 2 <= n:
+            lines.append(f"{x} {x + 2} 0.25")
+    path = Path(directory) / "large_skip.qsdmodel"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def one_blas_thread_env() -> dict[str, str]:
-    """Environment for a fresh interpreter on one BLAS thread that imports this qsdsim."""
-    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+def blas_thread_env(threads: int = 1) -> dict[str, str]:
+    """Environment for a fresh interpreter on ``threads`` BLAS threads that imports this qsdsim."""
+    env = {**os.environ, **{var: str(threads) for var in BLAS_THREAD_VARS}}
     env["PYTHONPATH"] = str(Path(qsdsim.__file__).resolve().parents[1])
     return env
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import one_blas_thread_env
+from conftest import blas_thread_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 CHEAP = (
@@ -28,6 +28,6 @@ CHEAP = (
 def test_demo_exits_0(name):
     done = subprocess.run(
         [sys.executable, str(DEMOS / f"{name}.py")],
-        env=one_blas_thread_env(), capture_output=True, text=True, timeout=300,
+        env=blas_thread_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]

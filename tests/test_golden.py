@@ -15,7 +15,10 @@ power iteration.  Files that carry conditioned-law numbers (both
 ``conditioned.csv`` files, fixed-time FV's ``fv_summary.json``, ``scan.csv``
 and ``scan_fit.json``) pin the uniformization step.  The multi-jump ``fv``
 runs pin the FV event kernel's draw order where a jump has several targets
-and revivals are frequent.
+and revivals are frequent.  The ``phi`` digests pin the return map's routes:
+the builtin chains take the positive Thomas sweep, which calls no BLAS, so
+they run in this process whatever the BLAS thread count, and the multi-jump
+file takes the dense inverse.
 """
 
 import hashlib
@@ -44,7 +47,7 @@ from qsdsim import (
 )
 
 from conftest import (
-    afp_advance, branch_event, fv_event, multi_jump_model_file, one_blas_thread_env,
+    afp_advance, blas_thread_env, branch_event, fv_event, multi_jump_model_file,
 )
 
 GOLDEN = {
@@ -109,13 +112,13 @@ GOLDEN = {
         {"oracle.json": "fe3d9426042edf29b99ab87a2d201fbb6b9e4ad7e46014471611875ef971ff75"},
     ),
     "phi-bd200": (
-        # n = 200: the dense LAPACK branch of the return map, run on one BLAS thread
+        # n = 200: a two-way path, so the return map's Thomas sweep with no BLAS call
         ExperimentConfig(
             method="phi", model="bd:1,2,200", seed=0, params={"init": "delta:1", "iters": "10"}
         ),
         {
-            "phi.csv": "dd5a9485c38f0cf9b30b2b8b7af477a523bfd5a68bbf705de7e0ff3ac1662725",
-            "phi_dist.csv": "95b7255c2d4ca130c5cefe15152129df4699237172f65ac916eef207b98837c8",
+            "phi.csv": "2dba2a3fd77eecba6aad9b0b298ecee5c999ed3dc044643fb9f61ecb036951fc",
+            "phi_dist.csv": "a285b9e679eb0ebdd66e54e41561f8ae6044a51c6fc5c8bb734c66a95da64467",
         },
     ),
     "phi-two-state": (
@@ -135,23 +138,6 @@ GOLDEN = {
 }
 
 
-# A multithreaded LAPACK solve rounds differently from a single-threaded one,
-# so these runs go to a fresh process held to one BLAS thread.
-ONE_BLAS_THREAD = {"phi-bd200"}
-
-
-def _run_on_one_blas_thread(cfg, out) -> list[str]:
-    argv = [cfg.method, "--model", cfg.model, "--seed", str(cfg.seed), "--out-dir", str(out)]
-    for key, val in cfg.params.items():
-        argv += [f"--{key}", val]
-    done = subprocess.run(
-        [sys.executable, "-m", "qsdsim.cli", *argv],
-        env=one_blas_thread_env(), capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
-
-
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -159,10 +145,7 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_seeded_run_matches_golden_digest(name, tmp_path):
     cfg, digests = GOLDEN[name]
-    if name in ONE_BLAS_THREAD:
-        files = _run_on_one_blas_thread(cfg, tmp_path)
-    else:
-        files = run_config(cfg, tmp_path).files
+    files = run_config(cfg, tmp_path).files
     written = {p.name for p in tmp_path.iterdir()} - {"summary.json"}
     assert written == set(digests)
     assert len(files) == len(digests)
@@ -200,8 +183,8 @@ MULTI_JUMP_GOLDEN = {
     "phi": (
         "phi", 1, {"init": "delta:1", "iters": "20"},
         {
-            "phi.csv": "f86944efdfdb4912d1a89284a8a7e681a400c7e5329fb9f997e3735e6916e0c5",
-            "phi_dist.csv": "3d23d51762476838cc95ca7a5cb14855c0f9acf2e83b3795059ca80d2ddd4971",
+            "phi.csv": "59d5ea64e1874192f3f7514f84e687b47e58c7675ca9c54bc199ba539522f0f4",
+            "phi_dist.csv": "e922f68b6641247ba3639f07102d9cd0be68d037f61c121ed808a7b74cae09c9",
         },
     ),
     "conditioned": (
@@ -217,6 +200,21 @@ MULTI_JUMP_GOLDEN = {
         {"branch.json": "5258a6db49a01ccc3977d00b481d635f3fb4ae13fe1863a7d4890e41c0dff432"},
     ),
 }
+
+
+def test_path_phi_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the return map on a two-way path makes no BLAS call, so the thread count cannot round it
+    argv = ["phi", "--model", "bd:1,2,200", "--init", "delta:1", "--iters", "50"]
+    written = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "qsdsim.cli", *argv, "--out-dir", str(out)],
+            env=blas_thread_env(threads), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append({name: (out / name).read_bytes() for name in ("phi.csv", "phi_dist.csv")})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_JUMP_GOLDEN))

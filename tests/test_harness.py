@@ -373,6 +373,13 @@ class TestCli:
             ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1",
              "--dt", "0.5"],
             ["afp", "--model", "two-state", "--steps", "10", "--start", "1", "--checkpoints", "0"],
+            ["phi", "--model", "two-state", "--init", "delta:1", "--iters", "0"],
+            ["phi", "--model", "two-state", "--init", "delta:1", "--iters", "-3"],
+            ["phi", "--model", "two-state", "--init", "delta:1", "--tol", "nan"],
+            ["phi", "--model", "two-state", "--init", "delta:1", "--tol", "-1"],
+            ["oracle", "--model", "two-state", "--tol", "nan"],
+            ["oracle", "--model", "two-state", "--tol", "-1"],
+            ["oracle", "--model", "bd:1,2,40", "--tol", "0"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -387,7 +394,9 @@ class TestCli:
             "fv-nan-horizon", "couple-infinite-horizon", "conditioned-nan-step",
             "fv-infinite-grid", "fv-nan-burnin", "afp-nan-uniformization-rate",
             "branch-nan-alpha", "fv-negative-burnin", "afp-negative-uniformization-rate",
-            "conditioned-step-above-limit", "afp-zero-checkpoints",
+            "conditioned-step-above-limit", "afp-zero-checkpoints", "phi-zero-iters",
+            "phi-negative-iters", "phi-nan-tol", "phi-negative-tol", "oracle-nan-tol",
+            "oracle-negative-tol", "oracle-zero-tol",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -426,6 +435,12 @@ class TestCli:
             ("afp", "steps = 100\nstart = 1\nuniformization-rate = -1\n", "uniformization-rate"),
             ("conditioned", "horizon = 1\ninit = delta:2\ndt = 0.5\n", "dt"),
             ("afp", "steps = 10\nstart = 1\ncheckpoints = 0\n", "checkpoints"),
+            ("phi", "init = delta:1\niters = 0\n", "iters"),
+            ("phi", "init = delta:1\niters = -3\n", "iters"),
+            ("phi", "init = delta:1\ntol = nan\n", "tol"),
+            ("phi", "init = delta:1\ntol = -1\n", "tol"),
+            ("oracle", "tol = nan\n", "tol"),
+            ("oracle", "tol = -1\n", "tol"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
@@ -433,7 +448,8 @@ class TestCli:
              "fv-nan-grid", "branch-infinite-cap", "fv-nan-burnin",
              "afp-nan-uniformization-rate", "branch-nan-alpha", "fv-negative-burnin",
              "afp-negative-uniformization-rate", "conditioned-step-above-limit",
-             "afp-zero-checkpoints"],
+             "afp-zero-checkpoints", "phi-zero-iters", "phi-negative-iters", "phi-nan-tol",
+             "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol"],
     )
     def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim import (
     Distribution,
@@ -22,10 +24,12 @@ from qsdsim import (
     tv_distance,
 )
 from qsdsim.errors import NotIrreducible, PathTooShort
+from qsdsim.returnproc import _path_solver
 
 from conftest import (
     ReturnRates,
     TimeDepReturnRates,
+    large_model_file,
     multi_jump_model_file,
     one_sample_chi2_pvalue,
     two_sample_chi2_pvalue,
@@ -150,14 +154,19 @@ def reference_phi_map(model, mu):
 class TestPhiAssembly:
     @pytest.mark.parametrize(
         "spec",
-        ["bd:1,2,200", "bd:1,2,250", "bd:0.6,1.7,40", "multi-jump"],
-        ids=["dense-200", "sparse-250", "dense-40", "multi-jump"],
+        ["bd:1,2,200", "bd:1,2,250", "bd:0.6,1.7,40", "multi-jump", "large-file"],
+        ids=["dense-200", "sparse-250", "dense-40", "multi-jump", "sparse-file-250"],
     )
     def test_iterates_match_per_call_lil_assembly(self, spec, tmp_path):
         # phi_map's solve of mu A^-1 against the stationarity system, call by
-        # call on the first iterates from delta_1
+        # call on the first iterates from delta_1.  The three builtin windows
+        # are two-way paths and take the Thomas sweep at any size (their ids
+        # are historical); the multi-jump file takes the dense inverse and the
+        # 250-state file the sparse LU.
         if spec == "multi-jump":
             spec = f"file:{multi_jump_model_file(tmp_path)}"
+        elif spec == "large-file":
+            spec = f"file:{large_model_file(tmp_path)}"
         model = resolve_model(spec)
         mu = Distribution.delta(1)
         for _ in range(3):
@@ -178,6 +187,78 @@ class TestPhiAssembly:
     def test_mu_outside_the_states_is_rejected(self, t2):
         with pytest.raises(ValueError, match="outside"):
             phi_map(t2, Distribution.delta(7))
+
+
+def dense_path_solve(total, up, down, v) -> np.ndarray:
+    """w = v A^-1 by ``np.linalg.solve`` of the dense A^T of a two-way path, per call."""
+    n = len(total)
+    a_t = np.diag(np.asarray(total, dtype=float))
+    a_t[np.arange(n - 1), np.arange(1, n)] = -np.asarray(down)
+    a_t[np.arange(1, n), np.arange(n - 1)] = -np.asarray(up)
+    return np.linalg.solve(a_t, v)
+
+
+def assert_path_solve_matches_dense(total, up, down, v, rel):
+    got = _path_solver(np.asarray(total), np.asarray(up), np.asarray(down))(np.asarray(v))
+    ref = dense_path_solve(total, up, down, v)
+    assert np.all(got > 0.0)
+    assert np.all(np.abs(got - ref) <= rel * ref)
+
+
+path_rates = st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def two_way_paths(draw):
+    """(total, up, down): every state absorbs, so A is safely nonsingular."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    up = draw(st.lists(path_rates, min_size=n - 1, max_size=n - 1))
+    down = draw(st.lists(path_rates, min_size=n - 1, max_size=n - 1))
+    absorb = draw(st.lists(path_rates, min_size=n, max_size=n))
+    total = [a + (up[i] if i < n - 1 else 0.0) + (down[i - 1] if i else 0.0)
+             for i, a in enumerate(absorb)]
+    return total, up, down
+
+
+class TestPathSolve:
+    @pytest.mark.parametrize("spec, K", [
+        ("bd:1,2,200", None), ("gw:1,2", 100), ("bd:0.6,1.7,40", None), ("two-state", None),
+    ])
+    def test_matches_dense_solve(self, spec, K):
+        model = resolve_model(spec)
+        model = model.restricted(K) if K else model
+        b = model.live_block()
+        up, down = b.two_way_path
+        n = len(b.states)
+        rng = np.random.default_rng(31)
+        for v in (np.eye(n)[0], np.eye(n)[-1], np.full(n, 1.0 / n), rng.random(n) + 1e-3):
+            assert_path_solve_matches_dense(b.total, up, down, v, 1e-13)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(two_way_paths(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_paths_match_dense_solve(self, path, seed):
+        total, up, down = path
+        v = np.random.default_rng(seed).random(len(total)) + 1e-3
+        assert_path_solve_matches_dense(total, up, down, v, 1e-13)
+
+    def test_singular_path_raises(self):
+        # no state absorbs: the last pivot is 1 - 1/1 = 0
+        with pytest.raises(NotIrreducible):
+            _path_solver(np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0]))
+
+    def test_path_windows_call_no_dense_linear_algebra(self, monkeypatch, tmp_path):
+        def boom(*args, **kwargs):
+            raise AssertionError("a two-way path called numpy's dense linear algebra")
+
+        monkeypatch.setattr(np.linalg, "solve", boom)
+        monkeypatch.setattr(np.linalg, "inv", boom)
+        for model in (resolve_model("bd:1,2,200"), resolve_model("gw:1,2").restricted(100),
+                      resolve_model("bd:1,2,250"), resolve_model("two-state")):
+            phi_iterate(model, Distribution.delta(1), max_iters=3)
+        # the patch does reach the dense route of a window that is not a path
+        model = resolve_model(f"file:{multi_jump_model_file(tmp_path)}")
+        with pytest.raises(AssertionError, match="dense linear algebra"):
+            phi_map(model, Distribution.delta(1))
 
 
 class TestPhiIterate:
@@ -209,6 +290,19 @@ class TestPhiIterate:
         res = phi_iterate(model, Distribution.delta(1), max_iters=1000)
         assert res.converged
         assert tv_distance(res.dist, solve_qsd_power(model).nu) <= 1e-7
+
+    def test_converges_on_bd200_window(self):
+        # one factorization for all 2282 steps from delta_1
+        model = resolve_model("bd:1,2,200")
+        res = phi_iterate(model, Distribution.delta(1), max_iters=5000)
+        assert res.converged
+        assert res.iterations == 2282
+        assert tv_distance(res.dist, solve_qsd_power(model).nu) <= 1e-7
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_needs_at_least_one_iteration(self, t2, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            phi_iterate(t2, Distribution.delta(1), max_iters=max_iters)
 
     def test_budget_exhaustion_is_reported_not_raised(self, t2):
         res = phi_iterate(t2, Distribution.delta(1), max_iters=2, tol=1e-15)

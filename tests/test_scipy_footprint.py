@@ -5,12 +5,12 @@ Replicas run in one plain loop, so no run, and no ``import qsdsim``, loads
 
 scipy is imported only by the code that calls it: the oracle's power
 iteration on windows that are not two-way paths (``scipy.sparse``),
-``phi_map`` on more than ``PHI_LAPACK_LIMIT`` states
+``phi_map`` on such windows of more than ``PHI_LAPACK_LIMIT`` states
 (``scipy.sparse.linalg``) and the conditioned flow on more than
 ``DENSE_WINDOW_LIMIT`` states (``scipy.sparse`` alone: its uniformization
 steps are CSR matvecs, not ``expm_multiply``).  Every builtin chain is a two-way path, so
-the oracle, AFP and stationary FV need numpy alone on them.  Each case runs in a fresh interpreter,
-because this one has long since loaded scipy.
+the oracle, AFP, stationary FV and ``phi`` at any size need numpy alone on them.  Each case
+runs in a fresh interpreter, because this one has long since loaded scipy.
 """
 
 import json
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from qsdsim import read_model_file, resolve_model
 from qsdsim.conditioned import DENSE_WINDOW_LIMIT, _window_operator
 
-from conftest import multi_jump_model_file
+from conftest import large_model_file, multi_jump_model_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,6 +69,7 @@ NO_SCIPY = {
     "branch": ["branch", "--model", "two-state", "--alpha", "2", "--horizon", "5",
                "--cap", "1000", "--replicas", "2", "--seed", "1"],
     "phi": ["phi", "--model", "two-state", "--init", "delta:1"],
+    "phi-path-250": ["phi", "--model", "bd:1,2,250", "--init", "delta:1", "--iters", "2"],
     "oracle": ["oracle", "--model", "bd:1,2", "--trunc", "200"],
     "afp": ["afp", "--model", "two-state", "--steps", "1000", "--start", "1", "--seed", "1"],
     "fv-stationary": ["fv", "--model", "two-state", "--particles", "10", "--horizon", "4",
@@ -102,8 +103,10 @@ def test_oracle_runs_load_scipy_sparse_only(case, tmp_path):
 
 
 def test_large_phi_loads_sparse_linalg(tmp_path):
-    argv = ["phi", "--model", "bd:1,2,250", "--init", "delta:1", "--iters", "2"]
-    assert "scipy.sparse.linalg" in loaded_modules(argv, tmp_path)
+    # 250 states with jumps that skip a state: not a two-way path, so one sparse LU
+    model = f"file:{large_model_file(tmp_path)}"
+    argv = ["phi", "--model", model, "--init", "delta:1", "--iters", "2"]
+    assert "scipy.sparse.linalg" in loaded_modules(argv, tmp_path / "out")
 
 
 def reference_window_generator(model, states) -> np.ndarray:

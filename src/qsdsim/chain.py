@@ -249,10 +249,10 @@ class AbsorbedChainModel:
     states : sequence of int, optional
         The full state set for finite models; None for lazily enumerated
         (countably infinite) models.
-    c0, qbar, column_bound : float, optional
-        Declared bounds sup q(x, 0), sup of total off-diagonal out-rate and
-        sup of column sums (inflow).  ``math.inf`` marks an explicitly
-        unbounded quantity; None means undeclared.
+    c0, qbar : float, optional
+        Declared bounds sup q(x, 0) and sup of total off-diagonal out-rate.
+        ``math.inf`` marks an explicitly unbounded quantity; None means
+        undeclared.
     """
 
     def __init__(
@@ -262,7 +262,6 @@ class AbsorbedChainModel:
         states: Sequence[int] | None = None,
         c0: float | None = None,
         qbar: float | None = None,
-        column_bound: float | None = None,
         name: str = "",
     ):
         self._transitions_fn = transitions_fn
@@ -270,7 +269,6 @@ class AbsorbedChainModel:
         self.states = tuple(sorted(int(s) for s in states)) if states is not None else None
         self.c0 = c0
         self.qbar = qbar
-        self.column_bound = column_bound
         self.name = name
         self._trans_cache: dict[int, tuple[tuple[int, float], ...]] = {}
         self._absorb_cache: dict[int, float] = {}
@@ -396,7 +394,7 @@ class AbsorbedChainModel:
             states=window,
             name=f"{self.name}|K={K}" if self.name else f"K={K}",
         )
-        model.c0, model.qbar, model.column_bound = exact_bounds(model)
+        model.c0, model.qbar = exact_bounds(model)
         return model
 
     def max_total_rate(self, states: Iterable[int]) -> float:
@@ -407,13 +405,8 @@ class AbsorbedChainModel:
         return f"AbsorbedChainModel(name={self.name!r}, states={size})"
 
 
-def exact_bounds(model: AbsorbedChainModel) -> tuple[float, float, float]:
-    """(C0, qbar, column bound) computed exactly on a finite model.
-
-    The column bound is the largest inflow sum over columns of the live
-    block plus the absorption column: max over x in states of
-    sum_y q(y, x), and sum_y q(y, 0) for the absorption column.
-    """
+def exact_bounds(model: AbsorbedChainModel) -> tuple[float, float]:
+    """(C0, qbar) computed exactly on a finite model."""
     if not model.is_finite:
         raise ValueError("exact bounds require a finite model")
     c0 = max((model.absorb_rate(x) for x in model.states), default=0.0)
@@ -421,14 +414,7 @@ def exact_bounds(model: AbsorbedChainModel) -> tuple[float, float, float]:
         (math.fsum(r for _, r in model.transitions(x)) for x in model.states),
         default=0.0,
     )
-    col: dict[int, float] = {0: 0.0}
-    for x in model.states:
-        col.setdefault(x, 0.0)
-    for x in model.states:
-        col[0] += model.absorb_rate(x)
-        for y, r in model.transitions(x):
-            col[y] = col.get(y, 0.0) + r
-    return c0, qbar, max(col.values())
+    return c0, qbar
 
 
 @dataclass(frozen=True)

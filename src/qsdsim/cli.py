@@ -32,8 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int)
     p.add_argument(
         "--tol", type=float, default=1e-12,
-        help="power-iteration stop tolerance; windows that are two-way paths "
-        "(every builtin chain) are solved directly and ignore it",
+        help="inverse-iteration stop tolerance on the TV step and eigenvalue drift; "
+        "windows that are two-way paths (every builtin chain) are solved directly "
+        "and ignore it",
     )
 
     p = sub.add_parser("conditioned", help="the law conditioned on survival, by uniformization")

@@ -291,7 +291,7 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
             problems.append("horizon: a stationary fv run needs horizon > burnin")
         if burnin <= 0.0 and "init" not in params:
             problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
-    if cfg.method in ("phi", "couple", "branch") and not model.is_finite:
+    if cfg.method in ("phi", "couple", "branch", "report") and not model.is_finite:
         problems.append(
             f"model: an infinite model needs an explicit truncation;"
             f" {cfg.method} takes a finite window such as bd:p,q,K"
@@ -599,18 +599,20 @@ def cross_method_report(
 
     Methods that fail are reported with their error instead of aborting the
     table.  Returns one row per method with TV to the oracle and runtime.
+    An infinite model raises ``ValueError`` before any method runs: the
+    return map needs a finite window such as ``bd:p,q,K``.
     """
+    if not model.is_finite:
+        raise ValueError("cross_method_report needs a finite model; truncate first")
     budget = budget or ReportBudget()
     rows: list[dict] = []
     t0 = time.perf_counter()
     if reference is None:
-        reference = (
-            solve_qsd_power(model).nu if model.is_finite else minimal_qsd_reference(model).nu
-        )
+        reference = solve_qsd_power(model).nu
     rows.append(
         {"method": "oracle", "tv_to_oracle": 0.0, "runtime_s": time.perf_counter() - t0, "status": "ok"}
     )
-    start = Distribution.delta(model.states[0] if model.is_finite else 1)
+    start = Distribution.delta(model.states[0])
 
     def attempt(name, fn):
         t1 = time.perf_counter()

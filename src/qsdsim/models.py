@@ -51,7 +51,7 @@ class GaltonWatsonSpec:
 def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
     """Finite model from a {(x, y): rate} map; y = 0 entries are absorption.
 
-    Bounds C0, qbar and the column bound are computed exactly.
+    Bounds C0 and qbar are computed exactly.
     """
     trans: dict[int, list[tuple[int, float]]] = {}
     absorb: dict[int, float] = {}
@@ -78,7 +78,7 @@ def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
         states=sorted(states),
         name="finite",
     )
-    model.c0, model.qbar, model.column_bound = exact_bounds(model)
+    model.c0, model.qbar = exact_bounds(model)
     return model
 
 
@@ -87,7 +87,7 @@ def build_birth_death(spec: BirthDeathSpec, truncation: int | None = None) -> Ab
 
     With ``truncation=K`` the up-jump at K is dropped and exact bounds are
     computed; otherwise transitions are enumerated lazily and the declared
-    bounds are C0 = down rate, qbar = column bound = up + down.
+    bounds are C0 = down rate, qbar = up + down.
     """
     p, q = spec.up_rate, spec.down_rate
 
@@ -106,7 +106,7 @@ def build_birth_death(spec: BirthDeathSpec, truncation: int | None = None) -> Ab
         model = AbsorbedChainModel(
             transitions, absorb, states=range(1, truncation + 1), name=f"bd:{p},{q},{truncation}"
         )
-        model.c0, model.qbar, model.column_bound = exact_bounds(model)
+        model.c0, model.qbar = exact_bounds(model)
         return model
     return AbsorbedChainModel(
         transitions,
@@ -114,7 +114,6 @@ def build_birth_death(spec: BirthDeathSpec, truncation: int | None = None) -> Ab
         states=None,
         c0=q,
         qbar=p + q,
-        column_bound=p + q,
         name=f"bd:{p},{q}",
     )
 
@@ -142,7 +141,6 @@ def build_galton_watson(spec: GaltonWatsonSpec) -> AbsorbedChainModel:
         states=None,
         c0=d,
         qbar=math.inf,
-        column_bound=math.inf,
         name=f"gw:{b},{d}",
     )
 

@@ -17,12 +17,14 @@ Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
 indicator that the two trajectories have split.
 
-scipy is used only by the return map's sparse LU factorization on windows
-that are not two-way paths and have more than ``PHI_LAPACK_LIMIT`` states
-(``scipy.sparse.linalg.splu``), and through ``evolve_conditioned`` on windows
-of more than ``DENSE_WINDOW_LIMIT`` (400) states; both import it when they
-run.  The return map on a two-way path (every builtin chain, at any size)
-calls no linear-algebra library at all.
+The return map factors A with ``oracle.return_map_solver``, the solve that
+the oracle's inverse iteration runs too.  scipy is used only by its sparse
+LU factorization on windows that are not two-way paths and have more than
+``oracle.PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.splu``), and
+through ``evolve_conditioned`` on windows of more than
+``DENSE_WINDOW_LIMIT`` (400) states; both import it when they run.  The
+return map on a two-way path (every builtin chain, at any size) calls no
+linear-algebra library at all.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution, strongly_connected
+from .chain import AbsorbedChainModel, Distribution
 from .conditioned import ConditionedPath, evolve_conditioned
-from .errors import EventCapExceeded, NotIrreducible, PathTooShort
+from .errors import EventCapExceeded, PathTooShort
 from .fv import FvTrace, ParticleConfig
-from .oracle import _pivots
+from .oracle import return_map_solver
 from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, TAG_INTERNAL, TAG_VOTER
 
 MU_RETURN_EVENT_CAP = 10**8
@@ -94,87 +96,17 @@ def simulate_mu_return(
     return OccupationResult(Distribution.from_weights(acc), events, returns, horizon)
 
 
-# Non-path windows up to this size invert A densely; larger ones factor a sparse LU.
-PHI_LAPACK_LIMIT = 200
-
-
-def _path_solver(total: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """Solve A^T w = v on a two-way path, from the pivots of A^T computed once.
-
-    A^T has diagonal ``total``, superdiagonal -``down`` and subdiagonal
-    -``up``, so its LU pivots are those of the oracle's ``_pivots`` at 0.
-    A is a nonsingular M-matrix, so every pivot is positive; then, for a
-    nonnegative v, the forward sweep y(i+1) = v(i+1) + up(i)/d(i) y(i) and
-    the back sweep w(i) = (y(i) + down(i) w(i+1)) / d(i) add nonnegative
-    terms only.  Pure Python on lists: no BLAS call, O(n) per solve.
-    """
-    piv = _pivots(0.0, total.tolist(), (up * down).tolist())
-    if piv is None:
-        raise NotIrreducible("the path block is singular, so Phi is undefined")
-    mult = [u / p for u, p in zip(up.tolist(), piv)]
-    back = list(zip(down.tolist()[::-1], piv[-2::-1]))
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        y = v.tolist()
-        for i, m in enumerate(mult):
-            y[i + 1] += m * y[i]
-        w = [y[-1] / piv[-1]]
-        for yi, (d, p) in zip(y[-2::-1], back):
-            w.append((yi + d * w[-1]) / p)
-        w.reverse()
-        return np.array(w)
-
-    return solve
-
-
 def _phi_step(model: AbsorbedChainModel):
     """The return map on mass vectors over ``model.states``.
 
-    Builds A = -Q_live from the model's cached live block and factors it
-    once; the returned step maps v to v A^-1 / |v A^-1|.  On a two-way path
-    (every builtin chain, at any size) each step is one positive Thomas
-    sweep of :func:`_path_solver`, with no linear-algebra library call.
-    Other windows of at most ``PHI_LAPACK_LIMIT`` states compute A^-T once
-    and take one matvec per step; larger ones factor one sparse LU.  A is
-    nonsingular exactly when every live state can reach absorption.  On a
-    two-way path that holds when some state absorbs; other blocks are
-    checked with a virtual absorbing node.
+    Factors A = -Q_live of the model's cached live block once, with
+    :func:`~qsdsim.oracle.return_map_solver`; the returned step maps v to
+    v A^-1 / |v A^-1|.  Raises :class:`NotIrreducible` where some live state
+    cannot reach absorption.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
-    b = model.live_block()
-    n = len(b.states)
-    span = np.arange(n)
-    path = b.two_way_path
-    if path is not None:
-        well_posed = bool((b.absorb > 0).any())
-    else:
-        absorbing = np.nonzero(b.absorb > 0)[0]
-        # edges into the virtual node n from the absorbing states, and out of it to all
-        src = np.concatenate([b.src, absorbing, np.full(n, n)])
-        dst = np.concatenate([b.dst, np.full(absorbing.size, n), span])
-        well_posed = strongly_connected(n + 1, src, dst)
-    if not well_posed:
-        raise NotIrreducible("some live state cannot reach absorption, so Phi is undefined")
-    # transposed, so that solving A^T w = v gives the row vector w = v A^-1
-    if path is not None:
-        solve = _path_solver(b.total, *path)
-    elif n <= PHI_LAPACK_LIMIT:
-        a_t = np.diag(b.total)
-        np.subtract.at(a_t, (b.dst, b.src), b.rate)
-        inv_t = np.linalg.inv(a_t)
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            return inv_t @ v
-
-    else:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-
-        rows = np.concatenate([span, b.dst])
-        cols = np.concatenate([span, b.src])
-        vals = np.concatenate([b.total, -b.rate])
-        solve = splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n))).solve
+    solve = return_map_solver(model.live_block())
 
     def step(v: np.ndarray) -> np.ndarray:
         w = np.maximum(solve(v), 0.0)  # A^-1 is entrywise nonnegative; this clips round-off
@@ -198,10 +130,8 @@ def phi_map(model: AbsorbedChainModel, mu: Distribution) -> Distribution:
 
     By the renewal argument of Ferrari, Kesten, Martinez and Picco (1995) it
     is the occupation law before absorption from mu:
-    Phi(mu) = mu A^-1 / |mu A^-1| with A = -Q_live.  One linear solve gives
-    it: a positive Thomas sweep on two-way paths (no BLAS call), A^-T
-    from a dense inverse on other windows of at most ``PHI_LAPACK_LIMIT``
-    states, a sparse LU factorization above.
+    Phi(mu) = mu A^-1 / |mu A^-1| with A = -Q_live, one linear solve with
+    the factorization of :func:`~qsdsim.oracle.return_map_solver`.
 
     QSDs are the fixed points of Phi, but on an infinite space it has more
     than one: every QSD nu_theta of ``bd:p,q`` (0 < theta <= theta*) is a
@@ -232,12 +162,10 @@ def phi_iterate(
 
     The iterate is a dense mass vector over ``model.states``, and each
     iteration is one step of :func:`_phi_step`, which factors A once for
-    the whole run (a Thomas sweep on two-way paths, a matvec with A^-T on
-    other windows of at most ``PHI_LAPACK_LIMIT`` states, the sparse LU
-    above); a ``Distribution`` is built only for the result.  Exhausting
-    ``max_iters`` (at least 1) is reported through ``converged=False``
-    rather than an exception; the TV log is the useful diagnostic either
-    way.
+    the whole run; a ``Distribution`` is built only for the result.
+    Exhausting ``max_iters`` (at least 1) is reported through
+    ``converged=False`` rather than an exception; the TV log is the useful
+    diagnostic either way.
     """
     if max_iters < 1:
         raise ValueError(f"phi_iterate needs max_iters >= 1, got {max_iters}")

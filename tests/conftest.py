@@ -87,6 +87,20 @@ def large_model_file(directory, n: int = 250) -> Path:
     return path
 
 
+def column_bound(model) -> float:
+    """Largest inflow sum over the columns of a finite model's generator.
+
+    The live columns sum_y q(y, x) and the absorption column sum_y q(y, 0),
+    the constant of the fixed-time FV error bound.
+    """
+    col = dict.fromkeys((0, *model.states), 0.0)
+    for x in model.states:
+        col[0] += model.absorb_rate(x)
+        for y, r in model.transitions(x):
+            col[y] += r
+    return max(col.values())
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

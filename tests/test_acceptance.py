@@ -44,6 +44,7 @@ from qsdsim import (
 from qsdsim import conditioned
 
 from conftest import (
+    column_bound,
     expm_window_law,
     multi_jump_model_file,
     one_sample_chi2_pvalue,
@@ -142,7 +143,7 @@ def test_c04_fv_fixed_time(t2):
         return float(np.mean(errs))
 
     # column bound of the two-state model is 1, so the bound is e^5 * 3/sqrt(N)
-    bound = math.exp(5.0 * t2.column_bound * 1.0) * 3.0 / math.sqrt(400)
+    bound = math.exp(5.0 * column_bound(t2) * 1.0) * 3.0 / math.sqrt(400)
     err_400 = mean_abs_error(400, 0)
     assert err_400 <= bound
     points = [(n, mean_abs_error(n, k + 1)) for k, n in enumerate((50, 200, 800))]

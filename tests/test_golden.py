@@ -7,11 +7,12 @@ left out).  Reruns of one commit are compared elsewhere; these digests catch a
 change of any draw or output byte between commits.  A change that alters
 seeded output on purpose must update the digests and say why.
 
-Files that carry oracle numbers also pin the oracle's route: both
-``oracle`` runs on builtin chains, stationary FV's ``fv_summary.json`` (its
-TV to the oracle) and both ``afp.csv`` files (their ``tv_to_oracle`` cells)
-come from the path solver, while the multi-jump ``oracle`` digests come from
-power iteration.  Files that carry conditioned-law numbers (both
+Files that carry oracle numbers also pin the oracle's route: stationary
+FV's ``fv_summary.json`` (its TV to the oracle) and ``afp.csv`` (its
+``tv_to_oracle`` cells).  On the builtin chains they and both ``oracle``
+runs come from the path solver; on the multi-jump file they and both
+``oracle`` runs come from inverse iteration with the return map's dense
+inverse.  Files that carry conditioned-law numbers (both
 ``conditioned.csv`` files, fixed-time FV's ``fv_summary.json``, ``scan.csv``
 and ``scan_fit.json``) pin the uniformization step.  The multi-jump ``fv``
 runs pin the FV event kernel's draw order where a jump has several targets
@@ -158,12 +159,12 @@ def test_seeded_run_matches_golden_digest(name, tmp_path):
 MULTI_JUMP_GOLDEN = {
     "oracle": (
         "oracle", 1, {},
-        {"oracle.json": "f0974158a8fef0aacea4b8f650e195ddefa99ac8c86700fbe4dd953dcc92ba66"},
+        {"oracle.json": "474ede5928bdfc00c0faedf85a90c55dbf97ec5f81aa02df67364a7d79822830"},
     ),
     "oracle-K9": (
         # the window 1..9 drops two jumps, which leave the restricted diagonal
         "oracle", 1, {"trunc": "9"},
-        {"oracle.json": "717af7a90549eff4a68a6fd708055c891f953dc7c413c02ce496d6d90ac82094"},
+        {"oracle.json": "68c654c4d05c709357c17751e44ab8fcf41b84d089c0c6beda2fbb0b784030e9"},
     ),
     "fv-fixed": (
         # several jump targets per state and frequent revivals (40 of 292 events)
@@ -177,7 +178,7 @@ MULTI_JUMP_GOLDEN = {
         "fv", 2, {"particles": "40", "burnin": "1.0", "horizon": "6.0"},
         {
             "fv.csv": "a8ea3482cf96ed48c24b12e3d53e0ac2471521ca21ba517cd884dc02ebb7fcae",
-            "fv_summary.json": "dec03c7e32d7e2d9fb5ad7151291f320e8626ffff0ca3469f56f425e470c37b0",
+            "fv_summary.json": "fb48d27f16314488f3f185ada530fa83617ea6e984d6a9412236dc35ab4bb58c",
         },
     ),
     "phi": (
@@ -193,7 +194,7 @@ MULTI_JUMP_GOLDEN = {
     ),
     "afp": (
         "afp", 1, {"steps": "20000", "start": "1"},
-        {"afp.csv": "665ba690566fb058d833246fcfda9717a936f5f359c9c7ff887aee7a0c9206a7"},
+        {"afp.csv": "17a66545143fe7f53bae456004a1dbfbe60efd8053101dc38b4184022520c49d"},
     ),
     "branch": (
         "branch", 3, {"horizon": "3.0", "cap": "2000"},

@@ -380,6 +380,8 @@ class TestCli:
             ["oracle", "--model", "two-state", "--tol", "nan"],
             ["oracle", "--model", "two-state", "--tol", "-1"],
             ["oracle", "--model", "bd:1,2,40", "--tol", "0"],
+            ["report", "--model", "gw:1,2"],
+            ["report", "--model", "bd:1,2"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -396,7 +398,7 @@ class TestCli:
             "branch-nan-alpha", "fv-negative-burnin", "afp-negative-uniformization-rate",
             "conditioned-step-above-limit", "afp-zero-checkpoints", "phi-zero-iters",
             "phi-negative-iters", "phi-nan-tol", "phi-negative-tol", "oracle-nan-tol",
-            "oracle-negative-tol", "oracle-zero-tol",
+            "oracle-negative-tol", "oracle-zero-tol", "report-infinite-gw", "report-infinite-bd",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -415,32 +417,39 @@ class TestCli:
         assert "replicas" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "method,section,problem",
+        "method,model,section,problem",
         [
-            ("fv", "particles = 10\nhorizon = 1\n", "init"),
-            ("afp", "steps = 0\nstart = 1\n", "steps"),
-            ("phi", "init = delta:7\n", "outside"),
-            ("couple", "particles = 1\nhorizon = 1\n", "particles"),
-            ("fv", "particles = 10\nhorizon = 1\ninit = 1:0.5,2:0.5,1:0.1\n", "more than once"),
-            ("fv", "particles = 10\nhorizon = 1\ninit = 1:-0.5,2:1\n", "state 1"),
-            ("fv", "particles = 10\nhorizon = 1\ninit = 1:nan,2:1\n", "state 1"),
-            ("conditioned", "horizon = inf\ninit = delta:1\n", "horizon"),
-            ("conditioned", "horizon = 1\ninit = delta:1\ndt = nan\n", "dt"),
-            ("fv", "particles = 10\nhorizon = 1\ninit = delta:2\ngrid = nan\n", "grid"),
-            ("branch", "horizon = 1\ncap = inf\n", "cap"),
-            ("fv", "particles = 10\nhorizon = 2\nburnin = nan\n", "burnin"),
-            ("afp", "steps = 10\nstart = 1\nuniformization-rate = nan\n", "uniformization-rate"),
-            ("branch", "horizon = 1\nalpha = nan\n", "alpha"),
-            ("fv", "particles = 10\nhorizon = 1\ninit = delta:2\nburnin = -1\n", "burnin"),
-            ("afp", "steps = 100\nstart = 1\nuniformization-rate = -1\n", "uniformization-rate"),
-            ("conditioned", "horizon = 1\ninit = delta:2\ndt = 0.5\n", "dt"),
-            ("afp", "steps = 10\nstart = 1\ncheckpoints = 0\n", "checkpoints"),
-            ("phi", "init = delta:1\niters = 0\n", "iters"),
-            ("phi", "init = delta:1\niters = -3\n", "iters"),
-            ("phi", "init = delta:1\ntol = nan\n", "tol"),
-            ("phi", "init = delta:1\ntol = -1\n", "tol"),
-            ("oracle", "tol = nan\n", "tol"),
-            ("oracle", "tol = -1\n", "tol"),
+            ("fv", "two-state", "particles = 10\nhorizon = 1\n", "init"),
+            ("afp", "two-state", "steps = 0\nstart = 1\n", "steps"),
+            ("phi", "two-state", "init = delta:7\n", "outside"),
+            ("couple", "two-state", "particles = 1\nhorizon = 1\n", "particles"),
+            ("fv", "two-state",
+             "particles = 10\nhorizon = 1\ninit = 1:0.5,2:0.5,1:0.1\n", "more than once"),
+            ("fv", "two-state", "particles = 10\nhorizon = 1\ninit = 1:-0.5,2:1\n", "state 1"),
+            ("fv", "two-state", "particles = 10\nhorizon = 1\ninit = 1:nan,2:1\n", "state 1"),
+            ("conditioned", "two-state", "horizon = inf\ninit = delta:1\n", "horizon"),
+            ("conditioned", "two-state", "horizon = 1\ninit = delta:1\ndt = nan\n", "dt"),
+            ("fv", "two-state",
+             "particles = 10\nhorizon = 1\ninit = delta:2\ngrid = nan\n", "grid"),
+            ("branch", "two-state", "horizon = 1\ncap = inf\n", "cap"),
+            ("fv", "two-state", "particles = 10\nhorizon = 2\nburnin = nan\n", "burnin"),
+            ("afp", "two-state",
+             "steps = 10\nstart = 1\nuniformization-rate = nan\n", "uniformization-rate"),
+            ("branch", "two-state", "horizon = 1\nalpha = nan\n", "alpha"),
+            ("fv", "two-state",
+             "particles = 10\nhorizon = 1\ninit = delta:2\nburnin = -1\n", "burnin"),
+            ("afp", "two-state",
+             "steps = 100\nstart = 1\nuniformization-rate = -1\n", "uniformization-rate"),
+            ("conditioned", "two-state", "horizon = 1\ninit = delta:2\ndt = 0.5\n", "dt"),
+            ("afp", "two-state", "steps = 10\nstart = 1\ncheckpoints = 0\n", "checkpoints"),
+            ("phi", "two-state", "init = delta:1\niters = 0\n", "iters"),
+            ("phi", "two-state", "init = delta:1\niters = -3\n", "iters"),
+            ("phi", "two-state", "init = delta:1\ntol = nan\n", "tol"),
+            ("phi", "two-state", "init = delta:1\ntol = -1\n", "tol"),
+            ("oracle", "two-state", "tol = nan\n", "tol"),
+            ("oracle", "two-state", "tol = -1\n", "tol"),
+            ("report", "gw:1,2", "", "infinite model"),
+            ("report", "bd:1,2", "", "infinite model"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
@@ -449,12 +458,15 @@ class TestCli:
              "afp-nan-uniformization-rate", "branch-nan-alpha", "fv-negative-burnin",
              "afp-negative-uniformization-rate", "conditioned-step-above-limit",
              "afp-zero-checkpoints", "phi-zero-iters", "phi-negative-iters", "phi-nan-tol",
-             "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol"],
+             "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol", "report-infinite-gw",
+             "report-infinite-bd"],
     )
-    def test_config_file_unworkable_run_exits_2(self, method, section, problem, tmp_path, capsys):
+    def test_config_file_unworkable_run_exits_2(
+        self, method, model, section, problem, tmp_path, capsys
+    ):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
-            f"qsdconfig v1\nmethod = {method}\nmodel = two-state\nseed = 1\n[{method}]\n{section}"
+            f"qsdconfig v1\nmethod = {method}\nmodel = {model}\nseed = 1\n[{method}]\n{section}"
         )
         rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
         assert rc == 2

@@ -18,7 +18,7 @@ from qsdsim import (
 )
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
 
-from conftest import multi_jump_model_file
+from conftest import column_bound, multi_jump_model_file
 
 
 class TestBuildFinite:
@@ -26,14 +26,14 @@ class TestBuildFinite:
         m = build_finite({(1, 0): 1.0})
         assert m.c0 == 1.0
         assert m.qbar == 0.0
-        assert m.column_bound == 1.0
+        assert column_bound(m) == 1.0
 
     def test_t2_bounds(self):
         m = build_finite({(1, 2): 1.0, (2, 1): 1.0, (1, 0): 1.0})
         assert m.c0 == 1.0
         assert m.qbar == 1.0
         # inflow columns: state 1 gets 1, state 2 gets 1, absorbing gets 1
-        assert m.column_bound == 1.0
+        assert column_bound(m) == 1.0
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):

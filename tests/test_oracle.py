@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from qsdsim import oracle
 
@@ -28,10 +27,10 @@ from qsdsim import (
 from qsdsim.errors import NoConvergence, NoStabilization, NotIrreducible
 from qsdsim.models import DiscreteChainModel
 
-from conftest import T2_LAMBDA, T2_NU1, multi_jump_model_file
+from conftest import T2_LAMBDA, T2_NU1, large_model_file, multi_jump_model_file
 
 # A window that is not a two-way path (3 -> 1 skips a neighbour, 2 -> 3 is
-# one-way), so the oracle runs power iteration on it.
+# one-way), so the oracle runs inverse iteration on it.
 CYCLE = {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0, (3, 2): 0.5, (1, 0): 1.0}
 
 
@@ -78,10 +77,38 @@ class TestSolvePower:
 
     def test_gap_log_is_eventually_decreasing(self):
         sol = solve_qsd_power(build_finite(CYCLE))
-        assert sol.meta["solver"] == "power"
+        assert sol.meta["solver"] == "inverse"
         gaps = sol.meta["gap_log"]
         tail = gaps[2:]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("name", ["cycle", "multi-jump"])
+    def test_inverse_route_matches_power_iteration(self, name, tmp_path):
+        # power iteration stops on a 1e-12 step gap, so its own error is near 1e-11
+        if name == "cycle":
+            model = build_finite(CYCLE)
+        else:
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        assert model.live_block().two_way_path is None
+        sol = solve_qsd_power(model)
+        assert sol.meta["solver"] == "inverse"
+        nu, lam = power_solution(model)
+        assert tv_distance(sol.nu, nu) <= 1e-10
+        assert abs(sol.lam - lam) <= 1e-11
+        assert sol.residual <= 1e-13
+
+    def test_window_that_never_absorbs_is_rejected(self):
+        # CYCLE without its killing rate: A = -Q_live is singular
+        rates = {k: r for k, r in CYCLE.items() if k[1] != 0}
+        with pytest.raises(NotIrreducible, match="cannot reach absorption"):
+            solve_qsd_power(build_finite(rates))
+
+    def test_thousand_state_walk_with_skips_converges(self, tmp_path):
+        model = read_model_file(large_model_file(tmp_path, 1000))
+        sol = solve_qsd_power(model)
+        assert sol.meta["solver"] == "inverse"
+        assert sol.residual <= 1e-12
+        assert sol.theta == pytest.approx(-sol.lam)
 
 
 def reference_left_power(mat_t, start, tol, max_iters):
@@ -102,23 +129,8 @@ def reference_left_power(mat_t, start, tol, max_iters):
     raise NoConvergence("reference loop did not converge", last_gap=gaps[-1])
 
 
-def _power_inputs(monkeypatch, solve):
-    """The (matrix, start, tol, max_iters) that a solver hands to _left_power."""
-    seen = []
-    real = oracle._left_power
-
-    def spy(*args):
-        seen.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(oracle, "_left_power", spy)
-    solve()
-    monkeypatch.undo()
-    return seen[0]
-
-
 def power_matrix(model, truncation=None):
-    """The transposed CSR matrix I + Q/rate that the power route iterates, and its rate."""
+    """The transposed CSR matrix I + Q/rate of the reference power iteration, and its rate."""
     finite = model.restricted(truncation if truncation is not None else max(model.states))
     b = finite.live_block()
     rate = 1.05 * finite.max_total_rate(finite.states)
@@ -130,65 +142,63 @@ def power_matrix(model, truncation=None):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), rate
 
 
-def power_inputs(model, truncation=None):
-    """The (matrix, start, tol, max_iters) of the power route at the default settings."""
-    mat_t, _ = power_matrix(model, truncation)
-    return mat_t, np.ones(mat_t.shape[0]), 1e-12, 200_000
+def reference_inverse_iteration(solve, start, tol, max_iters):
+    """The plain inverse-iteration loop, with every TV gap kept."""
+    v = start / start.sum()
+    root = 0.0
+    gaps = []
+    for it in range(1, max_iters + 1):
+        w = np.maximum(solve(v), 0.0)
+        s = float(w.sum())
+        w = w / s
+        gap = 0.5 * float(np.abs(w - v).sum())
+        drift = abs(1.0 / s - root)
+        gaps.append(gap)
+        v, root = w, 1.0 / s
+        if gap < tol and drift < tol and it >= 2:
+            return v, s, it, gaps
+    raise NoConvergence("reference loop did not converge", last_gap=gaps[-1])
+
+
+def inverse_inputs(model):
+    """The (solve, start, tol, max_iters) of the oracle's inverse route at the default settings."""
+    b = model.live_block()
+    return oracle.return_map_solver(b), np.ones(len(b.states)), 1e-12, 200_000
 
 
 class TestPowerKernel:
-    def test_raw_matvec_matches_matmul_bitwise(self):
-        mat = sp.random(300, 300, density=0.02, format="csr", random_state=3)
-        v = np.random.default_rng(4).random(300)
-        w = np.full(300, np.nan)
-        w.fill(0.0)
-        csr_matvec(300, 300, mat.indptr, mat.indices, mat.data, v, w)
-        assert w.tobytes() == (mat @ v).tobytes()
+    """The non-path route's kernel: power iteration on A^-T, that is inverse iteration."""
 
-    @pytest.mark.parametrize(
-        "inputs",
-        [
-            lambda mp: power_inputs(build_birth_death(BirthDeathSpec(1.0, 2.0)), truncation=200),
-            lambda mp: power_inputs(build_galton_watson(GaltonWatsonSpec(1.0, 2.0)), truncation=100),
-            lambda mp: _power_inputs(
-                mp, lambda: solve_qsd_discrete(uniformize(resolve_model("bd:1,2,100")))
-            ),
-        ],
-        ids=["bd12-K200", "gw12-K100", "discrete-bd12-100"],
-    )
-    def test_left_power_matches_reference_loop(self, inputs, monkeypatch):
-        mat_t, start, tol, max_iters = inputs(monkeypatch)
-        v, rho, iters, gaps = oracle._left_power(mat_t, start, tol, max_iters)
-        v_ref, rho_ref, iters_ref, gaps_ref = reference_left_power(mat_t, start, tol, max_iters)
-        assert v.tobytes() == v_ref.tobytes()
-        assert rho == rho_ref
-        assert iters == iters_ref
-        head = oracle.GAP_HEAD
-        assert gaps[:head] == gaps_ref[:head]
-        assert gaps[-1] == gaps_ref[-1]
-
-    def test_no_convergence_gap_matches_reference(self):
-        # drift is far above tol after 100 steps, so the last gap is computed after the loop
-        model = build_birth_death(BirthDeathSpec(1.0, 2.0), truncation=50)
-        mat_t, start, tol, _ = power_inputs(model)
+    def test_no_convergence_gap_matches_reference(self, tmp_path):
+        # five steps are far too few, so both loops give up with the same last gap
+        model = read_model_file(multi_jump_model_file(tmp_path))
+        solve, start, tol, _ = inverse_inputs(model)
         with pytest.raises(NoConvergence) as err:
-            oracle._left_power(mat_t, start, tol, 100)
+            oracle._inverse_iteration(solve, start, tol, 5)
         with pytest.raises(NoConvergence) as ref:
-            reference_left_power(mat_t, start, tol, 100)
+            reference_inverse_iteration(solve, start, tol, 5)
         assert err.value.last_gap == ref.value.last_gap
 
-    def test_gap_log_is_bounded(self):
-        model = build_birth_death(BirthDeathSpec(1.0, 2.0))
-        _, _, iters, gaps = oracle._left_power(*power_inputs(model, truncation=200))
-        assert iters > 2 * oracle.GAP_HEAD
-        assert len(gaps) <= 2 * oracle.GAP_HEAD
+    def test_gap_log_is_bounded(self, tmp_path):
+        # the 250-state walk with skips takes thousands of steps; the log keeps
+        # exactly the first and the last GAP_HEAD gaps of the plain loop
+        model = read_model_file(large_model_file(tmp_path))
+        sol = solve_qsd_power(model)
+        assert sol.meta["solver"] == "inverse"
+        head = oracle.GAP_HEAD
+        assert sol.iterations > 2 * head
+        assert len(sol.meta["gap_log"]) == 2 * head
+        v, _, iters, gaps = reference_inverse_iteration(*inverse_inputs(model))
+        assert iters == sol.iterations
+        assert sol.meta["gap_log"] == gaps[:head] + gaps[-head:]
         assert gaps[-1] < 1e-12
+        assert sol.nu == Distribution.from_weights(dict(zip(model.states, v)))
 
 
 def power_solution(model, truncation=None):
-    """(nu, lambda) of the power route on a window, whatever route the oracle picks."""
+    """(nu, lambda) of power iteration on I + Q/rate over a window, whatever route the oracle picks."""
     mat_t, rate = power_matrix(model, truncation)
-    v, rho, _, _ = oracle._left_power(mat_t, np.ones(mat_t.shape[0]), 1e-12, 200_000)
+    v, rho, _, _ = reference_left_power(mat_t, np.ones(mat_t.shape[0]), 1e-12, 200_000)
     states = model.restricted(truncation if truncation is not None else max(model.states)).states
     return Distribution.from_weights(dict(zip(states, v))), rate * (rho - 1.0)
 
@@ -272,14 +282,6 @@ class TestPathRoute:
             sol, _ = bd12_windows[K]
             assert 30.0 <= K**2 * tv_distance(sol.nu, exact) <= 45.0, K
 
-    def test_multi_jump_file_takes_power_route_bit_for_bit(self, tmp_path):
-        model = read_model_file(multi_jump_model_file(tmp_path))
-        assert model.live_block().two_way_path is None
-        sol = solve_qsd_power(model)
-        assert sol.meta["solver"] == "power"
-        nu, lam = power_solution(model)
-        assert sol.nu == nu
-        assert sol.lam == lam
 
 
 class TestSolveDiscrete:
@@ -296,11 +298,25 @@ class TestSolveDiscrete:
         assert sol.lam == pytest.approx(0.5, abs=1e-12)
 
     def test_periodic_two_cycle_fails_over(self):
+        # the cycle never kills, so I - P is singular
         d = DiscreteChainModel(
             (1, 2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 0.0])
         )
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NotIrreducible, match="kills"):
             solve_qsd_discrete(d, max_iters=500)
+
+    def test_periodic_chain_with_killing(self):
+        # 1 -> 2 -> 3 -> 1 survives the loop with probability a: nu P = rho nu
+        # gives rho = a^(1/3) and nu proportional to (rho^2, rho, 1)
+        a = 0.5
+        sub = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [a, 0.0, 0.0]])
+        sol = solve_qsd_discrete(DiscreteChainModel((1, 2, 3), sub, 1.0 - sub.sum(axis=1)))
+        rho = a ** (1.0 / 3.0)
+        exact = np.array([rho**2, rho, 1.0]) / (rho**2 + rho + 1.0)
+        # within the solver's stopping tolerance, 1e-12
+        assert sol.lam == pytest.approx(rho, abs=1e-12)
+        assert np.abs(sol.nu.as_vector((1, 2, 3)) - exact).max() <= 1e-12
+        assert sol.residual <= 1e-13
 
     def test_disconnected_window_rejected(self):
         # 1 <-> 2 and 3 alone: neither side reaches the other

@@ -24,7 +24,7 @@ from qsdsim import (
     tv_distance,
 )
 from qsdsim.errors import NotIrreducible, PathTooShort
-from qsdsim.returnproc import _path_solver
+from qsdsim.oracle import _path_solver
 
 from conftest import (
     ReturnRates,

@@ -3,14 +3,15 @@
 Replicas run in one plain loop, so no run, and no ``import qsdsim``, loads
 ``concurrent.futures``; the probe reports that module too.
 
-scipy is imported only by the code that calls it: the oracle's power
-iteration on windows that are not two-way paths (``scipy.sparse``),
-``phi_map`` on such windows of more than ``PHI_LAPACK_LIMIT`` states
-(``scipy.sparse.linalg``) and the conditioned flow on more than
+scipy is imported only by the code that calls it: the return map's solve,
+which the oracle's inverse iteration and ``phi_map`` share, on windows that
+are not two-way paths and have more than ``PHI_LAPACK_LIMIT`` states
+(``scipy.sparse.linalg``), and the conditioned flow on more than
 ``DENSE_WINDOW_LIMIT`` states (``scipy.sparse`` alone: its uniformization
 steps are CSR matvecs, not ``expm_multiply``).  Every builtin chain is a two-way path, so
-the oracle, AFP, stationary FV and ``phi`` at any size need numpy alone on them.  Each case
-runs in a fresh interpreter, because this one has long since loaded scipy.
+the oracle, AFP, stationary FV and ``phi`` at any size need numpy alone on them, and so
+does the oracle on the 12-state multi-jump file.  Each case runs in a fresh interpreter,
+because this one has long since loaded scipy.
 """
 
 import json
@@ -57,6 +58,7 @@ def loaded_modules(argv: list[str], out_dir: Path) -> set[str]:
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
+# "{model_file}" stands for the 12-state multi-jump model file, not a two-way path
 NO_SCIPY = {
     "import": [],
     "fv-fixed-time": ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
@@ -71,15 +73,14 @@ NO_SCIPY = {
     "phi": ["phi", "--model", "two-state", "--init", "delta:1"],
     "phi-path-250": ["phi", "--model", "bd:1,2,250", "--init", "delta:1", "--iters", "2"],
     "oracle": ["oracle", "--model", "bd:1,2", "--trunc", "200"],
+    "oracle-multi-jump": ["oracle", "--model", "file:{model_file}"],
     "afp": ["afp", "--model", "two-state", "--steps", "1000", "--start", "1", "--seed", "1"],
     "fv-stationary": ["fv", "--model", "two-state", "--particles", "10", "--horizon", "4",
                       "--burnin", "1", "--seed", "1"],
 }
 
-# "{model_file}" stands for the 12-state multi-jump model file, not a two-way path;
 # a conditioned flow on more than DENSE_WINDOW_LIMIT states steps with CSR matvecs
 SPARSE_ONLY = {
-    "oracle-multi-jump": ["oracle", "--model", "file:{model_file}"],
     "conditioned-large": ["conditioned", "--model", "bd:1,2,500", "--init", "delta:1",
                           "--horizon", "0.5"],
 }
@@ -87,16 +88,16 @@ SPARSE_ONLY = {
 
 @pytest.mark.parametrize("case", sorted(NO_SCIPY))
 def test_small_runs_load_no_scipy(case, tmp_path):
-    loaded = loaded_modules(NO_SCIPY[case], tmp_path)
+    model_file = multi_jump_model_file(tmp_path)
+    argv = [arg.format(model_file=model_file) for arg in NO_SCIPY[case]]
+    loaded = loaded_modules(argv, tmp_path / "out")
     assert {m for m in loaded if m.startswith("scipy")} == set()
     assert "concurrent.futures" not in loaded
 
 
 @pytest.mark.parametrize("case", sorted(SPARSE_ONLY))
 def test_oracle_runs_load_scipy_sparse_only(case, tmp_path):
-    model_file = multi_jump_model_file(tmp_path)
-    argv = [arg.format(model_file=model_file) for arg in SPARSE_ONLY[case]]
-    loaded = loaded_modules(argv, tmp_path / "out")
+    loaded = loaded_modules(SPARSE_ONLY[case], tmp_path)
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
     assert "scipy.linalg" not in loaded
@@ -106,6 +107,12 @@ def test_large_phi_loads_sparse_linalg(tmp_path):
     # 250 states with jumps that skip a state: not a two-way path, so one sparse LU
     model = f"file:{large_model_file(tmp_path)}"
     argv = ["phi", "--model", model, "--init", "delta:1", "--iters", "2"]
+    assert "scipy.sparse.linalg" in loaded_modules(argv, tmp_path / "out")
+
+
+def test_large_oracle_loads_sparse_linalg(tmp_path):
+    # the oracle's inverse iteration takes the same sparse LU on that file
+    argv = ["oracle", "--model", f"file:{large_model_file(tmp_path)}"]
     assert "scipy.sparse.linalg" in loaded_modules(argv, tmp_path / "out")
 
 

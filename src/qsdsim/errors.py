@@ -63,10 +63,6 @@ class NegativeMean(QsdError):
     """The shifted mean matrix has a negative entry; the shift is too small."""
 
 
-class Extinct(QsdError):
-    """A branching population died out."""
-
-
 class AllExtinct(QsdError):
     """Every branching attempt died before the horizon."""
 

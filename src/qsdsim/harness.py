@@ -173,12 +173,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+# the exact types most cells have, formatted as _cell formats them
+_CELL_BY_TYPE = {float: repr, int: str, str: str}
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Fixed column order, '.' decimals via repr, LF endings."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
+    cell = _CELL_BY_TYPE.get
     for row in rows:
-        buf.write(",".join(_cell(v) for v in row) + "\n")
+        buf.write(",".join([cell(type(v), _cell)(v) for v in row]) + "\n")
     _atomic_write(path, buf.getvalue())
 
 
@@ -275,13 +280,17 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     tol = _p(params, "tol", float, 1.0)
     if not (math.isfinite(tol) and tol > 0.0):
         problems.append(f"tol: must be finite and positive, got {params['tol']}")
-    for key in ("horizon", "dt", "grid", "cap", "burnin", "uniformization-rate"):
+    for key in ("horizon", "dt", "grid", "burnin", "uniformization-rate"):
         value = _p(params, key, float, 1.0)
         if not math.isfinite(value):
             problems.append(f"{key}: must be finite, got {params[key]}")
         elif value < 0.0 or (value == 0.0 and key != "burnin"):
             least = "at least 0" if key == "burnin" else "positive"
             problems.append(f"{key}: must be {least}, got {params[key]}")
+    # down-sampling keeps cap // 2 individuals, so a smaller cap empties the population
+    key = {"branch": "cap", "report": "branch_cap"}.get(cfg.method)
+    if key in params and not 2.0 <= _p(params, key, float, None) < math.inf:
+        problems.append(f"{key}: must be finite and at least 2, got {params[key]}")
     if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
         if not math.isfinite(_p(params, "alpha", float, None)):
             problems.append(f"alpha: must be finite or auto, got {params['alpha']}")

@@ -6,7 +6,9 @@ path such as ``(replica, particle, purpose)``.  Streams with distinct paths
 are statistically independent, and an identical ``(seed, path)`` pair replays
 the exact same draws, which is what makes replica-level runs bit-for-bit
 reproducible.  Event loops draw their uniforms through a
-:class:`UniformBlock` on their stream's ``TAG_EVENTS`` child.
+:class:`UniformBlock` on their stream's ``TAG_EVENTS`` child; the
+branching estimator, which interleaves uniforms with Poisson and
+multinomial draws on one generator, refills its own fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -45,36 +47,25 @@ class RngStream:
 
 
 class UniformBlock:
-    """Scalar uniforms pulled from pre-drawn blocks.
+    """Scalar uniforms pulled from pre-drawn blocks of one stream.
 
     Event loops consume one uniform at a time; drawing them in blocks
     amortizes the generator call overhead.  Values are handed out as plain
     Python floats because the consumers do scalar arithmetic.
 
-    ``source`` is an :class:`RngStream` or a ``np.random.Generator``:
-
-    * A block built on a stream owns the generator it derives.  It starts
-      at 64 floats and doubles on each refill up to ``size``, so a short
-      replica pays for the few hundred draws it uses, not for ``size``.
-      Philox output does not depend on how it is chunked, so the values are
-      those of one long ``stream.generator().random(...)`` draw.
-    * A block built on a generator borrows it and refills ``size`` floats
-      at a time.  Other consumers may draw from the same generator between
-      refills (the branching estimator shares one with its offspring
-      blocks), and their values depend on where the refills fall, so a
-      borrowed generator keeps fixed refill points.
+    The block derives and owns the stream's generator.  It starts at 64
+    floats and doubles on each refill up to ``size``, so a short replica
+    pays for the few hundred draws it uses, not for ``size``.  Philox output
+    does not depend on how it is chunked, so the values are those of one
+    long ``stream.generator().random(...)`` draw.
     """
 
     __slots__ = ("_gen", "_size", "_len", "_buf", "_pos")
 
-    def __init__(self, source: RngStream | np.random.Generator, size: int = 1 << 14):
-        if isinstance(source, RngStream):
-            self._gen = source.generator()
-            self._len = min(64, size)
-        else:
-            self._gen = source
-            self._len = size
+    def __init__(self, stream: RngStream, size: int = 1 << 14):
+        self._gen = stream.generator()
         self._size = size
+        self._len = min(64, size)
         self._buf = self._gen.random(self._len).tolist()
         self._pos = 0
 

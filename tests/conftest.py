@@ -8,8 +8,8 @@ import pytest
 import qsdsim
 from qsdsim import resolve_model, solve_qsd_power
 from qsdsim.afp import _advance
-from qsdsim.branching import _OffspringBlocks, _one_event
-from qsdsim.errors import Extinct
+from qsdsim.branching import BranchingPopulation, downsample_counts
+from qsdsim.errors import QsdError
 from qsdsim.fv import FV_EVENT_CAP, _fv_events
 from qsdsim.rng import TAG_EVENTS, UniformBlock
 
@@ -144,6 +144,109 @@ def afp_advance(h, d, rng):
     return h
 
 
+class Extinct(QsdError):
+    """A branching population stepped by ``_one_event`` died out."""
+
+
+class GeneratorUniforms:
+    """Uniforms from a borrowed generator, refilled ``size`` at a time.
+
+    Other draws on the same generator land between refills, so the refill
+    size fixes where they fall.
+    """
+
+    def __init__(self, gen: np.random.Generator, size: int):
+        self.gen = gen
+        self.size = size
+        self.buf = gen.random(size).tolist()
+        self.pos = 0
+
+    def u(self) -> float:
+        if self.pos == self.size:
+            self.buf = self.gen.random(self.size).tolist()
+            self.pos = 0
+        v = self.buf[self.pos]
+        self.pos += 1
+        return v
+
+    def exp(self, rate: float) -> float:
+        return -math.log1p(-self.u()) / rate
+
+
+class _OffspringBlocks:
+    """Pre-drawn Poisson offspring rows, ``size`` rows per parent type at a time."""
+
+    def __init__(self, gen: np.random.Generator, means: np.ndarray, size: int = 1 << 10):
+        self.gen = gen
+        self.means = means
+        self.size = size
+        self.blocks = [None] * means.shape[0]
+        self.pos = [size] * means.shape[0]
+
+    def row(self, i: int) -> list:
+        if self.pos[i] == self.size:
+            self.blocks[i] = self.gen.poisson(self.means[i], size=(self.size, len(self.means))).tolist()
+            self.pos[i] = 0
+        out = self.blocks[i][self.pos[i]]
+        self.pos[i] += 1
+        return out
+
+
+def _one_event(pop, uniforms: GeneratorUniforms, offspring: _OffspringBlocks, gen) -> int:
+    """Reference branching event: a uniform individual dies and leaves Poisson offspring.
+
+    Applied to ``pop`` in place; returns the size before any down-sampling
+    and raises ``Extinct`` (setting ``pop.extinct``) at size 0.
+    """
+    counts = pop.counts
+    total = sum(counts)
+    pop.t += uniforms.exp(float(total))
+    pick = uniforms.u() * total
+    i = 0
+    acc = counts[0]
+    while pick >= acc:
+        i += 1
+        acc += counts[i]
+    kids = offspring.row(i)
+    counts[i] -= 1
+    for j, k in enumerate(kids):
+        if k:
+            counts[j] += k
+    new_total = total - 1 + sum(kids)
+    if new_total == 0:
+        pop.extinct = True
+        raise Extinct(f"population died at t={pop.t:.4g}")
+    if new_total > pop.cap:
+        pop.counts[:] = downsample_counts(counts, pop.cap // 2, gen)
+        pop.cap_events += 1
+    return new_total
+
+
+def reference_attempt(sm, start, horizon, cap, stream):
+    """One ``ks_estimate`` attempt stepped event by event by ``_one_event``; None on extinction.
+
+    Refills 16,384 uniforms and 1,024 offspring rows at a time, so it draws
+    what ``branching._run_attempt`` draws, in the same order.
+    """
+    gen = stream.generator()
+    blocks = GeneratorUniforms(gen, 1 << 14)
+    offspring = _OffspringBlocks(gen, sm.means)
+    pop = BranchingPopulation.single(sm, start, cap)
+    pop.growth_log.append((0.0, 1))
+    events = 0
+    while pop.t < horizon:
+        try:
+            total = _one_event(pop, blocks, offspring, gen)
+        except Extinct:
+            return None
+        if pop.t >= horizon:
+            break
+        events += 1
+        if pop.cap_events == 0 and events % 64 == 0:
+            pop.growth_log.append((pop.t, total))
+    return pop
+
+
 def branch_event(pop, sm, rng):
     """One lifetime event of a branching population, in place.
 
@@ -153,7 +256,7 @@ def branch_event(pop, sm, rng):
     if pop.total < 1:
         raise Extinct("population is already empty")
     gen = rng.child(TAG_EVENTS).generator()
-    _one_event(pop, UniformBlock(gen, size=8), _OffspringBlocks(gen, sm.means, size=1), gen)
+    _one_event(pop, GeneratorUniforms(gen, 8), _OffspringBlocks(gen, sm.means, size=1), gen)
     return pop
 
 

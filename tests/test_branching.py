@@ -14,9 +14,13 @@ from qsdsim import (
     resolve_model,
     tv_distance,
 )
-from qsdsim.errors import AllExtinct, Extinct, NegativeMean, NotIrreducible
+from qsdsim.branching import _run_attempt
+from qsdsim.errors import AllExtinct, NegativeMean, NotIrreducible
+from qsdsim.rng import TAG_EVENTS
 
-from conftest import T2_LAMBDA, branch_event, multi_jump_model_file
+from conftest import (
+    T2_LAMBDA, Extinct, _OffspringBlocks, branch_event, multi_jump_model_file, reference_attempt,
+)
 
 
 class TestBuildShifted:
@@ -99,9 +103,7 @@ class TestBranchStep:
 
     def test_mean_offspring_matches_matrix(self, t2):
         # empirical offspring means over many reproduction events per type,
-        # drawn through the same block machinery the simulator uses
-        from qsdsim.branching import _OffspringBlocks
-
+        # drawn through the reference stepper's offspring blocks
         sm = build_shifted(t2, 2.0)
         blocks = _OffspringBlocks(np.random.default_rng(51), sm.means)
         n = 100_000
@@ -145,6 +147,29 @@ class TestBranchStep:
             branch_event(pop, sm, RngStream(0))
 
 
+@pytest.mark.parametrize("name, alpha, horizon, seed, dies", [
+    ("two-state", 2.0, 16.0, 1, False),  # more than one uniform block
+    ("bd:1,2,10", "auto", 10.0, 1, False),
+    ("multi-jump", "auto", 6.0, 1, False),
+    ("two-state", 2.0, 16.0, 24, True),  # dies at its third event
+])
+def test_attempt_matches_reference_stepper(name, alpha, horizon, seed, dies, tmp_path):
+    # same draws in the same order as the event-by-event reference, so the
+    # attempt is equal, not close
+    model = read_model_file(multi_jump_model_file(tmp_path)) if name == "multi-jump" else resolve_model(name)
+    sm = build_shifted(model, alpha)
+    stream = RngStream(seed).child(0, TAG_EVENTS)
+    got = _run_attempt(sm, sm.states[0], horizon, 2000, stream)
+    ref = reference_attempt(sm, sm.states[0], horizon, 2000, stream)
+    assert (ref is None) == dies
+    if dies:
+        assert got is None
+    else:
+        assert ref.cap_events > 0
+        assert (got.counts, got.t, got.cap_events, got.growth_log) == (
+            ref.counts, ref.t, ref.cap_events, ref.growth_log)
+
+
 class TestKsEstimate:
     def test_point_model(self, t1):
         est = ks_estimate(t1, "auto", 5.0, 1000, 20, RngStream(54))
@@ -164,6 +189,11 @@ class TestKsEstimate:
     def test_refuses_uncertified_shift(self, t2):
         with pytest.raises(ValueError, match="supercritical"):
             ks_estimate(t2, 1.2, 5.0, 1000, 5, RngStream(0))
+
+    def test_refuses_cap_below_two(self, t2):
+        # down-sampling to cap // 2 = 0 would empty the population
+        with pytest.raises(ValueError, match="cap"):
+            ks_estimate(t2, 2.0, 5.0, 1, 5, RngStream(0))
 
     def test_all_extinct(self, t1):
         # seed chosen so the single attempt dies out immediately

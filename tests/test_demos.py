@@ -1,9 +1,9 @@
 """The cheap demos run to completion.
 
 Each demo runs in a fresh interpreter on one BLAS thread, importing the
-qsdsim under test.  Together these take about 9 s; demos 03 and 07 drive
-``fv_run``, ``fv_stationary`` and ``afp_run`` end to end.  The other demos
-run longer and are left out.
+qsdsim under test.  Together these take about 14 s; demos 03, 07 and 08
+drive ``fv_run``, ``fv_stationary``, ``afp_run`` and ``ks_estimate`` end to
+end.  The other demos run longer and are left out.
 """
 
 import subprocess
@@ -21,6 +21,7 @@ CHEAP = (
     "03_fleming_viot",
     "05_return_process_phi",
     "07_afp_history_renewal",
+    "08_branching_estimator",
 )
 
 

@@ -382,6 +382,7 @@ class TestCli:
             ["oracle", "--model", "bd:1,2,40", "--tol", "0"],
             ["report", "--model", "gw:1,2"],
             ["report", "--model", "bd:1,2"],
+            ["branch", "--model", "two-state", "--horizon", "5", "--cap", "1"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -399,6 +400,7 @@ class TestCli:
             "conditioned-step-above-limit", "afp-zero-checkpoints", "phi-zero-iters",
             "phi-negative-iters", "phi-nan-tol", "phi-negative-tol", "oracle-nan-tol",
             "oracle-negative-tol", "oracle-zero-tol", "report-infinite-gw", "report-infinite-bd",
+            "branch-cap-one",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -450,6 +452,8 @@ class TestCli:
             ("oracle", "two-state", "tol = -1\n", "tol"),
             ("report", "gw:1,2", "", "infinite model"),
             ("report", "bd:1,2", "", "infinite model"),
+            ("branch", "two-state", "horizon = 5\ncap = 1\n", "cap"),
+            ("report", "two-state", "branch_cap = 1\n", "branch_cap"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
@@ -459,7 +463,7 @@ class TestCli:
              "afp-negative-uniformization-rate", "conditioned-step-above-limit",
              "afp-zero-checkpoints", "phi-zero-iters", "phi-negative-iters", "phi-nan-tol",
              "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol", "report-infinite-gw",
-             "report-infinite-bd"],
+             "report-infinite-bd", "branch-cap-one", "report-branch-cap-one"],
     )
     def test_config_file_unworkable_run_exits_2(
         self, method, model, section, problem, tmp_path, capsys

@@ -22,22 +22,6 @@ def test_owned_block_respects_a_small_size():
     assert got == stream.generator().random(30).tolist()
 
 
-def test_borrowed_generator_keeps_fixed_refill_points():
-    # another consumer draws from the same generator after the block's first
-    # refill; a growing block would refill at 64 and shift what it sees
-    stream = RngStream(7)
-    gen = stream.generator()
-    block = UniformBlock(gen)
-    first = [block.u() for _ in range(100)]
-    other = gen.poisson(3.0, size=5).tolist()
-
-    ref = stream.generator()
-    expected = ref.random(1 << 14).tolist()
-    assert first == expected[:100]
-    assert other == ref.poisson(3.0, size=5).tolist()
-    assert [block.u() for _ in range(10)] == expected[100:110]
-
-
 def test_block_exp_uses_the_next_uniform():
     stream = RngStream(8)
     block = UniformBlock(stream)

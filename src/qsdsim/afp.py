@@ -1,12 +1,12 @@
 """History-renewal approximation of the discrete-time QSD.
 
-A walker moves with the substochastic matrix; on a kill event it re-enters
-according to the empirical distribution of its own past positions.  The
-normalized history converges to the QSD of the discrete chain (the
-Aldous-Flannery-Palacios scheme).  The history starts as a unit atom at the
-start state so the renewal draw is always well defined.  One loop,
-``_advance``, takes the steps; :func:`afp_run` advances it from checkpoint
-to checkpoint.
+A walker moves with the uniformized substochastic matrix, read one sparse
+row per state; on a kill event it re-enters according to the empirical
+distribution of its own past positions.  The normalized history converges
+to the QSD of the discrete chain (the Aldous-Flannery-Palacios scheme).
+The history starts as a unit atom at the start state so the renewal draw
+is always well defined.  One loop, ``_advance``, takes the steps;
+:func:`afp_run` advances it from checkpoint to checkpoint.
 """
 
 from __future__ import annotations
@@ -45,16 +45,14 @@ def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps
     """Take ``steps`` renewal steps in place.
 
     The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|:
-    one uniform picks a within-window move from the cumulative row, and a
-    kill (the uniform past the row's mass) draws a second uniform that picks
-    an element of the stored history list, which realizes the renewal part
-    exactly in O(1).
+    one uniform picks a within-window move from x's sparse cumulative row,
+    and a kill (the uniform past the row's mass) draws a second uniform that
+    picks an element of the stored history list, which realizes the renewal
+    part exactly in O(1).
     """
     if h.total + steps > MASS_LIMIT:
         raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
-    cums = d.cum_rows
-    index = d.index
-    states = d.states
+    rows = d.rows
     history = h.history
     counts = h.counts
     u = blocks.u
@@ -62,9 +60,9 @@ def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps
     total = h.total
     for _ in range(steps):
         v = u()
-        cum = cums[index[walker]]
+        targets, cum = rows[walker]
         if v < cum[-1]:
-            walker = states[bisect_right(cum, v)]
+            walker = targets[bisect_right(cum, v)]
         else:
             walker = history[int(u() * total)]
         counts[walker] = counts.get(walker, 0) + 1

@@ -122,16 +122,6 @@ class BranchingPopulation:
     cap_events: int = 0
     growth_log: list[tuple[float, int]] = field(default_factory=list)
 
-    @classmethod
-    def single(cls, sm: ShiftedMeanMatrix, start: int, cap: int) -> "BranchingPopulation":
-        counts = [0] * sm.n
-        counts[sm.states.index(start)] = 1
-        return cls(states=sm.states, counts=counts, cap=cap)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
     def profile(self) -> Distribution:
         return Distribution.from_weights(
             {x: c for x, c in zip(self.states, self.counts) if c}

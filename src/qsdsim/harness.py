@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,9 @@ from .chain import AbsorbedChainModel, Distribution, tv_distance
 from .conditioned import evolve_conditioned
 from .errors import ConfigInvalid, DegenerateInput, QsdError
 from .fv import fv_run, fv_stationary
+# perfbench/spans.py wraps uniformize and the solvers by their names in this module
 from .models import resolve_model, uniformize
-# solve_qsd_discrete is unused here but stays importable from the harness,
-# whose solvers perfbench/spans.py wraps by name
-from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power  # noqa: F401
+from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power
 from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
 
@@ -288,9 +287,23 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
             least = "at least 0" if key == "burnin" else "positive"
             problems.append(f"{key}: must be {least}, got {params[key]}")
     # down-sampling keeps cap // 2 individuals, so a smaller cap empties the population
-    key = {"branch": "cap", "report": "branch_cap"}.get(cfg.method)
-    if key in params and not 2.0 <= _p(params, key, float, None) < math.inf:
-        problems.append(f"{key}: must be finite and at least 2, got {params[key]}")
+    if cfg.method == "branch" and not 2.0 <= _p(params, "cap", float, 2.0) < math.inf:
+        problems.append(f"cap: must be finite and at least 2, got {params['cap']}")
+    if cfg.method == "report":
+        budget = _report_budget(params)
+        least = {"fv_particles": 2, "phi_iters": 1, "afp_steps": 1, "branch_attempts": 1,
+                 "branch_cap": 2}
+        for key, low in least.items():
+            if getattr(budget, key) < low:
+                problems.append(f"{key}: report needs at least {low}, got {params[key]}")
+        for key in ("fv_horizon", "branch_horizon"):
+            if not 0.0 < getattr(budget, key) < math.inf:
+                problems.append(f"{key}: must be finite and positive, got {params[key]}")
+        if not 0.0 <= budget.fv_burnin < budget.fv_horizon:
+            problems.append(
+                f"fv_burnin: must be at least 0 and below fv_horizon = {budget.fv_horizon:g},"
+                f" got {budget.fv_burnin:g}"
+            )
     if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
         if not math.isfinite(_p(params, "alpha", float, None)):
             problems.append(f"alpha: must be finite or auto, got {params['alpha']}")
@@ -492,8 +505,8 @@ def _run_afp(cfg, model, out):
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
     rate = float(params["uniformization-rate"]) if "uniformization-rate" in params else None
     d = uniformize(model, truncation=trunc, rate=rate)
-    # uniformization keeps the left Perron vector, and both restrict to the same window
-    reference = solve_qsd_power(model, truncation=trunc).nu
+    # uniformization keeps the left Perron vector: this is the QSD of d's window
+    reference = solve_qsd_discrete(d).nu
     n_checkpoints = _p(params, "checkpoints", int, 4)
     checkpoints = sorted({max(1, steps >> k) for k in range(n_checkpoints)})
     res = afp_run(d, start, steps, RngStream(cfg.seed), checkpoints=checkpoints, reference=reference)
@@ -674,22 +687,15 @@ def cross_method_report(
     return rows
 
 
+def _report_budget(params: dict[str, str]) -> ReportBudget:
+    """The report's budget: each key read as its default's type, else the default."""
+    return ReportBudget(
+        **{f.name: _p(params, f.name, type(f.default), f.default) for f in fields(ReportBudget)}
+    )
+
+
 def _run_report(cfg, model, out):
-    params = cfg.params
-    budget = ReportBudget()
-    for name in (
-        "fv_particles",
-        "phi_iters",
-        "afp_steps",
-        "branch_cap",
-        "branch_attempts",
-    ):
-        if name in params:
-            setattr(budget, name, int(params[name]))
-    for name in ("fv_burnin", "fv_horizon", "branch_horizon"):
-        if name in params:
-            setattr(budget, name, float(params[name]))
-    rows = cross_method_report(model, budget, seed=cfg.seed)
+    rows = cross_method_report(model, _report_budget(cfg.params), seed=cfg.seed)
     path = out / "report.csv"
     # runtimes are inherently non-reproducible, so they live in the summary
     write_csv(

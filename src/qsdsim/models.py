@@ -2,16 +2,16 @@
 
 Covers finite rate matrices given explicitly, birth-death walks with
 constant rates, the binary-split Galton-Watson population chain, and the
-uniformized discrete-time view needed by the history-renewal method.
+uniformized discrete-time view, one sparse row per state, that the
+history-renewal method walks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
-
-import numpy as np
 
 from .chain import AbsorbedChainModel, exact_bounds, read_model_file
 from .errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
@@ -146,30 +146,40 @@ def build_galton_watson(spec: GaltonWatsonSpec) -> AbsorbedChainModel:
 
 
 class DiscreteChainModel:
-    """Substochastic matrix on a finite window plus its kill column.
+    """Uniformized chain P = I + Q/rate on the window ``model``, one sparse row per state.
 
-    Row x of ``sub`` holds the within-window transition probabilities and
-    ``kill[x]`` the probability of jumping to the absorbing state; each row
-    plus its kill mass sums to 1 within 1e-12.
+    ``rows[x]`` is ``(targets, cum)``: the states P moves x to, in state
+    order, and the running sums of their probabilities.  The hold entry
+    1 - total(x)/rate is always present, so no row is empty; a repeated
+    target is merged by adding in transition order.  So the sums equal a
+    dense row's ``np.cumsum`` at every nonzero entry and at the row end,
+    and ``bisect_right`` draws the same states.  ``kill[i]`` is the
+    probability of absorption from ``states[i]``; each row plus its kill
+    mass sums to 1 within 1e-12.
     """
 
-    def __init__(self, states, sub: np.ndarray, kill: np.ndarray, name: str = ""):
-        self.states = tuple(int(s) for s in states)
-        self.sub = np.asarray(sub, dtype=float)
-        self.kill = np.asarray(kill, dtype=float)
-        self.name = name
-        n = len(self.states)
-        if self.sub.shape != (n, n) or self.kill.shape != (n,):
-            raise ValueError("shape mismatch between states, sub and kill")
-        if (self.sub < 0).any() or (self.kill < 0).any():
-            raise NegativeRate("negative transition probability")
-        rows = self.sub.sum(axis=1) + self.kill
-        if np.abs(rows - 1.0).max() > 1e-12:
-            raise ValueError("rows plus kill mass must sum to 1")
-        self.index = {s: i for i, s in enumerate(self.states)}
-        # cumulative rows for categorical draws: within-window mass first,
-        # anything above it is the kill event; tuples, for bisect in the walk
-        self.cum_rows = tuple(map(tuple, np.cumsum(self.sub, axis=1).tolist()))
+    def __init__(self, model: AbsorbedChainModel, rate: float):
+        b = model.live_block()
+        self.model = model
+        self.rate = rate
+        self.states = b.states
+        self.index = b.index
+        self.name = f"unif({model.name},{rate:g})"
+        self.kill = b.absorb / rate
+        hold = (1.0 - b.total / rate).tolist()
+        if min(hold) < 0.0:
+            raise NegativeRate("negative holding probability")
+        # hold first, then the jumps in transition order, as np.add.at adds them
+        mass = [{i: h} for i, h in enumerate(hold)]
+        for i, j, p in zip(b.src.tolist(), b.dst.tolist(), (b.rate / rate).tolist()):
+            mass[i][j] = mass[i].get(j, 0.0) + p
+        self.rows = {}
+        for x, row, k in zip(b.states, mass, self.kill.tolist()):
+            order = sorted(row)
+            cum = tuple(accumulate(row[j] for j in order))
+            if abs(cum[-1] + k - 1.0) > 1e-12:
+                raise ValueError("rows plus kill mass must sum to 1")
+            self.rows[x] = (tuple(b.states[j] for j in order), cum)
 
     @property
     def n(self) -> int:
@@ -182,28 +192,23 @@ class DiscreteChainModel:
 def uniformize(
     model: AbsorbedChainModel, truncation: int | None = None, rate: float | None = None
 ) -> DiscreteChainModel:
-    """Discrete skeleton I + Q/rate of the (possibly truncated) model.
+    """Uniformized chain I + Q/rate of the (possibly truncated) model, as sparse rows.
 
-    The left Perron eigenvector is unchanged by uniformization, which is what
+    The left Perron vector is unchanged by uniformization, which is what
     lets the discrete solver and history-renewal chain target the same QSD.
     The rate must dominate every total jump rate in the window; the default
-    1.05 x max keeps some holding probability, hence aperiodicity.
+    1.05 x max keeps some holding probability, hence aperiodicity.  Memory
+    is O(jumps in the window): no n x n matrix is built.
     """
     finite = model if model.is_finite and truncation is None else model.restricted(
         truncation if truncation is not None else max(model.states)
     )
-    states = finite.states
-    maxrate = finite.max_total_rate(states)
+    maxrate = finite.max_total_rate(finite.states)
     if rate is None:
         rate = 1.05 * maxrate if maxrate > 0 else 1.0
     if rate < maxrate - 1e-12:
         raise RateTooSmall(f"uniformization rate {rate} < max total rate {maxrate}")
-    b = finite.live_block()
-    n = len(states)
-    sub = np.zeros((n, n))
-    np.fill_diagonal(sub, 1.0 - b.total / rate)
-    np.add.at(sub, (b.src, b.dst), b.rate / rate)
-    return DiscreteChainModel(states, sub, b.absorb / rate, name=f"unif({finite.name},{rate:g})")
+    return DiscreteChainModel(finite, rate)
 
 
 # -- builtin model names ----------------------------------------------------

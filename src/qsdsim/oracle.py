@@ -19,8 +19,11 @@ block's shape:
   from any positive start, periodic chains included.  Its step count grows
   with the window on drifted chains: a walk with skips takes 3,716 steps
   (0.12 s) on 250 states, 34,656 (1.7 s) on 1000 and 171,445 (26 s) on
-  3000, on the same host with one BLAS thread.  :func:`solve_qsd_discrete`
-  runs it on A = I - P.
+  3000, on the same host with one BLAS thread.
+
+:func:`solve_qsd_discrete` solves a uniformized chain P = I + Q/rate by the
+same routes on its window's generator, since P and Q share the left Perron
+vector, and maps the eigenvalue back to 1 + lambda/rate.
 
 A is factored once by :func:`return_map_solver`, which imports
 ``scipy.sparse.linalg`` only for its sparse LU on non-path windows of more
@@ -29,7 +32,7 @@ than ``PHI_LAPACK_LIMIT`` states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -295,7 +298,11 @@ def solve_qsd_power(
         if not model.is_finite:
             raise ValueError("an infinite model needs an explicit truncation")
         truncation = max(model.states)
-    finite = model.restricted(truncation)
+    return _solve_window(model.restricted(truncation), truncation, tol, max_iters)
+
+
+def _solve_window(finite: AbsorbedChainModel, truncation: int, tol: float, max_iters: int):
+    """:func:`solve_qsd_power` on a finite window model, read as it is."""
     states = finite.states
     check_irreducible(finite, states)
     if finite.max_total_rate(states) <= 0:
@@ -310,47 +317,33 @@ def solve_qsd_power(
         lam = -1.0 / s
         meta = {"solver": "inverse", "model": finite.name, "gap_log": gaps}
     nu = Distribution.from_weights(dict(zip(states, v)))
-    residual = qsd_residual(finite, nu).sup_norm
-    return QsdSolution(
-        nu=nu,
-        lam=lam,
-        theta=-lam,
-        residual=residual,
-        truncation=truncation,
-        iterations=iters,
-        meta=meta,
-    )
+    return QsdSolution(nu=nu, lam=lam, theta=-lam, residual=qsd_residual(finite, nu).sup_norm,
+                       truncation=truncation, iterations=iters, meta=meta)
 
 
 def solve_qsd_discrete(
     d: DiscreteChainModel, tol: float = 1e-12, max_iters: int = 200_000
 ) -> QsdSolution:
-    """Left Perron vector of a substochastic matrix: nu P = lam nu, lam in (0, 1).
+    """Left Perron vector of a uniformized chain: nu P = rho nu, rho in (0, 1).
 
-    Runs :func:`_inverse_iteration` on A = I - P, whose inverse is computed
-    densely once (P is dense already), and returns lam = 1 - 1/s.  A window
-    that is not strongly connected, or where no state kills (A is then
-    singular), raises :class:`NotIrreducible`.
+    P = I + Q/rate has the left Perron vector of the generator Q on its
+    window, so this is :func:`solve_qsd_power` on ``d.model`` mapped back:
+    the same nu, rho = 1 + lam/rate and theta = nu . kill.  ``residual`` is
+    the sup-norm defect of nu P = rho nu.  A window where no state kills
+    (I - P is then singular), or that is not strongly connected, raises
+    :class:`NotIrreducible`.
     """
-    n = d.n
-    if not strongly_connected(n, *np.nonzero(d.sub > 0)):
-        raise NotIrreducible("discrete window is not strongly connected")
     if not (d.kill > 0).any():
         raise NotIrreducible("no state of the discrete window kills, so I - P is singular")
-    inv_t = np.linalg.inv(np.eye(n) - d.sub.T)
-    v, s, iters, gaps = _inverse_iteration(lambda v: inv_t @ v, np.ones(n), tol, max_iters)
-    rho = 1.0 - 1.0 / s
-    nu = Distribution.from_weights({x: v[d.index[x]] for x in d.states})
-    vec = nu.as_vector(d.states)
-    residual = float(np.abs(vec @ d.sub - rho * vec).max())
-    return QsdSolution(
-        nu=nu,
-        lam=rho,
-        theta=float(vec @ d.kill),
-        residual=residual,
-        truncation=max(d.states),
-        iterations=iters,
-        meta={"gap_log": gaps, "model": d.name},
+    sol = _solve_window(d.model, max(d.states), tol, max_iters)
+    rho = 1.0 + sol.lam / d.rate
+    b = d.model.live_block()
+    vec = sol.nu.as_vector(d.states)
+    moved = vec * (1.0 - b.total / d.rate)  # nu P
+    np.add.at(moved, b.dst, vec[b.src] * (b.rate / d.rate))
+    return replace(
+        sol, lam=rho, theta=float(vec @ d.kill), residual=float(np.abs(moved - rho * vec).max()),
+        meta={**sol.meta, "model": d.name},
     )
 
 

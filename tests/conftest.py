@@ -222,6 +222,13 @@ def _one_event(pop, uniforms: GeneratorUniforms, offspring: _OffspringBlocks, ge
     return new_total
 
 
+def single_population(sm, start: int, cap: int) -> BranchingPopulation:
+    """A population of one individual of type ``start``, as each attempt begins."""
+    counts = [0] * sm.n
+    counts[sm.states.index(start)] = 1
+    return BranchingPopulation(states=sm.states, counts=counts, cap=cap)
+
+
 def reference_attempt(sm, start, horizon, cap, stream):
     """One ``ks_estimate`` attempt stepped event by event by ``_one_event``; None on extinction.
 
@@ -231,7 +238,7 @@ def reference_attempt(sm, start, horizon, cap, stream):
     gen = stream.generator()
     blocks = GeneratorUniforms(gen, 1 << 14)
     offspring = _OffspringBlocks(gen, sm.means)
-    pop = BranchingPopulation.single(sm, start, cap)
+    pop = single_population(sm, start, cap)
     pop.growth_log.append((0.0, 1))
     events = 0
     while pop.t < horizon:
@@ -253,7 +260,7 @@ def branch_event(pop, sm, rng):
     Draws from the generator of ``rng``'s TAG_EVENTS child, with refills of
     8 uniforms and one offspring row; raises ``Extinct`` at size 0.
     """
-    if pop.total < 1:
+    if sum(pop.counts) < 1:
         raise Extinct("population is already empty")
     gen = rng.child(TAG_EVENTS).generator()
     _one_event(pop, GeneratorUniforms(gen, 8), _OffspringBlocks(gen, sm.means, size=1), gen)

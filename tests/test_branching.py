@@ -20,6 +20,7 @@ from qsdsim.rng import TAG_EVENTS
 
 from conftest import (
     T2_LAMBDA, Extinct, _OffspringBlocks, branch_event, multi_jump_model_file, reference_attempt,
+    single_population,
 )
 
 
@@ -91,7 +92,7 @@ class TestBranchStep:
         extinct = 0
         n = 20_000
         for r in range(n):
-            pop = BranchingPopulation.single(sm, 1, cap=1000)
+            pop = single_population(sm, 1, cap=1000)
             try:
                 branch_event(pop, sm, RngStream(50, (r,)))
             except Extinct:
@@ -115,15 +116,15 @@ class TestBranchStep:
 
     def test_cap_downsampling(self, t2):
         sm = build_shifted(t2, 2.0)
-        pop = BranchingPopulation.single(sm, 2, cap=1000)
+        pop = single_population(sm, 2, cap=1000)
         k = 0
         while pop.cap_events == 0:
             try:
                 branch_event(pop, sm, RngStream(52, (k,)))
             except Extinct:
-                pop = BranchingPopulation.single(sm, 2, cap=1000)
+                pop = single_population(sm, 2, cap=1000)
             k += 1
-        assert pop.total == 500  # multinomial down-sample to cap // 2
+        assert sum(pop.counts) == 500  # multinomial down-sample to cap // 2
 
     def test_cap_preserves_proportions_in_expectation(self):
         # the down-sample applied on overflow keeps type fractions unbiased

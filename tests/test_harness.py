@@ -477,6 +477,22 @@ class TestCli:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        ["fv_particles = 1", "branch_cap = 2.5", "afp_steps = 0", "phi_iters = 0",
+         "branch_attempts = 0", "fv_horizon = nan", "branch_horizon = inf", "fv_burnin = -1",
+         "fv_burnin = 110"],
+    )
+    def test_config_file_report_budget_out_of_range_exits_2(self, line, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"qsdconfig v1\nmethod = report\nmodel = two-state\nseed = 1\n[report]\n{line}\n"
+        )
+        rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qsdsim import (
+    AbsorbedChainModel,
     BirthDeathSpec,
     GaltonWatsonSpec,
     build_birth_death,
@@ -121,14 +123,15 @@ class TestGaltonWatson:
 
 class TestUniformize:
     def test_t2_explicit_rate(self, t2):
+        # P = [[0, 0.5], [0.5, 0.5]]: the zero hold of state 1 stays in its row
         d = uniformize(t2, rate=2.0)
         assert d.states == (1, 2)
-        assert d.sub.tolist() == [[0.0, 0.5], [0.5, 0.5]]
+        assert d.rows == {1: ((1, 2), (0.0, 0.5)), 2: ((1, 2), (0.5, 1.0))}
         assert d.kill.tolist() == [0.5, 0.0]
 
     def test_t1(self, t1):
         d = uniformize(t1, rate=1.0)
-        assert d.sub.tolist() == [[0.0]]
+        assert d.rows == {1: ((1,), (0.0,))}
         assert d.kill.tolist() == [1.0]
 
     def test_rate_too_small(self, t2):
@@ -175,21 +178,56 @@ def reference_uniformize(model, truncation=None, rate=None):
     return sub, kill, rate
 
 
+# Transitions out of order, with the target 3 of state 1 and the target 2 of
+# state 3 each listed twice, so that the merge order is pinned.
+HAND_BUILT = {
+    1: [(3, 0.4), (2, 0.3), (3, 0.25)],
+    2: [(3, 0.2), (1, 0.7)],
+    3: [(2, 0.6), (1, 0.15), (2, 0.05)],
+}
+HAND_BUILT_ABSORB = {1: 0.1, 2: 0.0, 3: 0.3}
+
+
 @pytest.mark.parametrize("name, truncation, rate", [
     ("point", None, None), ("two-state", None, 2.0), ("bd:1,2,30", None, None),
     ("bd:0.6,1.7,40", None, None), ("bd:1,2", 60, None), ("gw:1,2", 50, None),
     ("multi-jump", None, None), ("multi-jump", 9, None), ("multi-jump", None, 7.3),
+    ("hand-built", None, None), ("hand-built", None, 3.0),
 ])
 def test_uniformize_matches_reference_loop(name, truncation, rate, tmp_path):
     if name == "multi-jump":
         model = read_model_file(multi_jump_model_file(tmp_path))
+    elif name == "hand-built":
+        model = AbsorbedChainModel(
+            HAND_BUILT.__getitem__, HAND_BUILT_ABSORB.__getitem__, states=(1, 2, 3)
+        )
     else:
         model = resolve_model(name)
     d = uniformize(model, truncation=truncation, rate=rate)
     sub, kill, used = reference_uniformize(model, truncation, rate)
     assert d.name.endswith(f",{used:g})")
-    assert d.sub.tobytes() == sub.tobytes()
+    # each sparse row holds the hold entry and the nonzero entries, in state
+    # order, and its running sums are the dense cumsum's at those positions
+    # (so at every nonzero one) and at the row end, bit for bit
+    cum = np.cumsum(sub, axis=1)
+    for i, x in enumerate(d.states):
+        targets, row = d.rows[x]
+        cols = sorted({i, *np.nonzero(sub[i])[0].tolist()})
+        assert targets == tuple(d.states[j] for j in cols)
+        assert np.array(row).tobytes() == cum[i, cols].tobytes()
+        assert row[-1] == cum[i, -1]
     assert d.kill.tobytes() == kill.tobytes()
+
+
+def test_uniformize_memory_is_linear_in_the_window():
+    # no n x n matrix: the dense build peaked at about 412 MB for 3000 states
+    tracemalloc.start()
+    try:
+        uniformize(resolve_model("bd:1,2,1000"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 class TestResolveModel:

@@ -25,7 +25,6 @@ from qsdsim import (
     uniformize,
 )
 from qsdsim.errors import NoConvergence, NoStabilization, NotIrreducible
-from qsdsim.models import DiscreteChainModel
 
 from conftest import T2_LAMBDA, T2_NU1, large_model_file, multi_jump_model_file
 
@@ -292,16 +291,15 @@ class TestSolveDiscrete:
         assert sol.residual <= 1e-10
 
     def test_single_state(self):
-        d = DiscreteChainModel((1,), np.array([[0.5]]), np.array([0.5]))
+        # P = [[0.5]], kill 0.5
+        d = uniformize(build_finite({(1, 0): 0.5}), rate=1.0)
         sol = solve_qsd_discrete(d)
         assert sol.nu == Distribution.delta(1)
         assert sol.lam == pytest.approx(0.5, abs=1e-12)
 
     def test_periodic_two_cycle_fails_over(self):
-        # the cycle never kills, so I - P is singular
-        d = DiscreteChainModel(
-            (1, 2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 0.0])
-        )
+        # the cycle never kills, so I - P is singular: P = [[0, 1], [1, 0]]
+        d = uniformize(build_finite({(1, 2): 1.0, (2, 1): 1.0}), rate=1.0)
         with pytest.raises(NotIrreducible, match="kills"):
             solve_qsd_discrete(d, max_iters=500)
 
@@ -309,8 +307,10 @@ class TestSolveDiscrete:
         # 1 -> 2 -> 3 -> 1 survives the loop with probability a: nu P = rho nu
         # gives rho = a^(1/3) and nu proportional to (rho^2, rho, 1)
         a = 0.5
-        sub = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [a, 0.0, 0.0]])
-        sol = solve_qsd_discrete(DiscreteChainModel((1, 2, 3), sub, 1.0 - sub.sum(axis=1)))
+        d = uniformize(
+            build_finite({(1, 2): 1.0, (2, 3): 1.0, (3, 1): a, (3, 0): 1.0 - a}), rate=1.0
+        )
+        sol = solve_qsd_discrete(d)
         rho = a ** (1.0 / 3.0)
         exact = np.array([rho**2, rho, 1.0]) / (rho**2 + rho + 1.0)
         # within the solver's stopping tolerance, 1e-12
@@ -319,16 +319,18 @@ class TestSolveDiscrete:
         assert sol.residual <= 1e-13
 
     def test_disconnected_window_rejected(self):
-        # 1 <-> 2 and 3 alone: neither side reaches the other
-        sub = np.array([[0.25, 0.25, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 0.5]])
-        d = DiscreteChainModel((1, 2, 3), sub, 1.0 - sub.sum(axis=1))
+        # 1 <-> 2 and 3 alone: neither side reaches the other;
+        # P = [[0.25, 0.25, 0], [0.5, 0.25, 0], [0, 0, 0.5]]
+        d = uniformize(
+            build_finite({(1, 2): 0.25, (1, 0): 0.5, (2, 1): 0.5, (2, 0): 0.25, (3, 0): 0.5}),
+            rate=1.0,
+        )
         with pytest.raises(NotIrreducible):
             solve_qsd_discrete(d)
 
     def test_one_way_window_rejected(self):
-        # 1 -> 2 but never back: reachable forward, not backward
-        sub = np.array([[0.25, 0.25], [0.0, 0.5]])
-        d = DiscreteChainModel((1, 2), sub, 1.0 - sub.sum(axis=1))
+        # 1 -> 2 but never back: reachable forward, not backward; P = [[0.25, 0.25], [0, 0.5]]
+        d = uniformize(build_finite({(1, 2): 0.25, (1, 0): 0.5, (2, 0): 0.5}), rate=1.0)
         with pytest.raises(NotIrreducible):
             solve_qsd_discrete(d)
 

@@ -118,7 +118,6 @@ class BranchingPopulation:
     counts: list[int]
     cap: int
     t: float = 0.0
-    extinct: bool = False
     cap_events: int = 0
     growth_log: list[tuple[float, int]] = field(default_factory=list)
 

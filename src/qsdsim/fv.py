@@ -9,25 +9,28 @@ exist).
 
 One event kernel, the generator ``_fv_events``, draws every event:
 fixed-time sampling (:func:`fv_run`) and time averaging
-(:func:`fv_stationary`) consume it, each from a block on its stream's
-``TAG_EVENTS`` child.  Per-event work is kept at O(log S) in the number of
-occupied states via a weighted tree over states, because position-dependent
-rates (the branching population chain) make per-event rate scans too
-expensive.
+(:func:`fv_stationary`) consume it, each on its stream's ``TAG_EVENTS``
+child.  The kernel is one loop that owns its uniforms and does the draws,
+the tree walk and the particle move inline.  Per-event work is kept at
+O(log S) in the number of visited states via a weighted tree over states,
+sized to those states, because position-dependent rates (the branching
+population chain) make per-event rate scans too expensive.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
 from .errors import DeadConfig, EventCapExceeded
-from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT
+from .rng import RngStream, TAG_EVENTS, TAG_INIT
 
 FV_EVENT_CAP = 10**8
+UNIFORM_CHUNK = 1 << 14  # the largest refill of the event kernel's uniforms
 
 
 class _RateIndex:
@@ -36,17 +39,20 @@ class _RateIndex:
     Leaf s holds occupancy(state) * rate(state); internal nodes hold child
     sums.  Leaves are re-set (not incremented), so float drift cannot
     accumulate beyond one path of roundings per update.  Plain lists: the
-    tree is walked one scalar at a time in the event loop.
+    event loop inlines the descent and the leaf updates.
+
+    The tree starts at one leaf and doubles when a new state needs a slot.
+    A larger tree would only add subtrees of zeros, and adding 0.0 is exact,
+    so every sum and every descent is the same at any size.
     """
 
-    __slots__ = ("cap", "tree", "slot_of", "state_of", "free")
+    __slots__ = ("cap", "tree", "slot_of", "state_of")
 
-    def __init__(self, cap: int = 64):
-        self.cap = cap
-        self.tree = [0.0] * (2 * cap)
+    def __init__(self):
+        self.cap = 1
+        self.tree = [0.0, 0.0]
         self.slot_of: dict[int, int] = {}
         self.state_of: dict[int, int] = {}
-        self.free: list[int] = []
 
     def _grow(self):
         old = self.cap
@@ -60,12 +66,9 @@ class _RateIndex:
     def set_weight(self, state: int, w: float):
         slot = self.slot_of.get(state)
         if slot is None:
-            if self.free:
-                slot = self.free.pop()
-            else:
-                slot = len(self.slot_of)
-                while slot >= self.cap:
-                    self._grow()
+            slot = len(self.slot_of)
+            while slot >= self.cap:
+                self._grow()
             self.slot_of[state] = slot
             self.state_of[slot] = state
         i = self.cap + slot
@@ -79,20 +82,6 @@ class _RateIndex:
     @property
     def total(self) -> float:
         return self.tree[1]
-
-    def sample(self, u: float) -> int:
-        """State whose weight interval contains u * total."""
-        tree = self.tree
-        target = u * tree[1]
-        i = 1
-        cap = self.cap
-        while i < cap:
-            i += i
-            left = tree[i]
-            if target >= left:
-                target -= left
-                i += 1
-        return self.state_of[i - cap]
 
 
 class ParticleConfig:
@@ -132,10 +121,6 @@ class ParticleConfig:
         gen = rng.child(TAG_INIT).generator()
         return cls(model, dist.sample_many(gen, n))
 
-    @property
-    def aggregate_rate(self) -> float:
-        return self.index.total
-
     def empirical(self) -> Distribution:
         return Distribution.from_weights({x: c for x, c in self.occupancy.items() if c})
 
@@ -160,45 +145,129 @@ class ParticleConfig:
         self.index.set_weight(target, self.occupancy[target] * self.model.total_rate(target))
 
 
-def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, blocks: UniformBlock,
+def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
                until: float, event_cap: int):
-    """The system's events before time ``until``, drawn from ``blocks``.
+    """The system's events before time ``until``, drawn from ``rng``'s ``TAG_EVENTS`` child.
 
     Yields ``(t, particle, source, target, revived)`` with cfg still as it
-    was before the event, and moves the particle when resumed.  Each event
-    draws, in order: the exponential wait, the state (rate-weighted), the
-    particle there, the jump, and on an absorption attempt the other
-    particle to copy (uniform, by rejection).  Nothing is drawn after the
-    first event time >= ``until``.
+    was before the event, and moves the particle when resumed; cfg must not
+    be changed while the generator is suspended.  Each event draws, in
+    order: the exponential wait, the state (rate-weighted), the particle
+    there, the jump, and on an absorption attempt the other particle to copy
+    (uniform, by rejection).  Nothing is drawn after the first event time
+    >= ``until``.
+
+    One loop does the work of ``ParticleConfig.move``, the tree descent and
+    ``AbsorbedChainModel.sample_jump``.  The uniforms come from one Philox
+    generator in chunks that start at 64 and double up to 16,384, as
+    :class:`~qsdsim.rng.UniformBlock` hands them out; Philox output does not
+    depend on the chunking, so these are the values a ``UniformBlock`` on
+    the same stream gives.
     """
+    gen = rng.child(TAG_EVENTS).generator()
+    chunk = 64
+    uniforms = gen.random(chunk).tolist()
+    end = chunk
+    pos = 0
     index = cfg.index
+    tree = index.tree
+    cap = index.cap
+    slot_of = index.slot_of
+    state_of = index.state_of
+    occupancy = cfg.occupancy
     members = cfg.members
+    where = cfg.where
     positions = cfg.positions
     n = cfg.N
-    move = cfg.move
-    u = blocks.u
-    sample_jump = model.sample_jump
+    jump_table = model.jump_table
+    tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
+    log1p = math.log1p
     t = 0.0
     events = 0
     while True:
-        agg = index.tree[1]
+        agg = tree[1]
         if agg <= 0.0:
             raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
-        t += blocks.exp(agg)
+        if end - pos < 4:  # the four draws every event takes
+            chunk = min(2 * chunk, UNIFORM_CHUNK)
+            uniforms = uniforms[pos:]  # the spent chunk is freed before the next is drawn
+            uniforms += gen.random(chunk).tolist()
+            end = len(uniforms)
+            pos = 0
+        t += -log1p(-uniforms[pos]) / agg
         if t >= until:
             return
-        x = index.sample(u())
+        # the state whose leaf interval holds u * agg
+        w = uniforms[pos + 1] * agg
+        k = 1
+        while k < cap:
+            k += k
+            left = tree[k]
+            if w >= left:
+                w -= left
+                k += 1
+        x = state_of[k - cap]
         lst = members[x]
-        i = lst[int(u() * len(lst))]
-        target = sample_jump(x, u())
-        revived = target == 0
+        i = lst[int(uniforms[pos + 2] * len(lst))]
+        table = tables.get(x)
+        if table is None:
+            table = tables[x] = jump_table(x)
+        targets, cum, total = table
+        if total <= 0.0:
+            raise EventCapExceeded(f"state {x} has total rate 0; the chain is stuck")
+        k = bisect_right(cum, uniforms[pos + 3] * total)
+        pos += 4
+        y = targets[k] if k < len(targets) else targets[-1]
+        revived = y == 0
         if revived:
             j = i
             while j == i:
-                j = int(u() * n)
-            target = positions[j]
-        yield t, i, x, target, revived
-        move(i, target)
+                if pos == end:
+                    chunk = min(2 * chunk, UNIFORM_CHUNK)
+                    uniforms = gen.random(chunk).tolist()
+                    end = chunk
+                    pos = 0
+                j = int(uniforms[pos] * n)
+                pos += 1
+            y = positions[j]
+        yield t, i, x, y, revived
+        if y != x:
+            # swap-remove i from x, then re-set x's leaf and its parents
+            k = where[i]
+            last = lst[-1]
+            lst[k] = last
+            where[last] = k
+            lst.pop()
+            c = occupancy[x] - 1
+            occupancy[x] = c
+            k = cap + slot_of[x]
+            tree[k] = c * total
+            while k > 1:
+                tree[k >> 1] = tree[k] + tree[k ^ 1]
+                k >>= 1
+            positions[i] = y
+            dst = members.get(y)
+            if dst is None:
+                dst = members[y] = []
+            where[i] = len(dst)
+            dst.append(i)
+            c = occupancy.get(y, 0) + 1
+            occupancy[y] = c
+            table = tables.get(y)
+            if table is None:
+                table = tables[y] = jump_table(y)
+            slot = slot_of.get(y)
+            if slot is None:
+                # a state's first visit: the tree may double
+                index.set_weight(y, c * table[2])
+                tree = index.tree
+                cap = index.cap
+            else:
+                k = cap + slot
+                tree[k] = c * table[2]
+                while k > 1:
+                    tree[k >> 1] = tree[k] + tree[k ^ 1]
+                    k >>= 1
         events += 1
         if events > event_cap:
             raise EventCapExceeded(f"more than {event_cap} events before t={until}")
@@ -242,7 +311,6 @@ def fv_run(
     fixed (seed, path).
     """
     cfg = _resolve_init(model, init, n, rng)
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if (np.diff(grid) <= 0).any() or (grid < 0).any() or grid[-1] > horizon + 1e-12:
         raise ValueError("grid must be increasing, nonnegative and within the horizon")
@@ -250,7 +318,7 @@ def fv_run(
     measures = []
     events = 0
     revivals = 0
-    for t, _, _, _, revived in _fv_events(cfg, model, blocks, times[-1], event_cap):
+    for t, _, _, _, revived in _fv_events(cfg, model, rng, times[-1], event_cap):
         # the grid times up to this event see the configuration before it
         while times[len(measures)] <= t:
             measures.append(cfg.empirical())
@@ -295,20 +363,19 @@ def fv_stationary(
     occupancy = cfg.occupancy
     acc: dict[int, float] = {}
     last_change: dict[int, float] = {}
-
-    def flush(x: int, now: float):
-        c = occupancy.get(x, 0)
+    # each state's mass is flushed into acc when its count changes: the
+    # source, which holds the moving particle, and then the target
+    for t, _, x, y, _ in _fv_events(cfg, model, rng, horizon, event_cap):
+        if t > burn_in and y != x:
+            acc[x] = acc.get(x, 0.0) + occupancy[x] * (t - last_change.get(x, burn_in))
+            last_change[x] = t
+            c = occupancy.get(y, 0)
+            if c:
+                acc[y] = acc.get(y, 0.0) + c * (t - last_change.get(y, burn_in))
+            last_change[y] = t
+    for x, c in occupancy.items():
         if c:
-            acc[x] = acc.get(x, 0.0) + c * (now - last_change.get(x, burn_in))
-        last_change[x] = now
-
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
-    for t, _, x, target, _ in _fv_events(cfg, model, blocks, horizon, event_cap):
-        if t > burn_in and target != x:
-            flush(x, t)
-            flush(target, t)
-    for x in list(occupancy):
-        flush(x, horizon)
+            acc[x] = acc.get(x, 0.0) + c * (horizon - last_change.get(x, burn_in))
     total = math.fsum(acc.values())
     if total <= 0:
         raise DeadConfig("no occupation mass accumulated after burn-in")

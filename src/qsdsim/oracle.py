@@ -292,7 +292,8 @@ def solve_qsd_power(
     :func:`return_map_solver` from the uniform vector, and recovers the
     principal eigenvalue of the generator as -1/s; ``tol`` and ``max_iters``
     apply to that route only, which raises :class:`NoConvergence` past
-    ``max_iters``, and :class:`NotIrreducible` where no state absorbs.
+    ``max_iters``.  Either route raises :class:`NotIrreducible` where no
+    state absorbs.
     """
     if truncation is None:
         if not model.is_finite:
@@ -309,6 +310,8 @@ def _solve_window(finite: AbsorbedChainModel, truncation: int, tol: float, max_i
         raise NotIrreducible("all states have total rate zero")
     b = finite.live_block()
     if b.two_way_path is not None:
+        if not (b.absorb > 0).any():
+            raise NotIrreducible("no state of the path window absorbs, so it has no QSD")
         v, lam, iters = _path_qsd(b)
         meta = {"solver": "path", "model": finite.name}
     else:

@@ -7,7 +7,8 @@ are statistically independent, and an identical ``(seed, path)`` pair replays
 the exact same draws, which is what makes replica-level runs bit-for-bit
 reproducible.  Event loops draw their uniforms through a
 :class:`UniformBlock` on their stream's ``TAG_EVENTS`` child; the
-branching estimator, which interleaves uniforms with Poisson and
+Fleming-Viot kernel refills the same doubling chunks in its own loop, and
+the branching estimator, which interleaves uniforms with Poisson and
 multinomial draws on one generator, refills its own fixed-size blocks.
 """
 

@@ -9,7 +9,7 @@ import qsdsim
 from qsdsim import resolve_model, solve_qsd_power
 from qsdsim.afp import _advance
 from qsdsim.branching import BranchingPopulation, downsample_counts
-from qsdsim.errors import QsdError
+from qsdsim.errors import DeadConfig, QsdError
 from qsdsim.fv import FV_EVENT_CAP, _fv_events
 from qsdsim.rng import TAG_EVENTS, UniformBlock
 
@@ -132,10 +132,144 @@ def fv_event(cfg, model, rng) -> tuple:
     Returns ``(t, particle, source, target, revived)``: the first event
     ``fv_run`` would draw from the stream ``rng``.
     """
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
-    event = next(_fv_events(cfg, model, blocks, math.inf, FV_EVENT_CAP))
+    event = next(_fv_events(cfg, model, rng, math.inf, FV_EVENT_CAP))
     cfg.move(event[1], event[3])
     return event
+
+
+class _ReferenceRateIndex:
+    """The FV kernel's rate tree as a class of its own: 64 leaves to start, then doubling."""
+
+    def __init__(self, cap: int = 64):
+        self.cap = cap
+        self.tree = [0.0] * (2 * cap)
+        self.slot_of: dict[int, int] = {}
+        self.state_of: dict[int, int] = {}
+
+    def _grow(self):
+        old = self.cap
+        self.cap = 2 * old
+        tree = [0.0] * (2 * self.cap)
+        tree[self.cap : self.cap + old] = self.tree[old : 2 * old]
+        for i in range(self.cap - 1, 0, -1):
+            tree[i] = tree[2 * i] + tree[2 * i + 1]
+        self.tree = tree
+
+    def set_weight(self, state: int, w: float):
+        slot = self.slot_of.get(state)
+        if slot is None:
+            slot = len(self.slot_of)
+            while slot >= self.cap:
+                self._grow()
+            self.slot_of[state] = slot
+            self.state_of[slot] = state
+        i = self.cap + slot
+        tree = self.tree
+        tree[i] = w
+        i >>= 1
+        while i:
+            tree[i] = tree[2 * i] + tree[2 * i + 1]
+            i >>= 1
+
+    def sample(self, u: float) -> int:
+        """State whose weight interval contains u * total."""
+        tree = self.tree
+        target = u * tree[1]
+        i = 1
+        while i < self.cap:
+            i += i
+            left = tree[i]
+            if target >= left:
+                target -= left
+                i += 1
+        return self.state_of[i - self.cap]
+
+
+class ReferenceFv:
+    """Reference FV stepper: the event kernel one call per step, on its own state.
+
+    Positions, occupancy and swap-remove member lists moved by :meth:`move`,
+    a 64-leaf :class:`_ReferenceRateIndex`, ``model.sample_jump``, and
+    uniforms handed out one call at a time from blocks of 64 doubling to
+    16,384 on ``rng``'s TAG_EVENTS child.  ``drawn`` counts the uniforms
+    taken.
+    """
+
+    def __init__(self, model, positions, rng):
+        self.model = model
+        self.positions = [int(x) for x in positions]
+        self.N = len(self.positions)
+        self.occupancy: dict[int, int] = {}
+        self.members: dict[int, list[int]] = {}
+        self.where = [0] * self.N
+        self.index = _ReferenceRateIndex()
+        for i, x in enumerate(self.positions):
+            self.occupancy[x] = self.occupancy.get(x, 0) + 1
+            lst = self.members.setdefault(x, [])
+            self.where[i] = len(lst)
+            lst.append(i)
+        for x, c in self.occupancy.items():
+            self.index.set_weight(x, c * model.total_rate(x))
+        self._gen = rng.child(TAG_EVENTS).generator()
+        self._len = 64
+        self._buf = self._gen.random(self._len).tolist()
+        self._pos = 0
+        self.drawn = 0
+
+    def u(self) -> float:
+        if self._pos == self._len:
+            self._len = min(2 * self._len, 1 << 14)
+            self._buf = self._gen.random(self._len).tolist()
+            self._pos = 0
+        v = self._buf[self._pos]
+        self._pos += 1
+        self.drawn += 1
+        return v
+
+    def exp(self, rate: float) -> float:
+        return -math.log1p(-self.u()) / rate
+
+    def move(self, i: int, target: int) -> None:
+        src = self.positions[i]
+        if target == src:
+            return
+        lst = self.members[src]
+        j = self.where[i]
+        last = lst[-1]
+        lst[j] = last
+        self.where[last] = j
+        lst.pop()
+        self.occupancy[src] -= 1
+        self.index.set_weight(src, self.occupancy[src] * self.model.total_rate(src))
+        self.positions[i] = target
+        dst = self.members.setdefault(target, [])
+        self.where[i] = len(dst)
+        dst.append(i)
+        self.occupancy[target] = self.occupancy.get(target, 0) + 1
+        self.index.set_weight(target, self.occupancy[target] * self.model.total_rate(target))
+
+    def events(self, until: float):
+        """``(t, particle, source, target, revived)`` before ``until``, moving after each yield."""
+        t = 0.0
+        while True:
+            agg = self.index.tree[1]
+            if agg <= 0.0:
+                raise DeadConfig("aggregate rate is 0")
+            t += self.exp(agg)
+            if t >= until:
+                return
+            x = self.index.sample(self.u())
+            lst = self.members[x]
+            i = lst[int(self.u() * len(lst))]
+            target = self.model.sample_jump(x, self.u())
+            revived = target == 0
+            if revived:
+                j = i
+                while j == i:
+                    j = int(self.u() * self.N)
+                target = self.positions[j]
+            yield t, i, x, target, revived
+            self.move(i, target)
 
 
 def afp_advance(h, d, rng):
@@ -196,7 +330,8 @@ def _one_event(pop, uniforms: GeneratorUniforms, offspring: _OffspringBlocks, ge
     """Reference branching event: a uniform individual dies and leaves Poisson offspring.
 
     Applied to ``pop`` in place; returns the size before any down-sampling
-    and raises ``Extinct`` (setting ``pop.extinct``) at size 0.
+    and raises ``Extinct`` at size 0, after setting ``pop.extinct``: a mark
+    of this stepper's own, which ``BranchingPopulation`` does not declare.
     """
     counts = pop.counts
     total = sum(counts)

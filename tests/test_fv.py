@@ -1,4 +1,5 @@
 import math
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -13,20 +14,23 @@ from qsdsim import (
     correlation_probe,
     fv_run,
     fv_stationary,
+    read_model_file,
+    resolve_model,
     tv_distance,
 )
 from qsdsim.errors import DeadConfig
 from qsdsim.fv import FV_EVENT_CAP, _fv_events
-from qsdsim.rng import TAG_EVENTS, UniformBlock
 
-from conftest import check_consistency, fv_event, two_sample_chi2_pvalue
+from conftest import (
+    ReferenceFv, check_consistency, fv_event, multi_jump_model_file, two_sample_chi2_pvalue,
+)
 
 
 class TestParticleConfig:
     def test_occupancy_and_rates(self, t2):
         cfg = ParticleConfig(t2, [1, 1, 2])
         assert cfg.occupancy == {1: 2, 2: 1}
-        assert cfg.aggregate_rate == pytest.approx(2 * 2.0 + 1 * 1.0)
+        assert cfg.index.total == pytest.approx(2 * 2.0 + 1 * 1.0)
         assert cfg.empirical() == Distribution.from_weights({1: 2, 2: 1})
 
     def test_needs_two_particles(self, t2):
@@ -58,7 +62,7 @@ class TestFvStep:
     def test_two_particle_revival_target(self, t2):
         # both particles at 1: a revival must land back at 1
         cfg = ParticleConfig(t2, [1, 1])
-        assert cfg.aggregate_rate == pytest.approx(4.0)
+        assert cfg.index.total == pytest.approx(4.0)
         for k in range(30):
             _, _, _, target, revived = fv_event(cfg, t2, RngStream(2, (k,)))
             if revived:
@@ -104,9 +108,8 @@ class TestFvRun:
         rng = RngStream(6)
         tr = fv_run(gw, Distribution.delta(3), 4.0, [4.0], rng, n=100)
         cfg = ParticleConfig.from_distribution(gw, Distribution.delta(3), 100, rng)
-        blocks = UniformBlock(rng.child(TAG_EVENTS))
         events = revivals = 0
-        for _, _, _, _, revived in _fv_events(cfg, gw, blocks, 4.0, FV_EVENT_CAP):
+        for _, _, _, _, revived in _fv_events(cfg, gw, rng, 4.0, FV_EVENT_CAP):
             events += 1
             revivals += revived
             if events % 500 == 0:
@@ -161,6 +164,38 @@ class TestFvRun:
             mean = float(np.mean(drift[y]))
             se = float(np.std(drift[y], ddof=1) / math.sqrt(reps))
             assert abs(mean - expected[y]) <= 3 * se
+
+
+@pytest.mark.parametrize("name, positions, until, seed", [
+    ("two-state", [1, 2], 150.0, 1),  # N=2: every revival repeats its rejection draw half the time
+    ("bd:1,2,50", [1] * 20, 20.0, 2),
+    ("gw:1,2", [80] * 10, 6.0, 3),  # visits 83 states, past the reference's 64 leaves
+    ("multi-jump", list(range(1, 13)), 30.0, 4),
+])
+def test_kernel_matches_reference_stepper(name, positions, until, seed, tmp_path):
+    # the one-loop kernel against the stepper it replaced, event by event:
+    # the same events, the same tree total bit for bit, and valid indexes
+    if name == "multi-jump":
+        model = read_model_file(multi_jump_model_file(tmp_path))
+    else:
+        model = resolve_model(name)
+    rng = RngStream(seed)
+    ref = ReferenceFv(model, positions, rng)
+    cfg = ParticleConfig(model, positions)
+    events = revivals = 0
+    for mine, theirs in zip_longest(_fv_events(cfg, model, rng, until, FV_EVENT_CAP),
+                                    ref.events(until)):
+        assert mine == theirs
+        check_consistency(cfg)
+        assert cfg.index.total == ref.index.tree[1]
+        events += 1
+        revivals += mine[4]
+    assert cfg.positions == ref.positions
+    assert cfg.occupancy == ref.occupancy
+    assert ref.drawn > 64 + 128 + 256  # the run spans three refills
+    assert events > 100 and revivals > 0
+    if name == "gw:1,2":
+        assert ref.index.cap > 64
 
 
 def _q(model, x, y):

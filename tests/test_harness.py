@@ -296,6 +296,14 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_oracle_on_path_that_never_absorbs_exits_3(self, tmp_path):
+        model_file = tmp_path / "m.qsd"
+        model_file.write_text("qsdmodel v1\n1 2 1.0\n2 1 1.0\n")
+        rc = cli_main(
+            ["oracle", "--model", f"file:{model_file}", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 3
+
     def test_uncomputable_fv_reference_fails_before_simulating(self, tmp_path, monkeypatch):
         # bd:1,2 without --trunc has no stabilizing truncation reference
         def fv_stationary(*args, **kwargs):

@@ -69,6 +69,13 @@ class TestSolvePower:
         with pytest.raises(NotIrreducible):
             solve_qsd_power(model)
 
+    def test_path_window_that_never_absorbs_is_rejected(self):
+        # a two-way path with no killing rate: the generator conserves mass
+        model = build_finite({(1, 2): 1.0, (2, 1): 1.0})
+        assert model.live_block().two_way_path is not None
+        with pytest.raises(NotIrreducible, match="absorbs"):
+            solve_qsd_power(model)
+
     def test_no_convergence_reports_gap(self):
         with pytest.raises(NoConvergence) as err:
             solve_qsd_power(build_finite(CYCLE), max_iters=3)

@@ -84,6 +84,22 @@ class Distribution:
             raise ValueError("weights sum to zero")
         return cls({x: w / total for x, w in kept.items()})
 
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, int], n: int) -> "Distribution":
+        """The empirical law c / n of n particles from their per-state counts.
+
+        Zero counts are skipped.  The masses are the floats
+        ``from_weights(counts)`` gives (its total is the exact float n), but
+        built without its checks: the caller guarantees states >= 1 and
+        nonnegative integer counts that sum to n.
+        """
+        items = sorted((x, c) for x, c in counts.items() if c)
+        dist = cls.__new__(cls)
+        dist._states = tuple(x for x, _ in items)
+        dist._masses = tuple(c / n for _, c in items)
+        dist._cum = None
+        return dist
+
     @property
     def support(self) -> tuple[int, ...]:
         return self._states

@@ -15,6 +15,10 @@ the tree walk and the particle move inline.  Per-event work is kept at
 O(log S) in the number of visited states via a weighted tree over states,
 sized to those states, because position-dependent rates (the branching
 population chain) make per-event rate scans too expensive.
+
+A replica opens its stream's ``TAG_EVENTS`` child, and its ``TAG_INIT``
+child only when the initial law has more than one state: a point mass
+places the particles without a draw.  Recorded measures are the counts / N.
 """
 
 from __future__ import annotations
@@ -41,18 +45,28 @@ class _RateIndex:
     accumulate beyond one path of roundings per update.  Plain lists: the
     event loop inlines the descent and the leaf updates.
 
-    The tree starts at one leaf and doubles when a new state needs a slot.
-    A larger tree would only add subtrees of zeros, and adding 0.0 is exact,
-    so every sum and every descent is the same at any size.
+    The tree is built bottom-up over the given weights, one slot per state
+    in their order, at the least power-of-two size that holds them, and
+    doubles when a new state needs a slot.  Every internal node is the sum
+    of its children however the leaves were set, and a larger tree only
+    adds subtrees of zeros (adding 0.0 is exact), so every sum and every
+    descent is the same as for leaves set one by one on a smaller tree.
     """
 
     __slots__ = ("cap", "tree", "slot_of", "state_of")
 
-    def __init__(self):
-        self.cap = 1
-        self.tree = [0.0, 0.0]
-        self.slot_of: dict[int, int] = {}
-        self.state_of: dict[int, int] = {}
+    def __init__(self, weights: dict[int, float]):
+        cap = 1
+        while cap < len(weights):
+            cap += cap
+        tree = [0.0] * (2 * cap)
+        tree[cap : cap + len(weights)] = weights.values()
+        for i in range(cap - 1, 0, -1):
+            tree[i] = tree[2 * i] + tree[2 * i + 1]
+        self.cap = cap
+        self.tree = tree
+        self.slot_of: dict[int, int] = {x: slot for slot, x in enumerate(weights)}
+        self.state_of: dict[int, int] = dict(enumerate(weights))
 
     def _grow(self):
         old = self.cap
@@ -89,60 +103,56 @@ class ParticleConfig:
 
     Keeps, per state: the occupancy count and the list of particle ids
     sitting there (swap-remove layout), plus the weighted tree for
-    rate-proportional particle selection.
+    rate-proportional particle selection.  States take their entries and
+    tree slots in order of first appearance in ``positions``.  Only grouping
+    the ids by state walks the particles, and a start with every particle at
+    one state skips even that; the counts and the tree are built per state.
     """
 
     def __init__(self, model: AbsorbedChainModel, positions):
         positions = [int(x) for x in positions]
-        if len(positions) < 2:
+        n = len(positions)
+        if n < 2:
             raise ValueError("a Fleming-Viot system needs N >= 2 particles")
-        if any(x <= 0 for x in positions):
+        first = positions[0]
+        if positions.count(first) == n:
+            members = {first: list(range(n))}
+            where = list(range(n))
+        else:
+            members = {}
+            where = [0] * n
+            for i, x in enumerate(positions):
+                lst = members.get(x)
+                if lst is None:
+                    members[x] = [i]
+                else:
+                    where[i] = len(lst)
+                    lst.append(i)
+        if min(members) <= 0:
             raise ValueError("particles cannot start at the absorbing state")
         self.model = model
-        self.N = len(positions)
+        self.N = n
         self.positions = positions
-        self.occupancy: dict[int, int] = {}
-        self.members: dict[int, list[int]] = {}
-        self.where = [0] * self.N
-        self.index = _RateIndex()
-        for i, x in enumerate(self.positions):
-            self.occupancy[x] = self.occupancy.get(x, 0) + 1
-            lst = self.members.setdefault(x, [])
-            self.where[i] = len(lst)
-            lst.append(i)
-        for x, c in self.occupancy.items():
-            self.index.set_weight(x, c * model.total_rate(x))
+        self.members = members
+        self.where = where
+        self.occupancy = {x: len(lst) for x, lst in members.items()}
+        self.index = _RateIndex({x: c * model.total_rate(x) for x, c in self.occupancy.items()})
 
     @classmethod
     def from_distribution(
         cls, model: AbsorbedChainModel, dist: Distribution, n: int, rng: RngStream
     ) -> "ParticleConfig":
-        """Independent positions drawn from ``dist`` (one draw per particle)."""
-        gen = rng.child(TAG_INIT).generator()
-        return cls(model, dist.sample_many(gen, n))
+        """Independent positions from ``dist``, drawn on ``rng``'s ``TAG_INIT`` child.
+
+        A point mass places all n particles at its state and opens no
+        stream: its draws could only give that state.
+        """
+        if len(dist.support) == 1:
+            return cls(model, [dist.support[0]] * n)
+        return cls(model, dist.sample_many(rng.child(TAG_INIT).generator(), n))
 
     def empirical(self) -> Distribution:
-        return Distribution.from_weights({x: c for x, c in self.occupancy.items() if c})
-
-    def move(self, i: int, target: int) -> None:
-        """Relocate particle i, updating occupancy, membership and weights."""
-        src = self.positions[i]
-        if target == src:
-            return
-        lst = self.members[src]
-        j = self.where[i]
-        last = lst[-1]
-        lst[j] = last
-        self.where[last] = j
-        lst.pop()
-        self.occupancy[src] -= 1
-        self.index.set_weight(src, self.occupancy[src] * self.model.total_rate(src))
-        self.positions[i] = target
-        dst = self.members.setdefault(target, [])
-        self.where[i] = len(dst)
-        dst.append(i)
-        self.occupancy[target] = self.occupancy.get(target, 0) + 1
-        self.index.set_weight(target, self.occupancy[target] * self.model.total_rate(target))
+        return Distribution.from_counts(self.occupancy, self.N)
 
 
 def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
@@ -157,9 +167,11 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
     (uniform, by rejection).  Nothing is drawn after the first event time
     >= ``until``.
 
-    One loop does the work of ``ParticleConfig.move``, the tree descent and
-    ``AbsorbedChainModel.sample_jump``.  The uniforms come from one Philox
-    generator in chunks that start at 64 and double up to 16,384, as
+    One loop does the tree descent, the work of
+    ``AbsorbedChainModel.sample_jump`` and the particle move (the swap-remove
+    from the source's members, the counts and both leaves with their
+    parents).  The uniforms come from one Philox generator in chunks that
+    start at 64 and double up to 16,384, as
     :class:`~qsdsim.rng.UniformBlock` hands them out; Philox output does not
     depend on the chunking, so these are the values a ``UniformBlock`` on
     the same stream gives.
@@ -275,7 +287,11 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
 
 @dataclass
 class FvTrace:
-    """Sampled empirical measures of one run plus its event counters."""
+    """Sampled empirical measures of one run plus its event counters.
+
+    ``final`` is the Gillespie kernel's configuration at the end of the run;
+    the graphical engine keeps positions and counts only and leaves it None.
+    """
 
     times: np.ndarray
     measures: list[Distribution]
@@ -306,15 +322,23 @@ def fv_run(
 ) -> FvTrace:
     """Run the system to the last grid time, recording the empirical measure on the grid.
 
-    ``grid`` is an increasing sequence of sample times within the horizon
-    (a scalar is treated as a single sample time).  Deterministic for a
-    fixed (seed, path).
+    ``grid`` is a nonempty increasing sequence of sample times within the
+    horizon (a scalar is treated as a single sample time).  Deterministic
+    for a fixed (seed, path).
     """
     cfg = _resolve_init(model, init, n, rng)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if (np.diff(grid) <= 0).any() or (grid < 0).any() or grid[-1] > horizon + 1e-12:
-        raise ValueError("grid must be increasing, nonnegative and within the horizon")
-    times = grid.tolist()
+    try:
+        times = [float(s) for s in grid]
+    except TypeError:  # a scalar
+        times = [float(grid)]
+    # comparisons written so that a NaN time or horizon fails them
+    if not (
+        times
+        and 0 <= times[0]
+        and times[-1] <= horizon + 1e-12
+        and all(a < b for a, b in zip(times, times[1:]))
+    ):
+        raise ValueError("grid must be nonempty, increasing, nonnegative and within the horizon")
     measures = []
     events = 0
     revivals = 0
@@ -415,9 +439,9 @@ def correlation_probe(
     a = np.empty(replicas)
     b = np.empty(replicas)
     for r in range(replicas):
-        positions = init.sample_many(rng.child(r, TAG_INIT).generator(), n)
-        cfg = ParticleConfig(model, positions)
-        trace = fv_run(model, cfg, t, [t], rng.child(r, TAG_EVENTS))
+        replica = rng.child(r)
+        cfg = ParticleConfig.from_distribution(model, init, n, replica)
+        trace = fv_run(model, cfg, t, [t], replica.child(TAG_EVENTS))
         m = trace.measures[-1]
         a[r] = m.mass(x)
         b[r] = m.mass(y)

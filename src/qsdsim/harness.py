@@ -263,6 +263,8 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     """
     params = cfg.params
     problems = []
+    if cfg.seed < 0:
+        problems.append(f"seed: must be non-negative, got {cfg.seed}")
     # scan reports a sample standard error (ddof=1), which needs two replicas
     least = 2 if cfg.method == "scan" else 1
     if cfg.replicas < least:
@@ -334,6 +336,10 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
         elif not initial <= set(window):
             outside = sorted(initial - set(window))
             problems.append(f"initial states {outside} lie outside the model's window")
+    if cfg.method == "scan" and "state" in params:
+        state = _p(params, "state", int, None)
+        if state <= 0 or (window and state not in window):
+            problems.append(f"state: the probed state {state} lies outside the model's window")
     if cfg.method == "conditioned" and "dt" in params and window:
         # evolve_conditioned's uniformization steps need h <= 0.1/max rate
         maxrate = model.max_total_rate(window)

@@ -15,7 +15,10 @@ the minimal QSD.
 The second half of the module realizes the Fleming-Viot system from marked
 Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
-indicator that the two trajectories have split.
+indicator that the two trajectories have split.  A replica draws every
+mark from its stream's ``TAG_EVENTS`` child, and opens the ``TAG_INIT``
+child only when the initial law has more than one state: a point mass
+places the particles without a draw.
 
 The return map factors A with ``oracle.return_map_solver``, the solve that
 the oracle's inverse iteration runs too.  scipy is used only by its sparse
@@ -39,7 +42,7 @@ import numpy as np
 from .chain import AbsorbedChainModel, Distribution
 from .conditioned import ConditionedPath, evolve_conditioned
 from .errors import EventCapExceeded, PathTooShort
-from .fv import FvTrace, ParticleConfig
+from .fv import FvTrace
 from .oracle import return_map_solver
 from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, TAG_INTERNAL, TAG_VOTER
 
@@ -330,22 +333,21 @@ def _internal_partition(model: AbsorbedChainModel, qbar: float):
     return draw
 
 
-def _voter_target_others(cfg: ParticleConfig, i: int, v: float) -> int:
-    """Inverse cdf of the empirical law of the other N - 1 particles at v.
+def _voter_target_others(occupancy: dict[int, int], n: int, x_i: int, v: float) -> int:
+    """Inverse cdf at v of the empirical law of the N - 1 particles other than one at x_i.
 
     Intervals are consecutive in increasing state order, matching the
     interval construction used by the limit process.
     """
-    x_i = cfg.positions[i]
-    target = v * (cfg.N - 1)
-    for y in sorted(cfg.occupancy):
-        c = cfg.occupancy[y] - (1 if y == x_i else 0)
+    target = v * (n - 1)
+    for y in sorted(occupancy):
+        c = occupancy[y] - (1 if y == x_i else 0)
         if c <= 0:
             continue
         if target < c:
             return y
         target -= c
-    return max(y for y, c in cfg.occupancy.items() if c - (1 if y == x_i else 0) > 0)
+    return max(y for y, c in occupancy.items() if c - (1 if y == x_i else 0) > 0)
 
 
 @dataclass
@@ -380,7 +382,11 @@ def _graphical_engine(
     path: ConditionedPath | None,
     event_cap: int,
 ):
-    """Shared driver: FV from marked streams, optionally coupled with the limit."""
+    """Shared driver: FV from marked streams, optionally coupled with the limit.
+
+    The system is the particle positions and the count per state: the marks
+    pick the particles, so nothing indexes particles by state or rate.
+    """
     qbar = model.qbar
     c0 = model.c0
     if qbar is None or c0 is None or not (math.isfinite(qbar) and math.isfinite(c0)):
@@ -391,13 +397,21 @@ def _graphical_engine(
     couple = path is not None
     if couple and horizon > path.horizon + 1e-12:
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
+    if n < 2:
+        raise ValueError("a Fleming-Viot system needs N >= 2 particles")
 
-    # shared initial draw for particle 1 and the limit process
-    init_blocks = UniformBlock(rng.child(TAG_INIT))
-    u_shared = init_blocks.u()
-    first = mu.inverse_cdf(u_shared)
-    positions = [first] + [mu.sample(init_blocks.u()) for _ in range(n - 1)]
-    cfg = ParticleConfig(model, positions)
+    # particle 1 and the limit process share the first initial uniform
+    if len(mu.support) == 1:
+        first = mu.support[0]
+        positions = [first] * n
+        occupancy = {first: n}
+    else:
+        init_blocks = UniformBlock(rng.child(TAG_INIT))
+        first = mu.inverse_cdf(init_blocks.u())
+        positions = [first] + [mu.sample(init_blocks.u()) for _ in range(n - 1)]
+        occupancy = {}
+        for x in positions:
+            occupancy[x] = occupancy.get(x, 0) + 1
 
     shared = UniformBlock(rng.child(TAG_EVENTS))
     streams = [MarkStream(qbar, c0, shared) for i in range(n)]
@@ -407,6 +421,7 @@ def _graphical_engine(
         heapq.heappush(heap, (ms.t_voter, i, 1))
 
     internal_draw = _internal_partition(model, qbar)
+    absorb_rate = model.absorb_rate
 
     y = first
     y_times = [0.0]
@@ -416,7 +431,7 @@ def _graphical_engine(
     coupled = True
     divergence_time = None
 
-    grid = np.atleast_1d(np.asarray(grid, dtype=float)) if grid is not None else np.array([horizon])
+    grid = np.atleast_1d(np.asarray(grid, dtype=float)).tolist() if grid is not None else [horizon]
     gi = 0
     times = []
     measures = []
@@ -427,18 +442,20 @@ def _graphical_engine(
         t_ev, i, kind = heapq.heappop(heap)
         while gi < len(grid) and grid[gi] <= min(t_ev, horizon):
             times.append(grid[gi])
-            measures.append(cfg.empirical())
+            measures.append(Distribution.from_counts(occupancy, n))
             gi += 1
         if t_ev > horizon:
             break
         ms = streams[i]
-        x = cfg.positions[i]
+        x = positions[i]
         if kind == 0:
             u = ms.pop_internal()
             heapq.heappush(heap, (ms.t_internal, i, 0))
             target = internal_draw(x, u)
             if target != x:
-                cfg.move(i, target)
+                occupancy[x] -= 1
+                occupancy[target] = occupancy.get(target, 0) + 1
+                positions[i] = target
                 if i == 0:
                     tagged_times.append(t_ev)
                     tagged_states.append(target)
@@ -451,22 +468,22 @@ def _graphical_engine(
         else:
             b, v = ms.pop_voter()
             heapq.heappush(heap, (ms.t_voter, i, 1))
-            if b <= model.absorb_rate(x) / c0:
-                target = _voter_target_others(cfg, i, v)
+            if b <= absorb_rate(x) / c0:
+                target = _voter_target_others(occupancy, n, x, v)
                 revivals += 1
                 if target != x:
-                    cfg.move(i, target)
+                    occupancy[x] -= 1
+                    occupancy[target] = occupancy.get(target, 0) + 1
+                    positions[i] = target
                     if i == 0:
                         tagged_times.append(t_ev)
                         tagged_states.append(target)
-                else:
-                    target = x
             else:
                 target = x
             if couple and i == 0:
-                if b <= model.absorb_rate(y) / c0:
+                if b <= absorb_rate(y) / c0:
                     y_target = path.inverse_cdf_at(t_ev, v)
-                    if coupled and y_target != cfg.positions[0]:
+                    if coupled and y_target != positions[0]:
                         coupled = False
                         divergence_time = t_ev
                     if y_target != y:
@@ -484,7 +501,7 @@ def _graphical_engine(
 
     while gi < len(grid):
         times.append(grid[gi])
-        measures.append(cfg.empirical())
+        measures.append(Distribution.from_counts(occupancy, n))
         gi += 1
 
     trace = FvTrace(
@@ -492,7 +509,6 @@ def _graphical_engine(
         measures=measures,
         events=events,
         revivals=revivals,
-        final=cfg,
     )
     tagged = Trajectory(tagged_times, tagged_states)
     limit = Trajectory(y_times, y_states)

@@ -5,11 +5,19 @@ which is a counter-based Philox generator keyed by a root seed and an integer
 path such as ``(replica, particle, purpose)``.  Streams with distinct paths
 are statistically independent, and an identical ``(seed, path)`` pair replays
 the exact same draws, which is what makes replica-level runs bit-for-bit
-reproducible.  Event loops draw their uniforms through a
-:class:`UniformBlock` on their stream's ``TAG_EVENTS`` child; the
-Fleming-Viot kernel refills the same doubling chunks in its own loop, and
-the branching estimator, which interleaves uniforms with Poisson and
-multinomial draws on one generator, refills its own fixed-size blocks.
+reproducible.  Seeds and path components are non-negative integers.
+
+Opening a stream (:meth:`RngStream.generator`) builds one ``SeedSequence``
+and one Philox keyed from it, and it is a fixed cost each replica pays per
+stream it opens.  A Fleming-Viot replica opens its ``TAG_EVENTS`` child, and
+its ``TAG_INIT`` child only when the initial law has more than one state: a
+point mass places the particles without a draw.
+
+Event loops draw their uniforms through a :class:`UniformBlock` on their
+stream's ``TAG_EVENTS`` child; the Fleming-Viot kernel refills the same
+doubling chunks in its own loop, and the branching estimator, which
+interleaves uniforms with Poisson and multinomial draws on one generator,
+refills its own fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"a stream seed must be non-negative, got {self.seed}")
+        if self.path and min(self.path) < 0:
+            raise ValueError(f"stream path components must be non-negative, got {self.path}")
+
     def child(self, *indices: int) -> "RngStream":
         """Derive the stream whose path extends this one by ``indices``."""
         return RngStream(self.seed, self.path + tuple(int(i) for i in indices))
@@ -42,9 +56,12 @@ class RngStream:
         """A fresh Philox generator for this (seed, path) pair.
 
         Calling twice returns two generators that produce identical draws.
+        Philox keys itself from the seed sequence as
+        ``generate_state(2, uint64)``; handing it the sequence, not the key,
+        spares the throw-away OS-entropy sequence a bare ``key=`` builds.
         """
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+        return np.random.Generator(np.random.Philox(ss))
 
 
 class UniformBlock:

@@ -126,6 +126,27 @@ def t2_oracle(t2):
     return solve_qsd_power(t2)
 
 
+def move(cfg, i: int, target: int) -> None:
+    """Relocate particle i of a ParticleConfig, updating occupancy, membership and weights."""
+    src = cfg.positions[i]
+    if target == src:
+        return
+    lst = cfg.members[src]
+    j = cfg.where[i]
+    last = lst[-1]
+    lst[j] = last
+    cfg.where[last] = j
+    lst.pop()
+    cfg.occupancy[src] -= 1
+    cfg.index.set_weight(src, cfg.occupancy[src] * cfg.model.total_rate(src))
+    cfg.positions[i] = target
+    dst = cfg.members.setdefault(target, [])
+    cfg.where[i] = len(dst)
+    dst.append(i)
+    cfg.occupancy[target] = cfg.occupancy.get(target, 0) + 1
+    cfg.index.set_weight(target, cfg.occupancy[target] * cfg.model.total_rate(target))
+
+
 def fv_event(cfg, model, rng) -> tuple:
     """One event of the FV kernel, applied to cfg in place.
 
@@ -133,7 +154,7 @@ def fv_event(cfg, model, rng) -> tuple:
     ``fv_run`` would draw from the stream ``rng``.
     """
     event = next(_fv_events(cfg, model, rng, math.inf, FV_EVENT_CAP))
-    cfg.move(event[1], event[3])
+    move(cfg, event[1], event[3])
     return event
 
 

@@ -19,10 +19,13 @@ from qsdsim import (
     tv_distance,
 )
 from qsdsim.errors import DeadConfig
-from qsdsim.fv import FV_EVENT_CAP, _fv_events
+from qsdsim.fv import FV_EVENT_CAP, _RateIndex, _fv_events
+from qsdsim.returnproc import coupled_tagged_run, fv_run_graphical
+from qsdsim.rng import TAG_EVENTS, TAG_INIT
 
 from conftest import (
-    ReferenceFv, check_consistency, fv_event, multi_jump_model_file, two_sample_chi2_pvalue,
+    ReferenceFv, _ReferenceRateIndex, check_consistency, fv_event, move, multi_jump_model_file,
+    two_sample_chi2_pvalue,
 )
 
 
@@ -43,12 +46,111 @@ class TestParticleConfig:
 
     def test_move_bookkeeping(self, t2):
         cfg = ParticleConfig(t2, [1, 1, 2, 2, 2])
-        cfg.move(0, 2)
-        cfg.move(4, 1)
-        cfg.move(1, 1)  # null move
+        move(cfg, 0, 2)
+        move(cfg, 4, 1)
+        move(cfg, 1, 1)  # null move
         assert cfg.occupancy == {1: 2, 2: 3}
         assert sorted(cfg.positions) == [1, 1, 2, 2, 2]
         check_consistency(cfg)
+
+
+class TestParticleConfigBuild:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 9, 33, 64, 65, 100])
+    def test_bulk_tree_is_the_leaf_by_leaf_tree(self, size):
+        # building bottom-up gives the floats, slots and size that setting
+        # the leaves one at a time on a one-leaf tree gives
+        gen = np.random.default_rng(size)
+        states = [int(x) for x in gen.permutation(np.arange(1, 3 * size + 1))[:size]]
+        weights = {x: float(w) for x, w in zip(states, gen.exponential(size=size) * 1e3 / 7)}
+        ref = _ReferenceRateIndex(cap=1)
+        for x, w in weights.items():
+            ref.set_weight(x, w)
+        index = _RateIndex(weights)
+        assert (index.cap, index.tree) == (ref.cap, ref.tree)
+        assert (index.slot_of, index.state_of) == (ref.slot_of, ref.state_of)
+
+    @pytest.mark.parametrize("positions", [
+        [2, 2], [3] * 50, [1, 2], [2, 1, 1, 2, 2, 1], [5, 3, 5, 1, 3, 3, 8, 1, 2, 5],
+        list(range(40, 0, -1)),
+    ])
+    def test_per_state_build_matches_the_per_particle_build(self, positions):
+        model = resolve_model("bd:1,2,50")
+        ref = ReferenceFv(model, positions, RngStream(0))
+        cfg = ParticleConfig(model, positions)
+        assert list(cfg.occupancy.items()) == list(ref.occupancy.items())
+        assert list(cfg.members.items()) == list(ref.members.items())
+        assert cfg.where == ref.where
+        leaves = ref.index.tree[ref.index.cap : ref.index.cap + len(ref.index.slot_of)]
+        assert cfg.index.tree[cfg.index.cap : cfg.index.cap + len(cfg.index.slot_of)] == leaves
+        assert cfg.index.slot_of == ref.index.slot_of
+        assert cfg.index.total == ref.index.tree[1]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 1000])
+    def test_empirical_is_the_normalized_counts(self, n):
+        gen = np.random.default_rng(n)
+        positions = gen.integers(1, 12, size=n).tolist()
+        cfg = ParticleConfig(resolve_model("bd:1,2,12"), positions)
+        cfg.occupancy[12] = 0  # a state the particles left
+        got = cfg.empirical()
+        want = Distribution.from_weights(cfg.occupancy)
+        assert got.support == want.support
+        assert list(got.items()) == list(want.items())
+        assert got == want
+
+    def test_two_atom_law_places_the_sampled_positions(self, t2):
+        law = Distribution({1: 0.3, 2: 0.7})
+        rng = RngStream(21, (4,))
+        cfg = ParticleConfig.from_distribution(t2, law, 40, rng)
+        drawn = law.sample_many(rng.child(TAG_INIT).generator(), 40).tolist()
+        assert cfg.positions == drawn
+        assert set(drawn) == {1, 2}
+
+    def test_point_mass_places_every_particle_there(self, t2):
+        cfg = ParticleConfig.from_distribution(t2, Distribution.delta(2), 30, RngStream(5))
+        sampled = Distribution.delta(2).sample_many(RngStream(5, (TAG_INIT,)).generator(), 30)
+        assert cfg.positions == sampled.tolist() == [2] * 30
+
+
+class TestStreamsOpened:
+    """A point mass opens no ``TAG_INIT`` stream; every replica still opens its events."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        paths = []
+        generator = RngStream.generator
+
+        def spy(stream):
+            paths.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", spy)
+        return paths
+
+    def test_fv_run(self, t2, opened):
+        fv_run(t2, Distribution.delta(2), 1.0, [0.5, 1.0], RngStream(3, (9,)), n=20)
+        assert opened == [(9, TAG_EVENTS)]
+
+    def test_fv_run_two_atoms_opens_init(self, t2, opened):
+        fv_run(t2, Distribution({1: 0.5, 2: 0.5}), 1.0, [1.0], RngStream(3, (9,)), n=20)
+        assert opened == [(9, TAG_INIT), (9, TAG_EVENTS)]
+
+    def test_fv_stationary(self, t2, opened):
+        fv_stationary(t2, 20, 1.0, 3.0, RngStream(3, (9,)))
+        fv_stationary(t2, 20, 1.0, 3.0, RngStream(3, (9,)), init=Distribution.delta(2))
+        assert opened == [(9, TAG_EVENTS)] * 2
+
+    def test_graphical_engine(self, t2, opened):
+        fv_run_graphical(t2, 10, Distribution.delta(2), 1.0, [1.0], RngStream(3, (9,)))
+        coupled_tagged_run(t2, 10, Distribution.delta(2), 1.0, RngStream(3, (8,)))
+        assert opened == [(9, TAG_EVENTS), (8, TAG_EVENTS)]
+
+    def test_graphical_engine_two_atoms_opens_init(self, t2, opened):
+        fv_run_graphical(t2, 10, Distribution({1: 0.5, 2: 0.5}), 1.0, [1.0], RngStream(3, (9,)))
+        assert opened == [(9, TAG_INIT), (9, TAG_EVENTS)]
+
+    def test_correlation_probe(self, t2, opened):
+        correlation_probe(t2, 10, 0.5, 1, 2, 100, RngStream(3), init=Distribution.delta(2))
+        assert opened == [(r, TAG_EVENTS, TAG_EVENTS) for r in range(100)]
 
 
 class TestFvStep:
@@ -94,6 +196,15 @@ class TestFvRun:
         tr = fv_run(t1, Distribution.delta(1), 5.0, [1.0, 3.0, 5.0], RngStream(4), n=10)
         assert all(m == Distribution.delta(1) for m in tr.measures)
         assert tr.events >= tr.revivals
+
+    @pytest.mark.parametrize("grid, horizon", [
+        ([], 1.0), ([0.5, 0.5], 1.0), ([0.6, 0.5], 1.0), ([-0.1, 0.5], 1.0), ([0.5, 1.5], 1.0),
+        ([math.nan], 1.0), ([0.5, math.nan], 1.0), ([math.nan, 0.5], 1.0), ([0.5], math.nan),
+    ])
+    def test_bad_grid_is_rejected_before_any_event(self, t2, grid, horizon):
+        # a NaN end time would let the kernel run to its event cap
+        with pytest.raises(ValueError, match="grid must be"):
+            fv_run(t2, Distribution.delta(2), horizon, grid, RngStream(1), n=5, event_cap=10)
 
     def test_deterministic_replay(self, t2):
         a = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)

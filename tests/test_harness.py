@@ -391,6 +391,18 @@ class TestCli:
             ["report", "--model", "gw:1,2"],
             ["report", "--model", "bd:1,2"],
             ["branch", "--model", "two-state", "--horizon", "5", "--cap", "1"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+             "--init", "delta:2", "--seed", "-1"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "1", "--seed", "-1"],
+            ["branch", "--model", "two-state", "--horizon", "1", "--seed", "-1"],
+            ["couple", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--seed", "-1"],
+            ["scan", "--model", "two-state", "--particles", "5,10", "--horizon", "1",
+             "--init", "delta:2", "--replicas", "2", "--seed", "-1"],
+            ["scan", "--model", "two-state", "--particles", "5,10", "--horizon", "1",
+             "--init", "delta:2", "--replicas", "2", "--state", "0"],
+            ["scan", "--model", "bd:1,2", "--trunc", "5", "--particles", "5,10",
+             "--horizon", "1", "--init", "delta:1", "--replicas", "2", "--state", "6"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -408,7 +420,9 @@ class TestCli:
             "conditioned-step-above-limit", "afp-zero-checkpoints", "phi-zero-iters",
             "phi-negative-iters", "phi-nan-tol", "phi-negative-tol", "oracle-nan-tol",
             "oracle-negative-tol", "oracle-zero-tol", "report-infinite-gw", "report-infinite-bd",
-            "branch-cap-one",
+            "branch-cap-one", "fv-negative-seed", "afp-negative-seed", "branch-negative-seed",
+            "couple-negative-seed", "scan-negative-seed", "scan-state-zero",
+            "scan-state-outside-trunc",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
@@ -484,6 +498,33 @@ class TestCli:
         assert rc == 2
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "method,section",
+        [
+            ("fv", "particles = 10\nhorizon = 1\ninit = delta:2\n"),
+            ("afp", "steps = 10\nstart = 1\n"),
+            ("branch", "horizon = 1\n"),
+            ("couple", "particles = 5\nhorizon = 1\n"),
+            ("scan", "particles = 5,10\nhorizon = 1\ninit = delta:2\n"),
+        ],
+    )
+    def test_config_file_negative_seed_exits_2(self, method, section, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"qsdconfig v1\nmethod = {method}\nmodel = two-state\nseed = -1\nreplicas = 2\n"
+            f"[{method}]\n{section}"
+        )
+        rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scan_state_outside_names_the_state(self, tmp_path, capsys):
+        argv = ["scan", "--model", "two-state", "--particles", "5,10", "--horizon", "1",
+                "--init", "delta:2", "--replicas", "2", "--state", "7"]
+        assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "state: the probed state 7 lies outside" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line",

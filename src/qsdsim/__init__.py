@@ -61,7 +61,6 @@ from .oracle import QsdSolution, minimal_qsd_reference, solve_qsd_discrete, solv
 from .returnproc import (
     CoupledRun,
     CouplingIndicator,
-    MarkStream,
     PhiIterationResult,
     Trajectory,
     coupled_tagged_run,
@@ -90,7 +89,6 @@ __all__ = [
     "GaltonWatsonSpec",
     "HistoryState",
     "KsEstimate",
-    "MarkStream",
     "ParticleConfig",
     "PhiIterationResult",
     "QsdSolution",

@@ -140,10 +140,6 @@ class Distribution:
         idx = np.minimum(idx, len(self._states) - 1)
         return np.array(self._states, dtype=np.int64)[idx]
 
-    def inverse_cdf(self, u: float) -> int:
-        """State whose cumulative-mass interval (in state order) contains u."""
-        return self.sample(float(u))
-
     def __eq__(self, other):
         return (
             isinstance(other, Distribution)

@@ -67,8 +67,9 @@ class ConditionedPath:
     def inverse_cdf_at(self, t: float, u: float) -> int:
         """State whose cumulative-mass interval (in state order) contains u.
 
-        Equivalent to ``distribution_at(t).inverse_cdf(u)`` without building
-        the distribution; used by event loops that draw return states.
+        Equivalent to ``distribution_at(t).sample(u)`` without building the
+        distribution; the limit process and the graphical engine draw their
+        return states with it.
         """
         v = self.vector_at(t)
         target = u * v.sum()
@@ -132,13 +133,14 @@ def evolve_conditioned(
     model: AbsorbedChainModel,
     mu: Distribution,
     horizon: float,
-    step: float,
+    step: float | None,
     truncation: int,
     grid_dt: float | None = None,
 ) -> ConditionedPath:
     """The conditioned law from mu over [0, horizon], by uniformization.
 
-    Each step h <= 0.1 / Lambda (Lambda: the window's largest total rate)
+    Each step h <= 0.1 / Lambda (Lambda: the window's largest total rate;
+    ``step=None`` takes min(1e-3, 0.1 / Lambda), or 1e-3 when Lambda = 0)
     applies e^{hQ_w} = sum_k Pois(k; Lambda h) P^k, P = I + Q_w / Lambda >= 0,
     as one step matrix on a dense window and by CSR matvecs on a larger one,
     then renormalizes; the law is recorded every ``grid_dt`` (default: every
@@ -148,12 +150,14 @@ def evolve_conditioned(
     exact one and at most that much lighter.  Raises :class:`TruncationLeak`
     when mass within one step of the cut boundary exceeds 1e-6 after a step.
     """
-    if step <= 0 or horizon <= 0:
-        raise ValueError("horizon and step must be positive")
     states = model.state_window(truncation)
     if not set(mu.support) <= set(states):
         raise ValueError("truncation window does not cover the initial support")
     maxrate = model.max_total_rate(states)
+    if step is None:
+        step = min(1e-3, 0.1 / maxrate) if maxrate > 0 else 1e-3
+    if step <= 0 or horizon <= 0:
+        raise ValueError("horizon and step must be positive")
     if maxrate > 0 and step > 0.1 / maxrate + 1e-15:
         raise ValueError(f"step {step} exceeds 0.1/max rate = {0.1 / maxrate:g}")
     qt, near_idx = _window_operator(model, states)

@@ -19,13 +19,16 @@ population chain) make per-event rate scans too expensive.
 A replica opens its stream's ``TAG_EVENTS`` child, and its ``TAG_INIT``
 child only when the initial law has more than one state: a point mass
 places the particles without a draw.  Recorded measures are the counts / N.
+:func:`initial_positions` places the particles and :func:`sample_times`
+checks the sample times for this kernel and for the graphical engine of
+:mod:`qsdsim.returnproc` alike.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,6 +101,41 @@ class _RateIndex:
         return self.tree[1]
 
 
+def initial_positions(dist: Distribution, n: int, rng: RngStream) -> list[int]:
+    """n independent positions from ``dist``, drawn on ``rng``'s ``TAG_INIT`` child.
+
+    A point mass places all n particles at its state and opens no stream:
+    its draws could only give that state.  Both FV engines place their
+    particles here.
+    """
+    if len(dist.support) == 1:
+        return [dist.support[0]] * n
+    return dist.sample_many(rng.child(TAG_INIT).generator(), n).tolist()
+
+
+def sample_times(grid, horizon: float) -> list[float]:
+    """The checked sample times of a run; ``None`` means the horizon alone.
+
+    ``grid`` must be a nonempty increasing sequence of times within the
+    horizon (a scalar is a single sample time), or ``ValueError`` is raised.
+    """
+    if grid is None:
+        grid = [horizon]
+    try:
+        times = [float(s) for s in grid]
+    except TypeError:  # a scalar
+        times = [float(grid)]
+    # comparisons written so that a NaN time or horizon fails them
+    if not (
+        times
+        and 0 <= times[0]
+        and times[-1] <= horizon + 1e-12
+        and all(a < b for a, b in zip(times, times[1:]))
+    ):
+        raise ValueError("grid must be nonempty, increasing, nonnegative and within the horizon")
+    return times
+
+
 class ParticleConfig:
     """Positions of the N particles plus the indexes the event loop needs.
 
@@ -142,14 +180,8 @@ class ParticleConfig:
     def from_distribution(
         cls, model: AbsorbedChainModel, dist: Distribution, n: int, rng: RngStream
     ) -> "ParticleConfig":
-        """Independent positions from ``dist``, drawn on ``rng``'s ``TAG_INIT`` child.
-
-        A point mass places all n particles at its state and opens no
-        stream: its draws could only give that state.
-        """
-        if len(dist.support) == 1:
-            return cls(model, [dist.support[0]] * n)
-        return cls(model, dist.sample_many(rng.child(TAG_INIT).generator(), n))
+        """Independent positions from ``dist``: see :func:`initial_positions`."""
+        return cls(model, initial_positions(dist, n, rng))
 
     def empirical(self) -> Distribution:
         return Distribution.from_counts(self.occupancy, self.N)
@@ -298,7 +330,6 @@ class FvTrace:
     events: int
     revivals: int
     final: ParticleConfig | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _resolve_init(model, init, n, rng) -> ParticleConfig:
@@ -327,18 +358,7 @@ def fv_run(
     for a fixed (seed, path).
     """
     cfg = _resolve_init(model, init, n, rng)
-    try:
-        times = [float(s) for s in grid]
-    except TypeError:  # a scalar
-        times = [float(grid)]
-    # comparisons written so that a NaN time or horizon fails them
-    if not (
-        times
-        and 0 <= times[0]
-        and times[-1] <= horizon + 1e-12
-        and all(a < b for a, b in zip(times, times[1:]))
-    ):
-        raise ValueError("grid must be nonempty, increasing, nonnegative and within the horizon")
+    times = sample_times(grid, horizon)
     measures = []
     events = 0
     revivals = 0

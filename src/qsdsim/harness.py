@@ -33,6 +33,8 @@ from .rng import RngStream
 
 CONFIG_HEADER = "qsdconfig v1"
 METHODS = ("oracle", "conditioned", "fv", "phi", "afp", "branch", "couple", "scan", "report")
+# an fv run keeps one measure per sample time and replica
+FV_MAX_SAMPLES = 10**6
 
 
 def worker_count() -> int:
@@ -309,6 +311,15 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
         if not math.isfinite(_p(params, "alpha", float, None)):
             problems.append(f"alpha: must be finite or auto, got {params['alpha']}")
+    if cfg.method == "fv" and "grid" in params and "horizon" in params:
+        horizon = _p(params, "horizon", float, None)
+        grid = _p(params, "grid", float, None)
+        # false for the NaN, infinite and nonpositive values reported above
+        if 0.0 < grid and horizon < math.inf and horizon > FV_MAX_SAMPLES * grid:
+            problems.append(
+                f"grid: horizon / grid = {horizon / grid:.3g} sample times, above"
+                f" {FV_MAX_SAMPLES:.0e}; each keeps one measure per replica"
+            )
     if cfg.method == "fv":
         burnin = _p(params, "burnin", float, 0.0)
         if 0.0 < _p(params, "horizon", float, math.inf) <= burnin:
@@ -394,8 +405,7 @@ def _run_conditioned(cfg, model, out):
     horizon = _p(params, "horizon", float, None)
     mu = parse_distribution(_p(params, "init", str, None))
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    maxrate = model.max_total_rate(model.state_window(trunc))
-    step = _p(params, "dt", float, min(1e-3, 0.1 / maxrate))
+    step = float(params["dt"]) if "dt" in params else None
     grid_dt = _p(params, "grid", float, horizon / 50)
     path_obj = evolve_conditioned(model, mu, horizon, step, trunc, grid_dt=grid_dt)
     rows = [
@@ -408,15 +418,6 @@ def _run_conditioned(cfg, model, out):
     write_csv(path, ["t", "state", "mass"], rows)
     steps = round(path_obj.horizon / path_obj.meta["step"])
     return [path], {"tail_bound": path_obj.meta["tail_bound"], "steps": steps}
-
-
-def _reference_path(model, mu, horizon, trunc, grid_dt=None):
-    """Conditioned law from mu on the window up to trunc, at step min(1e-3, 0.1/max rate).
-
-    Recorded every step unless ``grid_dt`` is given; ``.final`` readers pass the horizon.
-    """
-    maxrate = model.max_total_rate(model.state_window(trunc))
-    return evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), trunc, grid_dt)
 
 
 def _fv_reference(model, params):
@@ -483,7 +484,7 @@ def _run_fv(cfg, model, out):
         # same start, on the model's own window (or the given truncation)
         trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else 0)
         if trunc:
-            ref = _reference_path(model, init, horizon, trunc, grid_dt=horizon).final
+            ref = evolve_conditioned(model, init, horizon, None, trunc, grid_dt=horizon).final
             tvs = [tv_distance(tr.measures[-1], ref) for tr in traces]
             summary["mean_tv_to_reference"] = float(np.mean(tvs))
     spath = out / "fv_summary.json"
@@ -553,7 +554,7 @@ def _run_couple(cfg, model, out):
         model.states[0]
     )
     # one deterministic path, read by every replica
-    ref_path = _reference_path(model, mu, horizon, max(model.states))
+    ref_path = evolve_conditioned(model, mu, horizon, None, max(model.states))
     root = RngStream(cfg.seed)
 
     def one(r):
@@ -577,7 +578,7 @@ def _run_scan(cfg, model, out):
     horizon = _p(params, "horizon", float, None)
     mu = parse_distribution(_p(params, "init", str, None))
     trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    ref = _reference_path(model, mu, horizon, trunc, grid_dt=horizon).final
+    ref = evolve_conditioned(model, mu, horizon, None, trunc, grid_dt=horizon).final
     probe_state = _p(params, "state", int, ref.support[0])
     ref_mass = ref.mass(probe_state)
     root = RngStream(cfg.seed)

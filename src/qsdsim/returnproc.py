@@ -15,10 +15,12 @@ the minimal QSD.
 The second half of the module realizes the Fleming-Viot system from marked
 Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
-indicator that the two trajectories have split.  A replica draws every
-mark from its stream's ``TAG_EVENTS`` child, and opens the ``TAG_INIT``
-child only when the initial law has more than one state: a point mass
-places the particles without a draw.
+indicator that the two trajectories have split.  The engine keeps each
+particle's next internal and voter mark time in one heap and draws every
+mark from one block on its stream's ``TAG_EVENTS`` child.  It places the
+particles with ``fv.initial_positions``, which opens the ``TAG_INIT`` child
+only when the initial law has more than one state: a point mass places
+them without a draw.
 
 The return map factors A with ``oracle.return_map_solver``, the solve that
 the oracle's inverse iteration runs too.  scipy is used only by its sparse
@@ -35,16 +37,16 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
 from .conditioned import ConditionedPath, evolve_conditioned
 from .errors import EventCapExceeded, PathTooShort
-from .fv import FvTrace
+from .fv import FvTrace, initial_positions, sample_times
 from .oracle import return_map_solver
-from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT, TAG_INTERNAL, TAG_VOTER
+from .rng import RngStream, UniformBlock, TAG_EVENTS
 
 MU_RETURN_EVENT_CAP = 10**8
 
@@ -254,50 +256,6 @@ def simulate_tagged_limit(
 # -- graphical construction and the coupling --------------------------------
 
 
-class MarkStream:
-    """Lazily realized internal and voter marks for one particle.
-
-    The internal Poisson process (intensity qbar) carries a uniform mark; the
-    voter process (intensity C0) carries a uniform pair (b, v).  Event times
-    are strictly increasing within each stream and marks are independent of
-    the times, so realizations can be extended on demand.
-
-    ``source`` is either an RngStream (standalone use: the particle gets its
-    own independent generators) or a shared :class:`UniformBlock`; drawing
-    lazily from a shared block yields the same joint law at a fraction of
-    the setup cost when thousands of replicas each need N streams.
-    """
-
-    __slots__ = ("qbar", "c0", "_internal", "_voter", "t_internal", "t_voter")
-
-    def __init__(self, qbar: float, c0: float, source):
-        if not (math.isfinite(qbar) and math.isfinite(c0)):
-            raise ValueError("the graphical construction needs finite qbar and C0")
-        self.qbar = qbar
-        self.c0 = c0
-        if isinstance(source, RngStream):
-            self._internal = UniformBlock(source.child(TAG_INTERNAL))
-            self._voter = UniformBlock(source.child(TAG_VOTER))
-        else:
-            self._internal = source
-            self._voter = source
-        self.t_internal = self._internal.exp(qbar) if qbar > 0 else math.inf
-        self.t_voter = self._voter.exp(c0) if c0 > 0 else math.inf
-
-    def pop_internal(self) -> float:
-        """Uniform mark of the pending internal event; schedules the next one."""
-        u = self._internal.u()
-        self.t_internal += self._internal.exp(self.qbar)
-        return u
-
-    def pop_voter(self) -> tuple[float, float]:
-        """(b, v) mark of the pending voter event; schedules the next one."""
-        b = self._voter.u()
-        v = self._voter.u()
-        self.t_voter += self._voter.exp(self.c0)
-        return b, v
-
-
 def _internal_partition(model: AbsorbedChainModel, qbar: float):
     """Per-state inverse cdf over [0, 1): jump targets in state order, hold last.
 
@@ -369,7 +327,6 @@ class CoupledRun:
     tagged: Trajectory
     limit: Trajectory
     coupling: CouplingIndicator
-    meta: dict = field(default_factory=dict)
 
 
 def _graphical_engine(
@@ -381,11 +338,16 @@ def _graphical_engine(
     grid,
     path: ConditionedPath | None,
     event_cap: int,
-):
+) -> CoupledRun:
     """Shared driver: FV from marked streams, optionally coupled with the limit.
 
     The system is the particle positions and the count per state: the marks
-    pick the particles, so nothing indexes particles by state or rate.
+    pick the particles, so nothing indexes particles by state or rate.  The
+    heap holds each particle's next internal mark (rate qbar) and next voter
+    mark (rate C0).  Every mark is drawn from one block on the stream's
+    ``TAG_EVENTS`` child: first exp(qbar) then exp(C0) for each particle in
+    turn, then per popped mark its uniform u (internal) or its pair (b, v)
+    (voter), and the wait to that particle's next mark of the same kind.
     """
     qbar = model.qbar
     c0 = model.c0
@@ -399,26 +361,21 @@ def _graphical_engine(
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
     if n < 2:
         raise ValueError("a Fleming-Viot system needs N >= 2 particles")
+    grid = sample_times(grid, horizon)
 
-    # particle 1 and the limit process share the first initial uniform
-    if len(mu.support) == 1:
-        first = mu.support[0]
-        positions = [first] * n
-        occupancy = {first: n}
-    else:
-        init_blocks = UniformBlock(rng.child(TAG_INIT))
-        first = mu.inverse_cdf(init_blocks.u())
-        positions = [first] + [mu.sample(init_blocks.u()) for _ in range(n - 1)]
-        occupancy = {}
-        for x in positions:
-            occupancy[x] = occupancy.get(x, 0) + 1
+    # particle 1 and the limit process start at the same state
+    positions = initial_positions(mu, n, rng)
+    occupancy: dict[int, int] = {}
+    for x in positions:
+        occupancy[x] = occupancy.get(x, 0) + 1
+    first = positions[0]
 
-    shared = UniformBlock(rng.child(TAG_EVENTS))
-    streams = [MarkStream(qbar, c0, shared) for i in range(n)]
+    blocks = UniformBlock(rng.child(TAG_EVENTS))
     heap = []
-    for i, ms in enumerate(streams):
-        heapq.heappush(heap, (ms.t_internal, i, 0))
-        heapq.heappush(heap, (ms.t_voter, i, 1))
+    for i in range(n):
+        heap.append((blocks.exp(qbar) if qbar > 0 else math.inf, i, 0))
+        heap.append((blocks.exp(c0) if c0 > 0 else math.inf, i, 1))
+    heapq.heapify(heap)  # (time, particle, kind) keys are distinct: one pop order
 
     internal_draw = _internal_partition(model, qbar)
     absorb_rate = model.absorb_rate
@@ -431,7 +388,6 @@ def _graphical_engine(
     coupled = True
     divergence_time = None
 
-    grid = np.atleast_1d(np.asarray(grid, dtype=float)).tolist() if grid is not None else [horizon]
     gi = 0
     times = []
     measures = []
@@ -446,55 +402,46 @@ def _graphical_engine(
             gi += 1
         if t_ev > horizon:
             break
-        ms = streams[i]
         x = positions[i]
         if kind == 0:
-            u = ms.pop_internal()
-            heapq.heappush(heap, (ms.t_internal, i, 0))
+            u = blocks.u()
+            heapq.heappush(heap, (t_ev + blocks.exp(qbar), i, 0))
             target = internal_draw(x, u)
-            if target != x:
-                occupancy[x] -= 1
-                occupancy[target] = occupancy.get(target, 0) + 1
-                positions[i] = target
-                if i == 0:
-                    tagged_times.append(t_ev)
-                    tagged_states.append(target)
-            if couple and i == 0:
-                y_target = internal_draw(y, u)
-                if y_target != y:
-                    y = y_target
-                    y_times.append(t_ev)
-                    y_states.append(y)
         else:
-            b, v = ms.pop_voter()
-            heapq.heappush(heap, (ms.t_voter, i, 1))
+            b = blocks.u()
+            v = blocks.u()
+            heapq.heappush(heap, (t_ev + blocks.exp(c0), i, 1))
             if b <= absorb_rate(x) / c0:
                 target = _voter_target_others(occupancy, n, x, v)
                 revivals += 1
-                if target != x:
-                    occupancy[x] -= 1
-                    occupancy[target] = occupancy.get(target, 0) + 1
-                    positions[i] = target
-                    if i == 0:
-                        tagged_times.append(t_ev)
-                        tagged_states.append(target)
             else:
                 target = x
-            if couple and i == 0:
-                if b <= absorb_rate(y) / c0:
-                    y_target = path.inverse_cdf_at(t_ev, v)
-                    if coupled and y_target != positions[0]:
-                        coupled = False
-                        divergence_time = t_ev
-                    if y_target != y:
-                        y = y_target
-                        y_times.append(t_ev)
-                        y_states.append(y)
-                elif coupled and target != x:
+        if target != x:
+            occupancy[x] -= 1
+            occupancy[target] = occupancy.get(target, 0) + 1
+            positions[i] = target
+            if i == 0:
+                tagged_times.append(t_ev)
+                tagged_states.append(target)
+        if couple and i == 0:
+            if kind == 0:
+                y_target = internal_draw(y, u)
+            elif b <= absorb_rate(y) / c0:
+                y_target = path.inverse_cdf_at(t_ev, v)
+                if coupled and y_target != positions[0]:
+                    coupled = False
+                    divergence_time = t_ev
+            else:
+                y_target = y
+                if coupled and target != x:
                     # accepted for the particle, rejected for the limit: only
                     # possible after divergence, asserted by monotonicity
                     coupled = False
                     divergence_time = t_ev
+            if y_target != y:
+                y = y_target
+                y_times.append(t_ev)
+                y_states.append(y)
         events += 1
         if events > event_cap:
             raise EventCapExceeded(f"more than {event_cap} marks before t={horizon}")
@@ -504,16 +451,13 @@ def _graphical_engine(
         measures.append(Distribution.from_counts(occupancy, n))
         gi += 1
 
-    trace = FvTrace(
-        times=np.array(times),
-        measures=measures,
-        events=events,
-        revivals=revivals,
+    trace = FvTrace(times=np.array(times), measures=measures, events=events, revivals=revivals)
+    return CoupledRun(
+        trace,
+        Trajectory(tagged_times, tagged_states),
+        Trajectory(y_times, y_states),
+        CouplingIndicator(not coupled, divergence_time),
     )
-    tagged = Trajectory(tagged_times, tagged_states)
-    limit = Trajectory(y_times, y_states)
-    indicator = CouplingIndicator(not coupled, divergence_time)
-    return trace, tagged, limit, indicator
 
 
 def fv_run_graphical(
@@ -530,8 +474,7 @@ def fv_run_graphical(
     Generates the same law as the Gillespie kernel; exists so the two event
     constructions can be tested against each other.
     """
-    trace, _, _, _ = _graphical_engine(model, n, mu, horizon, rng, grid, None, event_cap)
-    return trace
+    return _graphical_engine(model, n, mu, horizon, rng, grid, None, event_cap).trace
 
 
 def coupled_tagged_run(
@@ -558,10 +501,5 @@ def coupled_tagged_run(
             if not model.is_finite:
                 raise ValueError("an infinite model needs an explicit truncation")
             truncation = max(model.states)
-        maxrate = model.max_total_rate(model.state_window(truncation))
-        path = evolve_conditioned(model, mu, horizon, min(1e-3, 0.1 / maxrate), truncation)
-    trace, tagged, limit, indicator = _graphical_engine(
-        model, n, mu, horizon, rng, grid, path, event_cap
-    )
-    meta = {"certified": False}  # equilibrium FV convergence is model-dependent
-    return CoupledRun(trace, tagged, limit, indicator, meta)
+        path = evolve_conditioned(model, mu, horizon, None, truncation)
+    return _graphical_engine(model, n, mu, horizon, rng, grid, path, event_cap)

@@ -2,7 +2,7 @@
 
 Every stochastic routine in the package draws from an :class:`RngStream`,
 which is a counter-based Philox generator keyed by a root seed and an integer
-path such as ``(replica, particle, purpose)``.  Streams with distinct paths
+path such as ``(replica, purpose)``.  Streams with distinct paths
 are statistically independent, and an identical ``(seed, path)`` pair replays
 the exact same draws, which is what makes replica-level runs bit-for-bit
 reproducible.  Seeds and path components are non-negative integers.
@@ -14,10 +14,11 @@ its ``TAG_INIT`` child only when the initial law has more than one state: a
 point mass places the particles without a draw.
 
 Event loops draw their uniforms through a :class:`UniformBlock` on their
-stream's ``TAG_EVENTS`` child; the Fleming-Viot kernel refills the same
-doubling chunks in its own loop, and the branching estimator, which
-interleaves uniforms with Poisson and multinomial draws on one generator,
-refills its own fixed-size blocks.
+stream's ``TAG_EVENTS`` child, and the graphical Fleming-Viot engine draws
+the marks of all its particles from one such block.  The Fleming-Viot
+kernel refills the same doubling chunks in its own loop, and the branching
+estimator, which interleaves uniforms with Poisson and multinomial draws on
+one generator, refills its own fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import numpy as np
 # paths printable in summaries.
 TAG_EVENTS = 1
 TAG_INIT = 2
-TAG_INTERNAL = 3
-TAG_VOTER = 4
 
 
 @dataclass(frozen=True)

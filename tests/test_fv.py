@@ -202,9 +202,12 @@ class TestFvRun:
         ([math.nan], 1.0), ([0.5, math.nan], 1.0), ([math.nan, 0.5], 1.0), ([0.5], math.nan),
     ])
     def test_bad_grid_is_rejected_before_any_event(self, t2, grid, horizon):
-        # a NaN end time would let the kernel run to its event cap
+        # a NaN end time would let the kernel run to its event cap; both
+        # engines check the grid with the same helper
         with pytest.raises(ValueError, match="grid must be"):
             fv_run(t2, Distribution.delta(2), horizon, grid, RngStream(1), n=5, event_cap=10)
+        with pytest.raises(ValueError, match="grid must be"):
+            fv_run_graphical(t2, 5, Distribution.delta(2), horizon, grid, RngStream(1), event_cap=10)
 
     def test_deterministic_replay(self, t2):
         a = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)

@@ -16,7 +16,9 @@ inverse.  Files that carry conditioned-law numbers (both
 ``conditioned.csv`` files, fixed-time FV's ``fv_summary.json``, ``scan.csv``
 and ``scan_fit.json``) pin the uniformization step.  The multi-jump ``fv``
 runs pin the FV event kernel's draw order where a jump has several targets
-and revivals are frequent.  The ``phi`` digests pin the return map's routes:
+and revivals are frequent, and its ``couple`` run pins the graphical
+engine's mark order where the initial law has two atoms and most replicas
+diverge.  The ``phi`` digests pin the return map's routes:
 the builtin chains take the positive Thomas sweep, which calls no BLAS, so
 they run in this process whatever the BLAS thread count, and the multi-jump
 file takes the dense inverse.
@@ -33,7 +35,6 @@ from qsdsim import (
     Distribution,
     ExperimentConfig,
     HistoryState,
-    MarkStream,
     ParticleConfig,
     RngStream,
     build_shifted,
@@ -196,6 +197,11 @@ MULTI_JUMP_GOLDEN = {
         "afp", 1, {"steps": "20000", "start": "1"},
         {"afp.csv": "17a66545143fe7f53bae456004a1dbfbe60efd8053101dc38b4184022520c49d"},
     ),
+    "couple": (
+        # two atoms, so the particles are drawn; 4 of the 6 replicas diverge
+        "couple", 6, {"particles": "4", "horizon": "3.0", "init": "2:0.3,9:0.7"},
+        {"couple.csv": "46d547e075fa50c261b08eeef30e74e169ac43ab6900a7af5e94b1e94971ba13"},
+    ),
     "branch": (
         "branch", 3, {"horizon": "3.0", "cap": "2000"},
         {"branch.json": "5258a6db49a01ccc3977d00b481d635f3fb4ae13fe1863a7d4890e41c0dff432"},
@@ -230,7 +236,7 @@ def test_multi_jump_run_matches_golden_digest(name, tmp_path):
         assert _sha256(tmp_path / "out" / fname) == digest, fname
 
 
-API_DIGEST = "381d68ec0b9a6be5333e0fea1bbecf1122d612f5a7e59e60daf7bf80c2e484cc"
+API_DIGEST = "3a3a1d2a0dc287cfd6e3dddb710f7c1f1ab91479e905a305c196ebb8cf2b7419"
 
 
 def _api_draws() -> list:
@@ -260,8 +266,6 @@ def _api_draws() -> list:
     for k in range(5):
         branch_event(pop, sm, root.child(6, k))
     out.append((pop.t, pop.counts))
-    ms = MarkStream(2.0, 1.0, root.child(7))
-    out.append([ms.pop_internal() for _ in range(70)] + [ms.pop_voter() for _ in range(70)])
     tr = fv_run_graphical(bd, 6, Distribution.delta(1), 2.0, [1.0, 2.0], root.child(8))
     out.append(([sorted(m.items()) for m in tr.measures], tr.events, tr.revivals))
     return out

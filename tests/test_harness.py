@@ -403,6 +403,10 @@ class TestCli:
              "--init", "delta:2", "--replicas", "2", "--state", "0"],
             ["scan", "--model", "bd:1,2", "--trunc", "5", "--particles", "5,10",
              "--horizon", "1", "--init", "delta:1", "--replicas", "2", "--state", "6"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--init", "delta:2", "--grid", "1e-300"],
+            ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+             "--burnin", "0.5", "--grid", "1e-300"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -422,13 +426,33 @@ class TestCli:
             "oracle-negative-tol", "oracle-zero-tol", "report-infinite-gw", "report-infinite-bd",
             "branch-cap-one", "fv-negative-seed", "afp-negative-seed", "branch-negative-seed",
             "couple-negative-seed", "scan-negative-seed", "scan-state-zero",
-            "scan-state-outside-trunc",
+            "scan-state-outside-trunc", "fv-grid-too-fine", "fv-stationary-grid-too-fine",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["conditioned", "--horizon", "1", "--init", "delta:1"], 0),
+            (["conditioned", "--horizon", "1", "--init", "delta:1", "--dt", "1e-3"], 0),
+            (["couple", "--particles", "5", "--horizon", "1"], 0),
+            (["scan", "--particles", "5,10", "--horizon", "1", "--init", "delta:1",
+              "--replicas", "2"], 3),
+        ],
+        ids=["conditioned", "conditioned-dt", "couple", "scan"],
+    )
+    def test_model_whose_largest_rate_is_zero(self, argv, code, tmp_path, capsys):
+        # one state that neither moves nor absorbs: the default step is 1e-3
+        model_file = tmp_path / "m.qsd"
+        model_file.write_text("qsdmodel v1\n1 0 0.0\n")
+        argv += ["--model", f"file:{model_file}", "--out-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == code
+        if code == 3:
+            assert "DeadConfig" in capsys.readouterr().err
 
     def test_config_file_zero_replicas_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
@@ -476,6 +500,8 @@ class TestCli:
             ("report", "bd:1,2", "", "infinite model"),
             ("branch", "two-state", "horizon = 5\ncap = 1\n", "cap"),
             ("report", "two-state", "branch_cap = 1\n", "branch_cap"),
+            ("fv", "two-state",
+             "particles = 5\nhorizon = 1\ninit = delta:2\ngrid = 1e-300\n", "sample times"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
@@ -485,7 +511,8 @@ class TestCli:
              "afp-negative-uniformization-rate", "conditioned-step-above-limit",
              "afp-zero-checkpoints", "phi-zero-iters", "phi-negative-iters", "phi-nan-tol",
              "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol", "report-infinite-gw",
-             "report-infinite-bd", "branch-cap-one", "report-branch-cap-one"],
+             "report-infinite-bd", "branch-cap-one", "report-branch-cap-one",
+             "fv-grid-too-fine"],
     )
     def test_config_file_unworkable_run_exits_2(
         self, method, model, section, problem, tmp_path, capsys

@@ -26,7 +26,7 @@ print(__doc__)
 
 model = resolve_model("two-state")
 mu = Distribution.delta(2)
-reference = evolve_conditioned(model, mu, 1.0, 1e-3, 2).final.mass(1)
+reference = evolve_conditioned(model, mu, 1.0, None, 2).final.mass(1)
 
 print("fixed-time error of m(1, xi(1)) against the conditioned law, 200 replicas:")
 points = []

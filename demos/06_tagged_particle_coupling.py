@@ -25,7 +25,7 @@ model = resolve_model("two-state")
 mu = Distribution.delta(2)
 horizon = 2.0
 grid = np.linspace(0.0, horizon, 21)
-path = evolve_conditioned(model, mu, horizon, 1e-3, 2)
+path = evolve_conditioned(model, mu, horizon, None, 2)
 t_mass1 = [path.vector_at(float(s))[0] for s in grid]
 replicas = 1000
 

@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--init", required=True, help="delta:x | uniform:a-b | x:m,y:m")
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--dt", type=float, help="step at which the law is checked and recorded;"
-                   " at most 0.1 over the window's largest total rate")
+    p.add_argument("--dt", type=float, help="uniformization step, each checked for mass near the"
+                   " cut; at most, and by default, 0.1 over the window's largest total rate")
     p.add_argument("--trunc", type=int)
     p.add_argument("--grid", type=float)
 

@@ -28,12 +28,13 @@ DENSE_WINDOW_LIMIT = 400
 
 
 class ConditionedPath:
-    """Conditioned law on a fixed truncation window, sampled on a time grid."""
+    """Conditioned law on a fixed truncation window, exact at any time in its range."""
 
-    def __init__(self, times: np.ndarray, states: tuple[int, ...], masses: np.ndarray, meta=None):
+    def __init__(self, times, states: tuple[int, ...], masses, advance, meta=None):
         self.times = np.asarray(times, dtype=float)
         self.states = states
         self.masses = np.asarray(masses, dtype=float)
+        self.advance = advance
         self.meta = dict(meta or {})
         if (np.diff(self.times) <= 0).any():
             raise ValueError("time grid must be strictly increasing")
@@ -49,16 +50,14 @@ class ConditionedPath:
         return self.distribution_at(self.horizon)
 
     def vector_at(self, t: float) -> np.ndarray:
-        """Mass vector at time t, linearly interpolated on the grid."""
+        """Mass vector at time t: the snapshot at or before t, carried to t by ``advance``."""
         if t < self.times[0] - 1e-12 or t > self.horizon + 1e-12:
             raise ValueError(f"time {t} outside the path range [0, {self.horizon}]")
         t = min(max(t, self.times[0]), self.horizon)
-        j = int(np.searchsorted(self.times, t, side="right"))
-        if j == len(self.times):
-            return self.masses[-1]
-        t0, t1 = self.times[j - 1], self.times[j]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.masses[j - 1] + w * self.masses[j]
+        j = int(np.searchsorted(self.times, t, side="right")) - 1
+        if t == self.times[j]:
+            return self.masses[j]
+        return self.advance(self.masses[j], t - self.times[j])
 
     def distribution_at(self, t: float) -> Distribution:
         v = self.vector_at(t)
@@ -67,9 +66,8 @@ class ConditionedPath:
     def inverse_cdf_at(self, t: float, u: float) -> int:
         """State whose cumulative-mass interval (in state order) contains u.
 
-        Equivalent to ``distribution_at(t).sample(u)`` without building the
-        distribution; the limit process and the graphical engine draw their
-        return states with it.
+        ``distribution_at(t).sample(u)`` without building the distribution; the
+        limit process and the graphical engine draw their return states with it.
         """
         v = self.vector_at(t)
         target = u * v.sum()
@@ -129,6 +127,16 @@ def _series(qt, rate: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _advance(qt, maxrate: float, step: float, v: np.ndarray, dt: float) -> np.ndarray:
+    """v e^{dt Q_w}, renormalized per equal sub-step of at most ``step``."""
+    n = max(1, math.ceil(dt / step - 1e-9))
+    w, _ = _poisson_weights(maxrate * dt / n)
+    for _ in range(n):
+        v = _series(qt, maxrate or 1.0, w, v)
+        v /= v.sum()
+    return v
+
+
 def evolve_conditioned(
     model: AbsorbedChainModel,
     mu: Distribution,
@@ -140,22 +148,26 @@ def evolve_conditioned(
     """The conditioned law from mu over [0, horizon], by uniformization.
 
     Each step h <= 0.1 / Lambda (Lambda: the window's largest total rate;
-    ``step=None`` takes min(1e-3, 0.1 / Lambda), or 1e-3 when Lambda = 0)
-    applies e^{hQ_w} = sum_k Pois(k; Lambda h) P^k, P = I + Q_w / Lambda >= 0,
-    as one step matrix on a dense window and by CSR matvecs on a larger one,
-    then renormalizes; the law is recorded every ``grid_dt`` (default: every
-    step).  ``meta`` holds the step, the truncation, the weights kept per step
-    (``terms``) and ``tail_bound``, the dropped Poisson mass summed over the
-    steps: every term is nonnegative, so the unnormalized law is below the
-    exact one and at most that much lighter.  Raises :class:`TruncationLeak`
-    when mass within one step of the cut boundary exceeds 1e-6 after a step.
+    ``step=None`` takes 0.1 / Lambda, or the horizon when Lambda = 0) applies
+    e^{hQ_w} = sum_k Pois(k; Lambda h) P^k, P = I + Q_w / Lambda >= 0, as one
+    step matrix when the window has fewer states than the run has steps, else
+    by matvecs (CSR on a large window), then renormalizes.  The law is kept at
+    the multiples of ``grid_dt`` (default h) below the horizon and at the
+    horizon.  The path's ``advance(v, dt)`` reads any time exactly, a grid
+    time inside a step too, in sub-steps of at most h, whose Poisson weights
+    start at exp(-Lambda h) >= exp(-0.1), so no read underflows.  ``meta``
+    holds the step, the truncation, the weights kept per step (``terms``) and
+    ``tail_bound``, the dropped Poisson mass summed over the steps: every term
+    is nonnegative, so the unnormalized law is below the exact one and at most
+    that much lighter.  Raises :class:`TruncationLeak` when mass within one step
+    of the cut boundary exceeds 1e-6 after a step.
     """
     states = model.state_window(truncation)
     if not set(mu.support) <= set(states):
         raise ValueError("truncation window does not cover the initial support")
     maxrate = model.max_total_rate(states)
     if step is None:
-        step = min(1e-3, 0.1 / maxrate) if maxrate > 0 else 1e-3
+        step = 0.1 / maxrate if maxrate > 0 else horizon
     if step <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
     if maxrate > 0 and step > 0.1 / maxrate + 1e-15:
@@ -164,10 +176,11 @@ def evolve_conditioned(
 
     n_steps = max(1, int(math.ceil(horizon / step - 1e-9)))
     h = horizon / n_steps
-    record_every = 1 if grid_dt is None else max(1, int(round(grid_dt / h)))
+    grid_dt = h if grid_dt is None else grid_dt
+    grid = [0.0] + [j * grid_dt for j in range(1, math.ceil(horizon / grid_dt - 1e-9))] + [horizon]
     w, tail = _poisson_weights(maxrate * h)
     rate = maxrate or 1.0
-    if isinstance(qt, np.ndarray):
+    if isinstance(qt, np.ndarray) and len(states) < n_steps:
         # the step matrix, one column per series of matvecs: no matrix product,
         # whose BLAS work buffers would stay in the process
         mat = np.empty_like(qt)
@@ -176,27 +189,27 @@ def evolve_conditioned(
             e[j] = 1.0
             mat[:, j] = _series(qt, rate, w, e)
             e[j] = 0.0
-        advance = mat.dot
+        step_once = mat.dot
     else:
-        advance = partial(_series, qt, rate, w)
+        step_once = partial(_series, qt, rate, w)
 
-    u = mu.as_vector(states)
-    times = [0.0]
-    snaps = [u]
-    for k in range(1, n_steps + 1):
-        u = advance(u)
-        u /= u.sum()
-        if len(near_idx) and float(u[near_idx].sum()) > LEAK_TOL:
-            raise TruncationLeak(
-                f"mass {u[near_idx].sum():.3g} near the truncation boundary at t={k * h:g};"
-                " increase the truncation"
-            )
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * h)
-            snaps.append(u)
+    advance = partial(_advance, qt, maxrate, h)
+    u, k = mu.as_vector(states), 0
+    snaps = np.empty((len(grid), len(states)))
+    for i, t in enumerate(grid):
+        while (k + 1 - 1e-9) * h <= t:
+            k += 1
+            u = step_once(u)
+            u /= u.sum()
+            if len(near_idx) and float(u[near_idx].sum()) > LEAK_TOL:
+                raise TruncationLeak(
+                    f"mass {u[near_idx].sum():.3g} near the truncation boundary at t={k * h:g};"
+                    " increase the truncation"
+                )
+        snaps[i] = u if t <= (k + 1e-9) * h else advance(u, t - k * h)
 
     meta = {"step": h, "truncation": truncation, "terms": len(w), "tail_bound": n_steps * tail}
-    return ConditionedPath(np.array(times), states, np.array(snaps), meta)
+    return ConditionedPath(np.array(grid), states, snaps, advance, meta)
 
 
 @dataclass

@@ -35,6 +35,7 @@ CONFIG_HEADER = "qsdconfig v1"
 METHODS = ("oracle", "conditioned", "fv", "phi", "afp", "branch", "couple", "scan", "report")
 # an fv run keeps one measure per sample time and replica
 FV_MAX_SAMPLES = 10**6
+PATH_MAX_FLOATS = 10**7
 
 
 def worker_count() -> int:
@@ -179,12 +180,13 @@ _CELL_BY_TYPE = {float: repr, int: str, str: str}
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Fixed column order, '.' decimals via repr, LF endings."""
+    """Fixed column order, '.' decimals via repr, LF endings; a str row is a formatted line."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     cell = _CELL_BY_TYPE.get
     for row in rows:
-        buf.write(",".join([cell(type(v), _cell)(v) for v in row]) + "\n")
+        line = row if type(row) is str else ",".join([cell(type(v), _cell)(v) for v in row])
+        buf.write(line + "\n")
     _atomic_write(path, buf.getvalue())
 
 
@@ -342,8 +344,10 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
     # the states the run lives on: up to trunc, else the finite model's
     window = model.state_window(_p(params, "trunc", int, None)) if "trunc" in params else model.states
     if window is not None:
-        if not window:
+        if not window and "trunc" in params:
             problems.append(f"trunc: no state of the model lies at or below {params['trunc']}")
+        elif not window:
+            problems.append(f"model: the window of {cfg.model} holds no live state")
         elif not initial <= set(window):
             outside = sorted(initial - set(window))
             problems.append(f"initial states {outside} lie outside the model's window")
@@ -351,6 +355,14 @@ def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
         state = _p(params, "state", int, None)
         if state <= 0 or (window and state not in window):
             problems.append(f"state: the probed state {state} lies outside the model's window")
+    horizon = _p(params, "horizon", float, math.nan)
+    if cfg.method in ("conditioned", "couple") and window and 0.0 < horizon < math.inf:
+        # one law per snapshot: conditioned's on its grid, couple's at each step of 0.1/max rate
+        grid = _p(params, "grid", float, horizon / 50) if cfg.method == "conditioned" else None
+        laws = 1 + (horizon / grid if grid else 10 * horizon * model.max_total_rate(window))
+        if laws * len(window) > PATH_MAX_FLOATS:
+            problems.append(f"horizon: the path would keep {laws:.3g} laws of {len(window)} states,"
+                            f" above {PATH_MAX_FLOATS:.0e} floats")
     if cfg.method == "conditioned" and "dt" in params and window:
         # evolve_conditioned's uniformization steps need h <= 0.1/max rate
         maxrate = model.max_total_rate(window)
@@ -408,11 +420,10 @@ def _run_conditioned(cfg, model, out):
     step = float(params["dt"]) if "dt" in params else None
     grid_dt = _p(params, "grid", float, horizon / 50)
     path_obj = evolve_conditioned(model, mu, horizon, step, trunc, grid_dt=grid_dt)
-    rows = [
-        (t, x, m)
-        for t, masses in zip(path_obj.times.tolist(), path_obj.masses.tolist())
-        for x, m in zip(path_obj.states, masses)
-        if m > 0
+    rows = [  # write_csv's cells, with each time formatted once
+        f"{ts},{x},{m!r}"
+        for ts, masses in zip(map(repr, path_obj.times.tolist()), path_obj.masses.tolist())
+        for x, m in zip(path_obj.states, masses) if m > 0
     ]
     path = out / "conditioned.csv"
     write_csv(path, ["t", "state", "mass"], rows)

@@ -219,8 +219,8 @@ def simulate_tagged_limit(
     """Simulate the limit process of the tagged particle.
 
     Same driving jumps as the base chain; an absorption attempt at time t
-    re-draws the position from the conditioned law at t (interpolated on the
-    path grid).  The total event rate at x is the constant r(x) because the
+    re-draws the position from the conditioned law at t (read exactly from the
+    path).  The total event rate at x is the constant r(x) because the
     return law is a probability, so no thinning is needed.
     """
     horizon = path.horizon if horizon is None else horizon

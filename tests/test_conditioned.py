@@ -22,8 +22,7 @@ from conftest import conditional_law_t2, expm_window_law, multi_jump_model_file,
 def _default_run(model, init, horizon, **kw):
     """The flow on the model's whole (finite) window at the default step."""
     K = max(model.states)
-    step = min(1e-3, 0.1 / model.max_total_rate(model.state_window(K)))
-    return evolve_conditioned(model, Distribution.delta(init), horizon, step, K, **kw)
+    return evolve_conditioned(model, Distribution.delta(init), horizon, None, K, **kw)
 
 
 class TestEvolveConditioned:
@@ -51,9 +50,37 @@ class TestEvolveConditioned:
             model = read_model_file(multi_jump_model_file(tmp_path))
         else:
             model = resolve_model(name)
+        K = max(model.states)
         path = _default_run(model, init, horizon)
-        exact, _ = expm_window_law(model, Distribution.delta(init), horizon, max(model.states))
+        exact, _ = expm_window_law(model, Distribution.delta(init), horizon, K)
         assert np.abs(path.masses[-1] - exact).max() <= 1e-12
+        # between snapshots too: at the default step h = 0.1/Lambda a linear
+        # interpolation would be off by about (Lambda h)^2 / 8
+        h = path.meta["step"]
+        for t in (0.37 * h, 0.4137 * horizon, horizon - 0.61 * h):
+            assert not np.isclose(path.times, t).any()
+            exact, _ = expm_window_law(model, Distribution.delta(init), t, K)
+            assert np.abs(path.vector_at(t) - exact).max() <= 1e-12
+
+    def test_read_far_from_a_snapshot(self, t2):
+        # kept at 0 and 400 only: one Poisson series over Lambda t = 755 would
+        # start at exp(-755) = 0; sub-steps of the path's own step do not
+        path = evolve_conditioned(t2, Distribution.delta(2), 400.0, None, 2, grid_dt=400.0)
+        assert path.times.tolist() == [0.0, 400.0]
+        v = path.vector_at(377.7)
+        exact, _ = expm_window_law(t2, Distribution.delta(2), 377.7, 2)
+        assert np.isfinite(v).all()
+        assert np.abs(v - exact).max() <= 1e-12
+
+    def test_step_matrix_matches_series_route(self, monkeypatch):
+        # 30 states and 60 steps: the dense step matrix; a CSR window runs the series each step
+        model = resolve_model("bd:1,2,30")
+        matrix = evolve_conditioned(model, Distribution.delta(1), 2.0, None, 30, grid_dt=0.13)
+        monkeypatch.setattr(conditioned, "DENSE_WINDOW_LIMIT", 0)
+        series = evolve_conditioned(model, Distribution.delta(1), 2.0, None, 30, grid_dt=0.13)
+        assert round(2.0 / matrix.meta["step"]) == 60
+        assert np.array_equal(matrix.times, series.times)
+        assert np.abs(matrix.masses - series.masses).max() <= 1e-14
 
     def test_semigroup_property(self, t2):
         full = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)

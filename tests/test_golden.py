@@ -60,7 +60,7 @@ GOLDEN = {
         ),
         {
             "fv.csv": "dabe6abefd95ee45c2ad717dce3fb7e66452f3bf773a210b302492f226a8997e",
-            "fv_summary.json": "63f4e7cd8b3e94758ccf3ba2a62ff55e349abe59acbeece349a27e4afe034839",
+            "fv_summary.json": "a79750839b1c8d2fbe49f9ffba1af1d0e05a041d3b37296c21badf0ba2832864",
         },
     ),
     "fv-stationary": (
@@ -79,9 +79,9 @@ GOLDEN = {
             params={"particles": "10,20,40", "horizon": "1.0", "init": "delta:2", "state": "1"},
         ),
         {
-            "scan.csv": "3e071f2e83218329a7301cc4fc69ac2d1c814eb0e123d68ef51e1629cfd63556",
+            "scan.csv": "8330de112e55d7e9dee0e30b37be555d3d9027ba12a1308b7f4e38f6dbcbd6c6",
             "scan.gp": "584ca0e223356d5ae69ea77e9c4f545b1b95641f4723ba43968bf677c14b3f6c",
-            "scan_fit.json": "1221c6ec51615207dd7cffbb21906e50c19f20a8cfb5c0651dba5ae11b53d56f",
+            "scan_fit.json": "190b8a1240158940235db5db38a516269a3f0782d38caf3ef0d92349c5989b2a",
         },
     ),
     "couple": (
@@ -135,7 +135,7 @@ GOLDEN = {
             method="conditioned", model="two-state", seed=0,
             params={"init": "delta:2", "horizon": "1.0"},
         ),
-        {"conditioned.csv": "57cff704c2dc66f64e1b531ebd3b25d23cdf8f62f31722d538ebc37ccdcefca1"},
+        {"conditioned.csv": "95b6f64bdc49597e3831440d2562268a012f2a07cc943279b078430d58e3a96a"},
     ),
 }
 
@@ -172,7 +172,7 @@ MULTI_JUMP_GOLDEN = {
         "fv", 3, {"particles": "40", "horizon": "2.0", "init": "delta:1"},
         {
             "fv.csv": "2a4fee24d9ce926255e9c78659211f671a4617ef857d54def2179b0a61dfed98",
-            "fv_summary.json": "a77194fa3c955f94e27a5713f3729dc66d69665699c66a02f1343e89b0d629a0",
+            "fv_summary.json": "45159284b53cefb03ca05faf4cad6d61b72fe71d3fcf85965f517685b87014b8",
         },
     ),
     "fv-stationary": (
@@ -191,7 +191,7 @@ MULTI_JUMP_GOLDEN = {
     ),
     "conditioned": (
         "conditioned", 1, {"init": "delta:1", "horizon": "1.0"},
-        {"conditioned.csv": "49bb70d8ad12ee01579217f7eaf693290bcd17457fffc74d959ef9969aef5f72"},
+        {"conditioned.csv": "9ce29e5e97fbbf5b490e6c5e1af41695980afef50cd11c1665c470219653606b"},
     ),
     "afp": (
         "afp", 1, {"steps": "20000", "start": "1"},

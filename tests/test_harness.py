@@ -9,6 +9,7 @@ from qsdsim import (
     ReportBudget,
     cross_method_report,
     emit_config,
+    evolve_conditioned,
     parse_config,
     parse_distribution,
     rate_fit,
@@ -150,11 +151,29 @@ class TestRunConfig:
         t_final, state, mass = lines[-1].split(",")
         assert float(t_final) == 2.0
         assert state in ("1", "2")
-        # 2000 steps of the default 1e-3, recorded on 50 grid intervals (the
-        # start, a point mass, has one row)
+        # 40 steps of the default 0.1/max rate = 0.05, recorded on 50 grid
+        # intervals (the start, a point mass, has one row)
         assert len(lines) == 1 + 1 + 50 * 2
-        assert summary["steps"] == 2000
+        assert summary["steps"] == 40
         assert 0.0 < summary["tail_bound"] <= 1e-12
+
+    def test_conditioned_csv_is_write_csv_bytes(self, tmp_path):
+        # the conditioned runner formats its own lines; they are write_csv's, byte for byte
+        params = {"init": "delta:1", "horizon": "1.5", "grid": "0.07"}
+        run_config(ExperimentConfig("conditioned", "bd:1,2,30", 0, params=params), tmp_path)
+        path = evolve_conditioned(
+            resolve_model("bd:1,2,30"), Distribution.delta(1), 1.5, None, 30, grid_dt=0.07
+        )
+        rows = [
+            (t, x, m)
+            for t, masses in zip(path.times.tolist(), path.masses.tolist())
+            for x, m in zip(path.states, masses)
+            if m > 0
+        ]
+        write_csv(tmp_path / "reference.csv", ["t", "state", "mass"], rows)
+        written = (tmp_path / "conditioned.csv").read_bytes()
+        assert written.count(b"\n") > 22 * 20  # every grid time, most states
+        assert written == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("grid,times", [("5", [1.0]), ("0.7", [0.7, 1.0]), ("0.6", [0.6, 1.0])])
     def test_fixed_time_fv_grid_ends_at_the_horizon(self, grid, times, tmp_path):
@@ -407,6 +426,11 @@ class TestCli:
              "--init", "delta:2", "--grid", "1e-300"],
             ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
              "--burnin", "0.5", "--grid", "1e-300"],
+            ["oracle", "--model", "bd:1,2,0"],
+            ["couple", "--model", "two-state", "--particles", "3", "--horizon", "1e9",
+             "--init", "delta:2"],
+            ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1",
+             "--grid", "1e-9"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -427,12 +451,17 @@ class TestCli:
             "branch-cap-one", "fv-negative-seed", "afp-negative-seed", "branch-negative-seed",
             "couple-negative-seed", "scan-negative-seed", "scan-state-zero",
             "scan-state-outside-trunc", "fv-grid-too-fine", "fv-stationary-grid-too-fine",
+            "oracle-empty-model-window", "couple-path-too-long", "conditioned-grid-too-fine",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_empty_model_window_is_named(self, tmp_path, capsys):
+        assert cli_main(["oracle", "--model", "bd:1,2,0", "--out-dir", str(tmp_path)]) == 2
+        assert "model: the window of bd:1,2,0 holds no live state" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code",

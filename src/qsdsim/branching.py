@@ -56,6 +56,16 @@ class ShiftedMeanMatrix:
         return len(self.states)
 
 
+def certifies_supercritical(model: AbsorbedChainModel, alpha: float) -> bool:
+    """Whether the shift alpha certifies strict supercriticality on the finite model.
+
+    A single type grows at alpha - r exactly; otherwise alpha >= the largest
+    total rate suffices.
+    """
+    maxrate = model.max_total_rate(model.states)
+    return alpha > maxrate if len(model.states) == 1 else alpha >= maxrate
+
+
 def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
     """Mean matrix q(x, y) + (alpha + 1) delta_xy on the finite type set.
 
@@ -94,17 +104,12 @@ def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
             f" need alpha >= r(x) - 1 everywhere"
         )
 
-    lam_alpha_exact = None
-    if n == 1:
-        lam_alpha_exact = alpha - model.total_rate(states[0])
-        supercritical = lam_alpha_exact > 0
-    else:
-        supercritical = alpha >= maxrate
+    lam_alpha_exact = alpha - model.total_rate(states[0]) if n == 1 else None
     return ShiftedMeanMatrix(
         states=states,
         alpha=alpha,
         means=means,
-        supercritical=supercritical,
+        supercritical=certifies_supercritical(model, alpha),
         auto_bumped=auto_bumped,
         lam_alpha_exact=lam_alpha_exact,
     )

@@ -5,6 +5,10 @@ Experiments are described by a small line-based config (versioned header,
 method runners, and written as CSV/JSON files with fixed column orders and
 LF endings so that a rerun with the same seed is byte-identical.  Wall-clock
 data lives only in the summary sidecar.
+
+Every run parameter is declared once, in :data:`PARAMS`.  The CLI builds its
+options from that table, and :func:`read_params` reads a config through it,
+from the CLI or a file alike, before any work.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, make_dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .afp import afp_run
-from .branching import ks_estimate
+from .branching import certifies_supercritical, ks_estimate
 from .chain import AbsorbedChainModel, Distribution, tv_distance
 from .conditioned import evolve_conditioned
 from .errors import ConfigInvalid, DegenerateInput, QsdError
@@ -32,10 +37,23 @@ from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
 
 CONFIG_HEADER = "qsdconfig v1"
-METHODS = ("oracle", "conditioned", "fv", "phi", "afp", "branch", "couple", "scan", "report")
+
+# Cost bounds, each well above every value the tests, demos, README and
+# benchmark use.  Times are for one core of a 2-vCPU x86-64 machine.
 # an fv run keeps one measure per sample time and replica
 FV_MAX_SAMPLES = 10**6
+# a conditioned or couple path keeps one law of the window per snapshot
 PATH_MAX_FLOATS = 10**7
+# particles live in memory: 10^6 of them take about 120 MB in fv, 270 MB in couple
+FV_MAX_PARTICLES = 10**6
+# afp keeps one history entry per step: 10^7 steps take about 110 MB and 7 s
+AFP_MAX_STEPS = 10**7
+# each uniformization step is a series of matvecs on the window: 10^6 steps
+# take about 3 s on two-state and 13 s on a 200-state window
+CONDITIONED_MAX_STEPS = 10**6
+# a truncation lists the states of its window: the oracle on 10^5 of them
+# takes about 2 s and 200 MB, on 10^6 about 25 s and 1.7 GB
+WINDOW_MAX_STATES = 10**5
 
 
 def worker_count() -> int:
@@ -63,11 +81,201 @@ class ExperimentConfig:
     seed: int
     replicas: int = 1
     params: dict[str, str] = field(default_factory=dict)
-    version: str = "v1"
+
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One run parameter: its key, reader, default, allowed range and help line.
+
+    ``cast`` reads the raw text and raises ValueError (the model reader also
+    OSError or a QsdError) on text it cannot read.  ``default`` is REQUIRED,
+    a value (None: the runner goes without), or a function of the values read
+    without one.  Each number read, each entry of a list too, must be finite
+    and lie in [low, high], or in (low, high] when ``above``.
+    """
+
+    key: str
+    cast: Callable
+    default: object
+    help: str
+    low: float = -math.inf
+    high: float = math.inf
+    above: bool = False
+
+    def bounds(self, finite: bool) -> str:
+        words = ["finite"] if finite else []
+        if self.low == 0:
+            words.append("positive" if self.above else "non-negative")
+        elif self.low > -math.inf:
+            words.append(f"{'above' if self.above else 'at least'} {self.low}")
+        if self.high < math.inf:
+            words.append(f"at most {self.high}")
+        return " and ".join(words)
+
+    def cast_text(self, raw):
+        try:
+            return self.cast(raw)
+        except (ValueError, OSError, QsdError) as exc:
+            raise ConfigInvalid([f"{self.key}: {exc}"]) from None
+
+    def check(self, value, shown):
+        """``value``, or ConfigInvalid when a number in it is out of range."""
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, (int, float)) and not (math.isfinite(x) and x <= self.high and (
+                    self.low < x if self.above else self.low <= x)):
+                raise ConfigInvalid([f"{self.key}: must be {self.bounds(isinstance(x, float))},"
+                                     f" got {shown}"])
+        return value
+
+
+def parse_distribution(text: str) -> Distribution:
+    """Initial-law syntax: delta:x, uniform:a-b, or x:mass comma pairs (each state once)."""
+    text = text.strip()
+    if text.startswith("delta:"):
+        return Distribution.delta(int(text[6:]))
+    if text.startswith("uniform:"):
+        a, b = (int(end) for end in text[8:].split("-"))
+        if b - a >= WINDOW_MAX_STATES:
+            raise ValueError(f"uniform:{a}-{b} spans more than {WINDOW_MAX_STATES} states")
+        return Distribution.uniform(range(a, b + 1))
+    pairs = {}
+    for item in text.split(","):
+        state, mass = item.split(":")
+        x = int(state)
+        if x in pairs:
+            raise ValueError(f"state {x} is given more than once")
+        pairs[x] = float(mass)
+        if not 0.0 <= pairs[x] < math.inf:
+            raise ValueError(f"state {x} has mass {mass.strip()}; masses must be finite and >= 0")
+    return Distribution.from_weights(pairs)
+
+
+LAW_HELP = "initial law: delta:x | uniform:a-b | x:m,y:m"
+COMMON = (
+    # resolve_model is looked up at each call, so perfbench/spans.py can wrap it
+    Param("model", lambda text: resolve_model(text), REQUIRED,
+          "point | two-state | bd:p,q[,K] | gw:b,d | file:PATH"),
+    Param("seed", int, 0, "root seed of every random stream", low=0),
+    Param("replicas", int, ExperimentConfig.replicas, "independent replicas", low=1),
+)
+_HORIZON = Param("horizon", float, REQUIRED, "time horizon", low=0, above=True)
+_TRUNC = Param("trunc", int, lambda v: max(v["model"].states) if v["model"].states else None,
+               "keep states up to this id; default the finite model's own window",
+               low=1, high=WINDOW_MAX_STATES)
+_PARTICLES = Param("particles", int, REQUIRED, "particles", low=2, high=FV_MAX_PARTICLES)
+_INIT = Param("init", parse_distribution, REQUIRED, LAW_HELP)
+
+# Every method's own parameters; a method's run also reads COMMON, and a key
+# of both takes the method's entry.
+PARAMS: dict[str, tuple[Param, ...]] = {
+    "oracle": (
+        _TRUNC,
+        Param("tol", float, 1e-12, "inverse-iteration stop tolerance on the TV step and "
+              "eigenvalue drift; windows that are two-way paths (every builtin chain) are "
+              "solved directly and ignore it", low=0, above=True),
+    ),
+    "conditioned": (
+        _INIT,
+        _HORIZON,
+        Param("dt", float, None, "uniformization step, each checked for mass near the cut; "
+              "at most, and by default, 0.1 over the window's largest total rate",
+              low=0, above=True),
+        _TRUNC,
+        Param("grid", float, lambda v: v["horizon"] / 50,
+              "time between recorded laws; default horizon / 50", low=0, above=True),
+    ),
+    "fv": (
+        _PARTICLES,
+        _HORIZON,
+        Param("burnin", float, 0.0, "burn-in; above 0 the run is stationary and time-averaged",
+              low=0),
+        Param("grid", float, lambda v: v["horizon"] / 20,
+              "time between samples; default horizon / 20", low=0, above=True),
+        Param("init", parse_distribution, None, LAW_HELP + "; a fixed-time run needs one"),
+        _TRUNC,
+    ),
+    "phi": (
+        _INIT,
+        Param("iters", int, 200, "most fixed-point iterations", low=1),
+        Param("tol", float, 1e-10, "stop once the TV between iterates is below this",
+              low=0, above=True),
+    ),
+    "afp": (
+        Param("steps", int, REQUIRED, "renewal steps", low=1, high=AFP_MAX_STEPS),
+        Param("start", int, REQUIRED, "start state", low=1),
+        Param("uniformization-rate", float, None,
+              "uniformization rate; default 1.05 x the window's largest total rate",
+              low=0, above=True),
+        _TRUNC,
+        # checkpoint k is max(1, steps >> k), so past steps' 64 bits more add nothing
+        Param("checkpoints", int, 4, "TV checkpoints, at steps, steps/2, steps/4, ...",
+              low=1, high=64),
+    ),
+    "branch": (
+        # offspring counts are Poisson of mean up to alpha + 1, which numpy
+        # refuses above about 9.2e18
+        Param("alpha", lambda text: text if text == "auto" else float(text), "auto",
+              "shift of the mean matrix: a number, or auto", high=1e18),
+        _HORIZON,
+        # down-sampling keeps cap // 2 individuals, so a smaller cap empties the population
+        Param("cap", int, 10**5, "population cap", low=2),
+    ),
+    "couple": (
+        _PARTICLES,
+        _HORIZON,
+        Param("init", parse_distribution,
+              lambda v: Distribution.delta(v["model"].states[0]) if v["model"].states else None,
+              LAW_HELP + "; default a point mass at the first state"),
+    ),
+    "scan": (
+        Param("particles", lambda text: [int(n) for n in text.split(",")], REQUIRED,
+              "comma list, e.g. 50,200,800",
+              low=2, high=FV_MAX_PARTICLES),
+        _HORIZON,
+        _INIT,
+        Param("state", int, None, "probed state; default the first state the reference "
+              "law charges", low=1),
+        _TRUNC,
+        # the sample standard error (ddof=1) needs two replicas
+        replace(COMMON[2], help="replicas per N", low=2),
+    ),
+    "report": (
+        Param("fv_particles", int, 400, "stationary FV particles", low=2, high=FV_MAX_PARTICLES),
+        Param("fv_burnin", float, 10.0, "stationary FV burn-in, below fv_horizon", low=0),
+        Param("fv_horizon", float, 110.0, "stationary FV horizon", low=0, above=True),
+        Param("phi_iters", int, 200, "most phi iterations", low=1),
+        Param("afp_steps", int, 200_000, "afp renewal steps", low=1, high=AFP_MAX_STEPS),
+        Param("branch_horizon", float, 12.0, "branching horizon", low=0, above=True),
+        Param("branch_cap", int, 50_000, "branching population cap", low=2),
+        Param("branch_attempts", int, 30, "branching attempts", low=1),
+    ),
+}
+ReportBudget = make_dataclass(
+    "ReportBudget", [(p.key, p.cast, field(default=p.default)) for p in PARAMS["report"]],
+    namespace={"__module__": __name__,
+               "__doc__": "Per-method effort knobs for the cross-method comparison."},
+)
+METHODS = tuple(PARAMS)
+TOP_KEYS = ("method", *(p.key for p in COMMON))
+
+
+def method_params(method: str) -> tuple[Param, ...]:
+    """COMMON then the method's own parameters, its own entry winning on a shared key."""
+    table = {p.key: p for p in COMMON}
+    table.update((p.key, p) for p in PARAMS[method])
+    return tuple(table.values())
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the line-based config format; problems raise ConfigInvalid."""
+    """Parse the line-based config format; problems raise ConfigInvalid.
+
+    The top level takes ``method`` and the COMMON keys, and only the method's
+    own section is kept.  Ranges and the section's keys are left to
+    :func:`read_params`.
+    """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     problems: list[str] = []
@@ -86,6 +294,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         key, val = (part.strip() for part in ln.split("=", 1))
         (top if current is None else current)[key] = val
+    problems += [f"{key}: unknown key" for key in top if key not in TOP_KEYS]
     method = top.get("method")
     if method is None:
         problems.append("missing key: method")
@@ -95,32 +304,20 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append("missing key: model")
     else:
         try:
-            resolve_model(top["model"])
-        except Exception as exc:
-            problems.append(f"model: {exc}")
+            COMMON[0].cast_text(top["model"])
+        except ConfigInvalid as exc:
+            problems += exc.problems
     if "seed" not in top:
         problems.append("missing key: seed (seeds are mandatory)")
-    else:
-        try:
-            int(top["seed"])
-        except ValueError:
-            problems.append(f"seed: not an integer: {top['seed']!r}")
-    replicas = 1
-    if "replicas" in top:
-        try:
-            replicas = int(top["replicas"])
-        except ValueError:
-            problems.append(f"replicas: not an integer: {top['replicas']!r}")
     if problems:
         raise ConfigInvalid(problems)
-    params = dict(sections.get(method, {}))
-    return ExperimentConfig(
-        method=method,
-        model=top["model"],
-        seed=int(top["seed"]),
-        replicas=replicas,
-        params=params,
-    )
+    return config_from_text(method, top, dict(sections.get(method, {})))
+
+
+def config_from_text(method: str, top: dict[str, str], params: dict[str, str]) -> ExperimentConfig:
+    """The config of raw top-level values and method params: COMMON casts the seed and replicas."""
+    cast = {p.key: p.cast_text(top[p.key]) if p.key in top else p.default for p in COMMON[1:]}
+    return ExperimentConfig(method, top["model"], params=params, **cast)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
@@ -137,24 +334,100 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_distribution(text: str) -> Distribution:
-    """Initial-law syntax: delta:x, uniform:a-b, or x:mass comma pairs (each state once)."""
-    text = text.strip()
-    if text.startswith("delta:"):
-        return Distribution.delta(int(text[6:]))
-    if text.startswith("uniform:"):
-        a, b = text[8:].split("-")
-        return Distribution.uniform(range(int(a), int(b) + 1))
-    pairs = {}
-    for item in text.split(","):
-        state, mass = item.split(":")
-        x = int(state)
-        if x in pairs:
-            raise ValueError(f"state {x} is given more than once")
-        pairs[x] = float(mass)
-        if not 0.0 <= pairs[x] < math.inf:
-            raise ValueError(f"state {x} has mass {mass.strip()}; masses must be finite and >= 0")
-    return Distribution.from_weights(pairs)
+def read_params(cfg: ExperimentConfig) -> dict:
+    """Every value of the run, typed, defaulted and range-checked, before any work.
+
+    Returns the values by key, the model resolved, or raises ConfigInvalid
+    naming each problem: an unknown method or key, a missing, unreadable or
+    out-of-range value, and values that cannot run together.
+    """
+    if cfg.method not in PARAMS:
+        raise ConfigInvalid([f"unknown method {cfg.method!r}"])
+    table = method_params(cfg.method)
+    own = {p.key for p in table} - set(TOP_KEYS)
+    problems = [f"{key}: unknown key in [{cfg.method}]" for key in cfg.params if key not in own]
+    raw = {**cfg.params, "model": cfg.model, "seed": cfg.seed, "replicas": cfg.replicas}
+    v = {}
+    for p in table:
+        if p.key in raw:
+            try:
+                v[p.key] = p.check(p.cast_text(raw[p.key]), raw[p.key])
+            except ConfigInvalid as exc:
+                problems += exc.problems
+        elif p.default is REQUIRED:
+            problems.append(f"missing parameter {p.key!r}")
+        elif not callable(p.default):
+            v[p.key] = p.default
+    if problems:
+        raise ConfigInvalid(problems)
+    for p in table:
+        if p.key not in v:
+            value = p.default(v)
+            v[p.key] = p.check(value, f"{value} by default")
+    problems = _cannot_run_together(cfg, v)
+    if problems:
+        raise ConfigInvalid(problems)
+    return v
+
+
+def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
+    """The problems of values that each lie in range but cannot run together."""
+    model, method = v["model"], cfg.method
+    problems = []
+    if not model.is_finite and v.get("trunc") is None and method != "fv":
+        problems.append(
+            f"model: an infinite model needs an explicit truncation; {method} takes a finite"
+            f" window such as bd:p,q,K{', or a trunc' if 'trunc' in v else ''}"
+        )
+    if method == "fv":
+        if v["horizon"] <= v["burnin"]:
+            problems.append("horizon: a stationary fv run needs horizon > burnin")
+        if v["burnin"] == 0.0 and v["init"] is None:
+            problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
+        if v["horizon"] > FV_MAX_SAMPLES * v["grid"]:
+            problems.append(
+                f"grid: horizon / grid = {v['horizon'] / v['grid']:.3g} sample times, above"
+                f" {FV_MAX_SAMPLES:.0e}; each keeps one measure per replica"
+            )
+    if method == "report" and v["fv_burnin"] >= v["fv_horizon"]:
+        problems.append(f"fv_burnin: must be below fv_horizon = {v['fv_horizon']:g},"
+                        f" got {v['fv_burnin']:g}")
+    # the states the run lives on: up to trunc, else the finite model's
+    window = model.state_window(v["trunc"]) if v.get("trunc") is not None else model.states
+    if window is None:
+        return problems
+    if not window:
+        problems.append(f"model: the window of {cfg.model} holds no live state" if not model.states
+                        else f"trunc: no state of the model lies at or below {v['trunc']}")
+        return problems
+    init = v.get("init")
+    initial = set(init.support) if init is not None else {v["start"]} if "start" in v else set()
+    if not initial <= set(window):
+        outside = sorted(initial - set(window))
+        problems.append(f"initial states {outside} lie outside the model's window")
+    if v.get("alpha", "auto") != "auto" and not certifies_supercritical(model, v["alpha"]):
+        problems.append(f"alpha: {v['alpha']:g} is not certified supercritical on {cfg.model};"
+                        " use at least the largest total rate, or auto")
+    if v.get("state") is not None and v["state"] not in window:
+        problems.append(f"state: the probed state {v['state']} lies outside the model's window")
+    # evolve_conditioned runs over the horizon: the conditioned run, couple's
+    # shared path, and the reference law of fixed-time fv and of scan
+    if method in ("conditioned", "couple", "scan") or (method == "fv" and v["burnin"] == 0.0):
+        maxrate = model.max_total_rate(window)
+        if method == "conditioned" and v["dt"] is not None and maxrate > 0 \
+                and v["dt"] > 0.1 / maxrate + 1e-15:
+            problems.append(f"dt: must be at most 0.1/max rate = {0.1 / maxrate:g}, got {v['dt']}")
+        horizon = v["horizon"]
+        steps = horizon / (v.get("dt") or (0.1 / maxrate if maxrate > 0 else horizon))
+        if steps > CONDITIONED_MAX_STEPS:
+            problems.append(f"horizon: horizon / step = {steps:.3g} uniformization steps of the"
+                            f" conditioned law, above {CONDITIONED_MAX_STEPS:.0e}")
+        # one law per snapshot: conditioned's on its grid, couple's at each step
+        laws = 1 + (horizon / v["grid"] if method == "conditioned" else steps)
+        if method in ("conditioned", "couple") and laws * len(window) > PATH_MAX_FLOATS:
+            problems.append(f"horizon: the path would keep {laws:.3g} laws of {len(window)} states,"
+                            f" above {PATH_MAX_FLOATS:.0e} floats")
+    return problems
 
 
 # -- output helpers -----------------------------------------------------------
@@ -247,132 +520,6 @@ class RunRecord:
     summary: dict
 
 
-def _p(params: dict[str, str], key: str, cast, default):
-    if key in params:
-        try:
-            return cast(params[key])
-        except ValueError:
-            raise ConfigInvalid([f"{key}: not a valid value: {params[key]!r}"]) from None
-    if default is None:
-        raise ConfigInvalid([f"missing parameter {key!r}"])
-    return default
-
-
-def _check_runnable(cfg: ExperimentConfig, model: AbsorbedChainModel) -> None:
-    """Raise ConfigInvalid for a config its method cannot run, before any work.
-
-    CLI runs and config files both pass through here, so out-of-range
-    parameters become config errors rather than failures deep in a route.
-    Missing parameters are left to the method runners.
-    """
-    params = cfg.params
-    problems = []
-    if cfg.seed < 0:
-        problems.append(f"seed: must be non-negative, got {cfg.seed}")
-    # scan reports a sample standard error (ddof=1), which needs two replicas
-    least = 2 if cfg.method == "scan" else 1
-    if cfg.replicas < least:
-        problems.append(f"replicas: {cfg.method} needs at least {least}, got {cfg.replicas}")
-    if cfg.method in ("fv", "couple", "scan") and "particles" in params:
-        ns = _p(params, "particles", lambda v: [int(n) for n in v.split(",")], None)
-        if min(ns) < 2:
-            problems.append(f"particles: a Fleming-Viot system needs at least 2, got {min(ns)}")
-    for key in ("steps", "checkpoints"):
-        if cfg.method == "afp" and _p(params, key, int, 1) < 1:
-            problems.append(f"{key}: afp needs at least 1, got {params[key]}")
-    if cfg.method == "phi" and _p(params, "iters", int, 1) < 1:
-        problems.append(f"iters: phi needs at least 1, got {params['iters']}")
-    tol = _p(params, "tol", float, 1.0)
-    if not (math.isfinite(tol) and tol > 0.0):
-        problems.append(f"tol: must be finite and positive, got {params['tol']}")
-    for key in ("horizon", "dt", "grid", "burnin", "uniformization-rate"):
-        value = _p(params, key, float, 1.0)
-        if not math.isfinite(value):
-            problems.append(f"{key}: must be finite, got {params[key]}")
-        elif value < 0.0 or (value == 0.0 and key != "burnin"):
-            least = "at least 0" if key == "burnin" else "positive"
-            problems.append(f"{key}: must be {least}, got {params[key]}")
-    # down-sampling keeps cap // 2 individuals, so a smaller cap empties the population
-    if cfg.method == "branch" and not 2.0 <= _p(params, "cap", float, 2.0) < math.inf:
-        problems.append(f"cap: must be finite and at least 2, got {params['cap']}")
-    if cfg.method == "report":
-        budget = _report_budget(params)
-        least = {"fv_particles": 2, "phi_iters": 1, "afp_steps": 1, "branch_attempts": 1,
-                 "branch_cap": 2}
-        for key, low in least.items():
-            if getattr(budget, key) < low:
-                problems.append(f"{key}: report needs at least {low}, got {params[key]}")
-        for key in ("fv_horizon", "branch_horizon"):
-            if not 0.0 < getattr(budget, key) < math.inf:
-                problems.append(f"{key}: must be finite and positive, got {params[key]}")
-        if not 0.0 <= budget.fv_burnin < budget.fv_horizon:
-            problems.append(
-                f"fv_burnin: must be at least 0 and below fv_horizon = {budget.fv_horizon:g},"
-                f" got {budget.fv_burnin:g}"
-            )
-    if cfg.method == "branch" and params.get("alpha", "auto") != "auto":
-        if not math.isfinite(_p(params, "alpha", float, None)):
-            problems.append(f"alpha: must be finite or auto, got {params['alpha']}")
-    if cfg.method == "fv" and "grid" in params and "horizon" in params:
-        horizon = _p(params, "horizon", float, None)
-        grid = _p(params, "grid", float, None)
-        # false for the NaN, infinite and nonpositive values reported above
-        if 0.0 < grid and horizon < math.inf and horizon > FV_MAX_SAMPLES * grid:
-            problems.append(
-                f"grid: horizon / grid = {horizon / grid:.3g} sample times, above"
-                f" {FV_MAX_SAMPLES:.0e}; each keeps one measure per replica"
-            )
-    if cfg.method == "fv":
-        burnin = _p(params, "burnin", float, 0.0)
-        if 0.0 < _p(params, "horizon", float, math.inf) <= burnin:
-            problems.append("horizon: a stationary fv run needs horizon > burnin")
-        if burnin <= 0.0 and "init" not in params:
-            problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
-    if cfg.method in ("phi", "couple", "branch", "report") and not model.is_finite:
-        problems.append(
-            f"model: an infinite model needs an explicit truncation;"
-            f" {cfg.method} takes a finite window such as bd:p,q,K"
-        )
-    initial = set()
-    if "init" in params:
-        try:
-            initial = set(parse_distribution(params["init"]).support)
-        except ValueError as exc:
-            problems.append(f"init: cannot read {params['init']!r}: {exc}")
-    if cfg.method == "afp" and "start" in params:
-        initial = {_p(params, "start", int, None)}
-    # the states the run lives on: up to trunc, else the finite model's
-    window = model.state_window(_p(params, "trunc", int, None)) if "trunc" in params else model.states
-    if window is not None:
-        if not window and "trunc" in params:
-            problems.append(f"trunc: no state of the model lies at or below {params['trunc']}")
-        elif not window:
-            problems.append(f"model: the window of {cfg.model} holds no live state")
-        elif not initial <= set(window):
-            outside = sorted(initial - set(window))
-            problems.append(f"initial states {outside} lie outside the model's window")
-    if cfg.method == "scan" and "state" in params:
-        state = _p(params, "state", int, None)
-        if state <= 0 or (window and state not in window):
-            problems.append(f"state: the probed state {state} lies outside the model's window")
-    horizon = _p(params, "horizon", float, math.nan)
-    if cfg.method in ("conditioned", "couple") and window and 0.0 < horizon < math.inf:
-        # one law per snapshot: conditioned's on its grid, couple's at each step of 0.1/max rate
-        grid = _p(params, "grid", float, horizon / 50) if cfg.method == "conditioned" else None
-        laws = 1 + (horizon / grid if grid else 10 * horizon * model.max_total_rate(window))
-        if laws * len(window) > PATH_MAX_FLOATS:
-            problems.append(f"horizon: the path would keep {laws:.3g} laws of {len(window)} states,"
-                            f" above {PATH_MAX_FLOATS:.0e} floats")
-    if cfg.method == "conditioned" and "dt" in params and window:
-        # evolve_conditioned's uniformization steps need h <= 0.1/max rate
-        maxrate = model.max_total_rate(window)
-        dt = _p(params, "dt", float, None)
-        if maxrate > 0 and math.isfinite(dt) and dt > 0.1 / maxrate + 1e-15:
-            problems.append(f"dt: must be at most 0.1/max rate = {0.1 / maxrate:g}, got {params['dt']}")
-    if problems:
-        raise ConfigInvalid(problems)
-
-
 def run_config(cfg: ExperimentConfig, out_dir) -> RunRecord:
     """Dispatch a config to its method runner; outputs land in out_dir.
 
@@ -380,26 +527,20 @@ def run_config(cfg: ExperimentConfig, out_dir) -> RunRecord:
     time and similar run facts live only in the summary (and its sidecar
     ``summary.json``).
     """
-    model = resolve_model(cfg.model)
-    _check_runnable(cfg, model)
+    v = read_params(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    runner = _RUNNERS.get(cfg.method)
-    if runner is None:
-        raise ConfigInvalid([f"unknown method {cfg.method!r}"])
-    files, summary = runner(cfg, model, out)
+    files, summary = RUNNERS[cfg.method](v, out)
     summary = {"method": cfg.method, "model": cfg.model, "seed": cfg.seed, **summary}
     summary["wall_time_s"] = time.perf_counter() - t0
     write_json(out / "summary.json", summary)
     return RunRecord(files=[str(f) for f in files], summary=summary)
 
 
-def _run_oracle(cfg, model, out):
-    params = cfg.params
-    trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    tol = _p(params, "tol", float, 1e-12)
-    sol = solve_qsd_power(model, truncation=trunc, tol=tol)
+def _run_oracle(v, out):
+    """Principal-eigenvector QSD on a finite window."""
+    sol = solve_qsd_power(v["model"], truncation=v["trunc"], tol=v["tol"])
     payload = {
         "nu": {str(x): m for x, m in sol.nu.items()},
         "lambda": sol.lam,
@@ -412,14 +553,10 @@ def _run_oracle(cfg, model, out):
     return [path], {"iterations": sol.iterations, "solver": sol.meta["solver"]}
 
 
-def _run_conditioned(cfg, model, out):
-    params = cfg.params
-    horizon = _p(params, "horizon", float, None)
-    mu = parse_distribution(_p(params, "init", str, None))
-    trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    step = float(params["dt"]) if "dt" in params else None
-    grid_dt = _p(params, "grid", float, horizon / 50)
-    path_obj = evolve_conditioned(model, mu, horizon, step, trunc, grid_dt=grid_dt)
+def _run_conditioned(v, out):
+    """The law conditioned on survival, by uniformization."""
+    path_obj = evolve_conditioned(v["model"], v["init"], v["horizon"], v["dt"], v["trunc"],
+                                  grid_dt=v["grid"])
     rows = [  # write_csv's cells, with each time formatted once
         f"{ts},{x},{m!r}"
         for ts, masses in zip(map(repr, path_obj.times.tolist()), path_obj.masses.tolist())
@@ -431,84 +568,64 @@ def _run_conditioned(cfg, model, out):
     return [path], {"tail_bound": path_obj.meta["tail_bound"], "steps": steps}
 
 
-def _fv_reference(model, params):
-    if "trunc" in params:
-        return solve_qsd_power(model, truncation=int(params["trunc"])).nu
-    if model.is_finite:
-        return solve_qsd_power(model).nu
-    return minimal_qsd_reference(model).nu
-
-
-def _run_fv(cfg, model, out):
-    params = cfg.params
-    n = _p(params, "particles", int, None)
-    horizon = _p(params, "horizon", float, None)
-    burnin = _p(params, "burnin", float, 0.0)
-    grid_dt = _p(params, "grid", float, horizon / 20)
-    init = parse_distribution(params["init"]) if "init" in params else None
+def _run_fv(v, out):
+    """Fleming-Viot particle run (stationary when --burnin > 0)."""
+    model, n, horizon, init = v["model"], v["particles"], v["horizon"], v["init"]
+    trunc, grid_dt = v["trunc"], v["grid"]
     # sample every grid_dt and at the horizon itself: drop arange points past
     # it and append it unless the last point is within round-off of it
     grid = np.arange(grid_dt, horizon + grid_dt / 2, grid_dt)
     grid = grid[grid <= horizon + 1e-12]
     if not grid.size or grid[-1] < horizon - 1e-12:
         grid = np.append(grid, horizon)
-    root = RngStream(cfg.seed)
+    root = RngStream(v["seed"])
 
-    if burnin > 0.0:
+    if v["burnin"] > 0.0:
         # stationary mode, time-averaged; the reference draws nothing, so it fails first
-        reference = _fv_reference(model, params)
+        reference = (solve_qsd_power(model, truncation=trunc) if trunc is not None
+                     else minimal_qsd_reference(model)).nu
 
         def one(r):
-            return fv_stationary(model, n, burnin, horizon, root.child(r), init=init)
+            return fv_stationary(model, n, v["burnin"], horizon, root.child(r), init=init)
 
-        results = map_replicas(one, cfg.replicas)
+        results = map_replicas(one, v["replicas"])
         rows = []
         for r, dist in enumerate(results):
             for x, m in dist.items():
                 rows.append((r, float(horizon), x, m))
-        path = out / "fv.csv"
-        write_csv(path, ["replica", "t", "state", "mass"], rows)
         tvs = [tv_distance(d, reference) for d in results]
         summary = {"mean_tv_to_reference": float(np.mean(tvs)), "mode": "stationary"}
-        spath = out / "fv_summary.json"
-        write_json(spath, summary)
-        return [path, spath], summary
+    else:
+        def one(r):
+            return fv_run(model, init, horizon, grid, root.child(r), n=n)
 
-    def one(r):
-        return fv_run(model, init, horizon, grid, root.child(r), n=n)
-
-    traces = map_replicas(one, cfg.replicas)
-    rows = []
-    for r, tr in enumerate(traces):
-        for t, m in zip(tr.times, tr.measures):
-            for x, mass in m.items():
-                rows.append((r, float(t), x, mass))
-    path = out / "fv.csv"
-    write_csv(path, ["replica", "t", "state", "mass"], rows)
-    summary = {
-        "mode": "fixed-time",
-        "events": int(sum(tr.events for tr in traces)),
-        "revivals": int(sum(tr.revivals for tr in traces)),
-    }
-    if init is not None:
-        # reference for the terminal time: the conditioned law from the
-        # same start, on the model's own window (or the given truncation)
-        trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else 0)
-        if trunc:
+        traces = map_replicas(one, v["replicas"])
+        rows = []
+        for r, tr in enumerate(traces):
+            for t, m in zip(tr.times, tr.measures):
+                for x, mass in m.items():
+                    rows.append((r, float(t), x, mass))
+        summary = {
+            "mode": "fixed-time",
+            "events": int(sum(tr.events for tr in traces)),
+            "revivals": int(sum(tr.revivals for tr in traces)),
+        }
+        if trunc is not None:
+            # reference for the terminal time: the conditioned law from the
+            # same start, on the model's own window (or the given truncation)
             ref = evolve_conditioned(model, init, horizon, None, trunc, grid_dt=horizon).final
             tvs = [tv_distance(tr.measures[-1], ref) for tr in traces]
             summary["mean_tv_to_reference"] = float(np.mean(tvs))
+    path = out / "fv.csv"
+    write_csv(path, ["replica", "t", "state", "mass"], rows)
     spath = out / "fv_summary.json"
     write_json(spath, summary)
     return [path, spath], summary
 
 
-def _run_phi(cfg, model, out):
-    params = cfg.params
-    mu0 = parse_distribution(_p(params, "init", str, None))
-    iters = _p(params, "iters", int, 200)
-    tol = _p(params, "tol", float, 1e-10)
-    res = phi_iterate(model, mu0, max_iters=iters, tol=tol)
+def _run_phi(v, out):
+    """Fixed-point iteration of the return map."""
+    res = phi_iterate(v["model"], v["init"], max_iters=v["iters"], tol=v["tol"])
     path = out / "phi.csv"
     write_csv(path, ["iteration", "tv"], list(enumerate(res.tv_log, start=1)))
     dpath = out / "phi_dist.csv"
@@ -516,35 +633,26 @@ def _run_phi(cfg, model, out):
     return [path, dpath], {"iterations": res.iterations, "converged": res.converged}
 
 
-def _run_afp(cfg, model, out):
-    params = cfg.params
-    steps = _p(params, "steps", int, None)
-    start = _p(params, "start", int, None)
-    trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    rate = float(params["uniformization-rate"]) if "uniformization-rate" in params else None
-    d = uniformize(model, truncation=trunc, rate=rate)
+def _run_afp(v, out):
+    """History-renewal chain on the uniformized skeleton."""
+    steps = v["steps"]
+    d = uniformize(v["model"], truncation=v["trunc"], rate=v["uniformization-rate"])
     # uniformization keeps the left Perron vector: this is the QSD of d's window
     reference = solve_qsd_discrete(d).nu
-    n_checkpoints = _p(params, "checkpoints", int, 4)
-    checkpoints = sorted({max(1, steps >> k) for k in range(n_checkpoints)})
-    res = afp_run(d, start, steps, RngStream(cfg.seed), checkpoints=checkpoints, reference=reference)
-    rows = []
-    for cp, tv in zip(res.checkpoints, res.checkpoint_tv):
-        rows.append((cp, "", "", tv))
-    for x, m in res.estimate.items():
-        rows.append((res.steps, x, m, ""))
+    checkpoints = sorted({max(1, steps >> k) for k in range(v["checkpoints"])})
+    res = afp_run(d, v["start"], steps, RngStream(v["seed"]), checkpoints=checkpoints,
+                  reference=reference)
+    rows = [(cp, "", "", tv) for cp, tv in zip(res.checkpoints, res.checkpoint_tv)]
+    rows += [(res.steps, x, m, "") for x, m in res.estimate.items()]
     path = out / "afp.csv"
     write_csv(path, ["checkpoint", "state", "mass", "tv_to_oracle"], rows)
     return [path], {"final_tv": res.checkpoint_tv[-1] if res.checkpoint_tv else None}
 
 
-def _run_branch(cfg, model, out):
-    params = cfg.params
-    alpha = params.get("alpha", "auto")
-    alpha = alpha if alpha == "auto" else float(alpha)
-    horizon = _p(params, "horizon", float, None)
-    cap = _p(params, "cap", int, 10**5)
-    est = ks_estimate(model, alpha, horizon, cap, cfg.replicas, RngStream(cfg.seed))
+def _run_branch(v, out):
+    """Supercritical branching profile estimator."""
+    est = ks_estimate(v["model"], v["alpha"], v["horizon"], v["cap"], v["replicas"],
+                      RngStream(v["seed"]))
     payload = {
         "nu_hat": {str(x): m for x, m in est.nu_hat.items()},
         "survival_fraction": est.survival_fraction,
@@ -557,50 +665,39 @@ def _run_branch(cfg, model, out):
     return [path], {"survivors": est.survivors}
 
 
-def _run_couple(cfg, model, out):
-    params = cfg.params
-    n = _p(params, "particles", int, None)
-    horizon = _p(params, "horizon", float, None)
-    mu = parse_distribution(params["init"]) if "init" in params else Distribution.delta(
-        model.states[0]
-    )
+def _run_couple(v, out):
+    """Coupled tagged-particle / limit-process runs."""
+    model, n, horizon, mu = v["model"], v["particles"], v["horizon"], v["init"]
     # one deterministic path, read by every replica
     ref_path = evolve_conditioned(model, mu, horizon, None, max(model.states))
-    root = RngStream(cfg.seed)
+    root = RngStream(v["seed"])
 
     def one(r):
         return coupled_tagged_run(model, n, mu, horizon, root.child(r), path=ref_path)
 
-    runs = map_replicas(one, cfg.replicas)
-    rows = []
-    for r, run in enumerate(runs):
-        rows.append(
-            (r, run.coupling.psi(horizon), run.coupling.divergence_time)
-        )
+    runs = map_replicas(one, v["replicas"])
+    rows = [(r, c.coupling.psi(horizon), c.coupling.divergence_time) for r, c in enumerate(runs)]
     path = out / "couple.csv"
     write_csv(path, ["replica", "psi_final", "divergence_time"], rows)
     frac = sum(run.coupling.diverged for run in runs) / len(runs)
     return [path], {"diverged_fraction": frac}
 
 
-def _run_scan(cfg, model, out):
-    params = cfg.params
-    ns = [int(v) for v in _p(params, "particles", str, None).split(",")]
-    horizon = _p(params, "horizon", float, None)
-    mu = parse_distribution(_p(params, "init", str, None))
-    trunc = _p(params, "trunc", int, max(model.states) if model.is_finite else None)
-    ref = evolve_conditioned(model, mu, horizon, None, trunc, grid_dt=horizon).final
-    probe_state = _p(params, "state", int, ref.support[0])
+def _run_scan(v, out):
+    """Fixed-time FV error against N with a rate fit."""
+    model, horizon, mu = v["model"], v["horizon"], v["init"]
+    ref = evolve_conditioned(model, mu, horizon, None, v["trunc"], grid_dt=horizon).final
+    probe_state = v["state"] if v["state"] is not None else ref.support[0]
     ref_mass = ref.mass(probe_state)
-    root = RngStream(cfg.seed)
+    root = RngStream(v["seed"])
     rows = []
     points = []
-    for n in ns:
+    for n in v["particles"]:
         def one(r, n=n):
             tr = fv_run(model, mu, horizon, [horizon], root.child(n, r), n=n)
             return abs(tr.measures[-1].mass(probe_state) - ref_mass)
 
-        errs = np.array(map_replicas(one, cfg.replicas))
+        errs = np.array(map_replicas(one, v["replicas"]))
         err = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs)))
         rows.append((n, err, stderr))
@@ -613,20 +710,6 @@ def _run_scan(cfg, model, out):
     gpath = out / "scan.gp"
     write_plot_script(gpath, "scan.csv", fit.slope, fit.intercept)
     return [path, fpath, gpath], {"slope": fit.slope}
-
-
-@dataclass
-class ReportBudget:
-    """Per-method effort knobs for the cross-method comparison."""
-
-    fv_particles: int = 400
-    fv_burnin: float = 10.0
-    fv_horizon: float = 110.0
-    phi_iters: int = 200
-    afp_steps: int = 200_000
-    branch_horizon: float = 12.0
-    branch_cap: int = 50_000
-    branch_attempts: int = 30
 
 
 def cross_method_report(
@@ -657,24 +740,11 @@ def cross_method_report(
     def attempt(name, fn):
         t1 = time.perf_counter()
         try:
-            dist = fn()
-            rows.append(
-                {
-                    "method": name,
-                    "tv_to_oracle": tv_distance(dist, reference),
-                    "runtime_s": time.perf_counter() - t1,
-                    "status": "ok",
-                }
-            )
+            tv, status = tv_distance(fn(), reference), "ok"
         except QsdError as exc:
-            rows.append(
-                {
-                    "method": name,
-                    "tv_to_oracle": math.nan,
-                    "runtime_s": time.perf_counter() - t1,
-                    "status": f"failed: {exc}",
-                }
-            )
+            tv, status = math.nan, f"failed: {exc}"
+        rows.append({"method": name, "tv_to_oracle": tv, "runtime_s": time.perf_counter() - t1,
+                     "status": status})
 
     attempt(
         "fv_stationary",
@@ -705,15 +775,10 @@ def cross_method_report(
     return rows
 
 
-def _report_budget(params: dict[str, str]) -> ReportBudget:
-    """The report's budget: each key read as its default's type, else the default."""
-    return ReportBudget(
-        **{f.name: _p(params, f.name, type(f.default), f.default) for f in fields(ReportBudget)}
-    )
-
-
-def _run_report(cfg, model, out):
-    rows = cross_method_report(model, _report_budget(cfg.params), seed=cfg.seed)
+def _run_report(v, out):
+    """Cross-method comparison against the oracle."""
+    budget = ReportBudget(**{p.key: v[p.key] for p in PARAMS["report"]})
+    rows = cross_method_report(v["model"], budget, seed=v["seed"])
     path = out / "report.csv"
     # runtimes are inherently non-reproducible, so they live in the summary
     write_csv(
@@ -727,7 +792,7 @@ def _run_report(cfg, model, out):
     }
 
 
-_RUNNERS = {
+RUNNERS = {
     "oracle": _run_oracle,
     "conditioned": _run_conditioned,
     "fv": _run_fv,

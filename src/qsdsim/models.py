@@ -25,8 +25,8 @@ class BirthDeathSpec:
     down_rate: float
 
     def __post_init__(self):
-        if self.up_rate < 0 or self.down_rate < 0:
-            raise NegativeRate("birth-death rates must be nonnegative")
+        if not all(0 <= r < math.inf for r in (self.up_rate, self.down_rate)):
+            raise NegativeRate("birth-death rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class GaltonWatsonSpec:
     death_rate: float
 
     def __post_init__(self):
-        if self.split_rate < 0 or self.death_rate < 0:
-            raise NegativeRate("branching rates must be nonnegative")
+        if not all(0 <= r < math.inf for r in (self.split_rate, self.death_rate)):
+            raise NegativeRate("branching rates must be finite and nonnegative")
         if self.split_rate >= self.death_rate:
             raise SupercriticalSpec(
                 f"split rate {self.split_rate} >= death rate {self.death_rate}"

@@ -16,7 +16,7 @@ from qsdsim import (
     resolve_model,
     run_config,
 )
-from qsdsim.cli import main as cli_main
+from qsdsim.cli import build_parser, main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
 from qsdsim import harness
 from qsdsim.harness import write_csv
@@ -597,6 +597,78 @@ class TestCli:
         assert rc == 2
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        ["nope:1", "bd:a,b", "bd:1,2,1e3", "file:no-such-model.qsd", "gw:nan,1", "bd:inf,1,5"],
+    )
+    def test_bad_model_exits_2_alike_from_cli_and_config_file(self, model, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"qsdconfig v1\nmethod = oracle\nmodel = {model}\nseed = 0\n")
+        errors = []
+        for argv in (["oracle", "--model", model], ["--config", str(cfgfile)]):
+            assert cli_main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("qsd: invalid config: model: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "top,section,key",
+        [("replica = 4\n", "", "replica"), ("", "burnim = 1\n", "burnim"),
+         ("", "seed = 3\n", "seed")],
+        ids=["top-level", "method-section", "common-key-in-section"],
+    )
+    def test_config_file_unknown_key_exits_2(self, top, section, key, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"qsdconfig v1\nmethod = fv\nmodel = two-state\nseed = 1\n{top}"
+            f"[fv]\nparticles = 10\nhorizon = 1\n{section}init = delta:2\n"
+        )
+        rc = cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_keeps_other_methods_sections(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "qsdconfig v1\nmethod = oracle\nmodel = two-state\nseed = 1\n"
+            "[phi]\ninit = delta:1\nwarp = 9\n[oracle]\ntol = 1e-9\n"
+        )
+        assert cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fv", "--model", "two-state", "--particles", "100000000000", "--horizon", "1",
+             "--init", "delta:2"],
+            ["afp", "--model", "two-state", "--steps", "100000000000000000000", "--start", "1"],
+            ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1e9"],
+            ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1",
+             "--dt", "1e-9"],
+            ["fv", "--model", "two-state", "--particles", "3", "--horizon", "1e9",
+             "--init", "delta:2", "--grid", "1e6"],
+            ["oracle", "--model", "bd:1,2", "--trunc", "100000000000"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
+             "--checkpoints", "1000000000000"],
+            ["branch", "--model", "two-state", "--alpha", "1e19", "--horizon", "1"],
+            ["branch", "--model", "bd:1,2,5", "--alpha", "2", "--horizon", "1"],
+            ["fv", "--model", "gw:1,2", "--particles", "3", "--horizon", "1",
+             "--init", "uniform:1-10000000000"],
+            ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1e-322"],
+        ],
+        ids=["fv-particles", "afp-steps", "conditioned-horizon", "conditioned-dt",
+             "fv-reference-horizon", "oracle-trunc", "afp-checkpoints", "branch-alpha-huge",
+             "branch-alpha-uncertified", "fv-init-uniform-huge", "conditioned-grid-underflow"],
+    )
+    def test_run_past_a_bound_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        assert cli_main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert cli_main([]) == 2

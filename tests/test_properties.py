@@ -1,4 +1,5 @@
-"""Property-based checks of the initial-law, config and model-file parsers and of Distribution.
+"""Property-based checks of the initial-law, config and model-file parsers, of Distribution
+and of the run-parameter table.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -22,7 +23,9 @@ from qsdsim import (
     write_model_file,
 )
 from qsdsim.chain import MASS_EPS
-from qsdsim.harness import METHODS
+from qsdsim.cli import main as cli_main
+from qsdsim.errors import ConfigInvalid
+from qsdsim.harness import METHODS, TOP_KEYS, method_params, read_params
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -120,3 +123,85 @@ def test_model_file_round_trip(rates):
     for x in model.states:
         assert back.transitions(x) == model.transitions(x)
         assert back.absorb_rate(x) == model.absorb_rate(x)
+
+
+# A tiny run of each method; the table-drawn test varies one key of it at a time.
+TINY_TOP = {"model": "two-state", "seed": "1", "replicas": "2"}
+TINY = {
+    "oracle": {},
+    "conditioned": {"init": "delta:2", "horizon": "0.5"},
+    "fv": {"particles": "3", "horizon": "0.5", "init": "delta:2"},
+    "phi": {"init": "delta:1", "iters": "5"},
+    "afp": {"steps": "50", "start": "1"},
+    "branch": {"alpha": "2", "horizon": "1", "cap": "50"},
+    "couple": {"particles": "3", "horizon": "0.5"},
+    "scan": {"particles": "3,5", "horizon": "0.5", "init": "delta:2"},
+    "report": {"fv_particles": "2", "fv_burnin": "0.1", "fv_horizon": "0.5", "phi_iters": "3",
+               "afp_steps": "50", "branch_horizon": "1", "branch_cap": "20",
+               "branch_attempts": "2"},
+}
+ODD = ["inf", "-inf", "nan", "abc", "", "1,2", "auto", "1e999", "0x10"]
+WORDS = {
+    "model": ["point", "two-state", "bd:1,2,5", "bd:1,2", "gw:1,2", "gw:2,1", "nope:1", "bd:a,b",
+              "bd:1,2,1e3", "file:no-such-model.qsd", "bd:nan,1,5", "gw:nan,1", "bd:inf,1,5"],
+    "init": ["delta:1", "delta:2", "uniform:1-2", "1:0.5,2:0.5", "delta:7", "delta:0", "delta:",
+             "1:nan,2:1", "1:-1,2:1", "1:0,2:0", "uniform:2-1", "1:0.5,1:0.5",
+             "uniform:1-10000000000"],
+    "alpha": ["auto", "2", "0", "-1", "1e300", "-1e300", "1e-300"],
+}
+
+
+def _numbers(p, small):
+    """Numbers for p: in range near its low end when small, else anywhere in or out of range."""
+    whole = p.cast is not float
+    lo = p.low if p.low > -math.inf else -(2**70)
+    if whole:
+        if small:
+            return st.integers(lo, min(lo + 4, p.high))
+        hi = p.high if p.high < math.inf else 2**70
+        return st.one_of(st.integers(lo, hi), st.sampled_from([lo - 1, hi, hi + 1]))
+    if small:
+        return st.floats(lo, lo + 2.0, exclude_min=p.above)
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([lo, -lo, lo - 1.0, 5e-324, -5e-324]))
+
+
+def _texts(p):
+    """(raw text, small) pairs for p; a small value accepted by the table is run."""
+    if p.key in WORDS:
+        return st.sampled_from(WORDS[p.key] + ODD).map(lambda t: (t, True))
+    odd = st.sampled_from(ODD).map(lambda t: (t, True))
+    if p.cast in (int, float):
+        def text(small):
+            return _numbers(p, small).map(repr)
+    else:  # scan's comma list of particle counts
+        def text(small):
+            counts = st.lists(_numbers(p, small), min_size=1, max_size=3)
+            return counts.map(lambda ns: ",".join(map(str, ns)))
+    return st.one_of(text(True).map(lambda t: (t, True)), text(False).map(lambda t: (t, False)), odd)
+
+
+table_draws = st.sampled_from([(m, p) for m in METHODS for p in method_params(m)]).flatmap(
+    lambda mp: _texts(mp[1]).map(lambda t: (*mp, *t))
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(table_draws)
+def test_table_drawn_values_are_read_or_refused(draw):
+    # each key, drawn in range, on and past its bounds, non-numeric, inf and nan:
+    # reading raises only ConfigInvalid, and a small accepted value runs to exit 0 or 3
+    method, p, text, small = draw
+    top, section = dict(TINY_TOP), dict(TINY[method])
+    (top if p.key in TOP_KEYS else section)[p.key] = text
+    lines = ["qsdconfig v1", f"method = {method}", *(f"{k} = {v}" for k, v in top.items()),
+             f"[{method}]", *(f"{k} = {v}" for k, v in section.items())]
+    try:
+        read_params(parse_config("\n".join(lines) + "\n"))
+    except ConfigInvalid:
+        return
+    if small:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("\n".join(lines) + "\n")
+            assert cli_main(["--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]) in (0, 3)

@@ -262,9 +262,10 @@ class AbsorbedChainModel:
         The full state set for finite models; None for lazily enumerated
         (countably infinite) models.
     c0, qbar : float, optional
-        Declared bounds sup q(x, 0) and sup of total off-diagonal out-rate.
-        ``math.inf`` marks an explicitly unbounded quantity; None means
-        undeclared.
+        Declared bounds sup q(x, 0) and sup of total off-diagonal out-rate;
+        ``math.inf`` marks an explicitly unbounded quantity.  A declared
+        value wins; left out, a finite model derives it on first read and an
+        infinite one reads None.
     """
 
     def __init__(
@@ -279,8 +280,10 @@ class AbsorbedChainModel:
         self._transitions_fn = transitions_fn
         self._absorb_fn = absorb_fn
         self.states = tuple(sorted(int(s) for s in states)) if states is not None else None
-        self.c0 = c0
-        self.qbar = qbar
+        if c0 is not None:
+            self.c0 = c0  # shadows the derived value
+        if qbar is not None:
+            self.qbar = qbar
         self.name = name
         self._trans_cache: dict[int, tuple[tuple[int, float], ...]] = {}
         self._absorb_cache: dict[int, float] = {}
@@ -312,6 +315,17 @@ class AbsorbedChainModel:
             self._absorb_cache[x] = got
         return got
 
+    @cached_property
+    def c0(self) -> float | None:
+        """C0: declared, or a finite model's largest absorption rate."""
+        return max(map(self.absorb_rate, self.states), default=0.0) if self.is_finite else None
+
+    @cached_property
+    def qbar(self) -> float | None:
+        """qbar: declared, or a finite model's largest ``math.fsum`` of a state's transitions."""
+        return max((math.fsum(r for _, r in self.transitions(x)) for x in self.states),
+                   default=0.0) if self.is_finite else None
+
     def total_rate(self, x: int) -> float:
         return self.jump_table(x)[2]
 
@@ -319,7 +333,8 @@ class AbsorbedChainModel:
         """(targets, cumulative rates, total rate) with absorption first.
 
         The first target is 0 when q(x, 0) > 0; the remaining targets follow
-        the transition list order.  Used for categorical jump draws; plain
+        the transition list order.  The one copy of the state's rates: every
+        jump draw reads it, the graphical engine's internal marks too; plain
         tuples keep per-event lookups cheap.
         """
         got = self._jump_cache.get(x)
@@ -393,21 +408,16 @@ class AbsorbedChainModel:
 
         Dropping (rather than redirecting) keeps the restricted generator
         substochastic, so the principal-eigenvector problem stays well posed.
+        A state's transitions are the parent's, filtered on first use.
         """
         window = self.state_window(K)
         wset = set(window)
-        trans = {
-            x: tuple((y, r) for y, r in self.transitions(x) if y in wset) for x in window
-        }
-        absorb = {x: self.absorb_rate(x) for x in window}
-        model = AbsorbedChainModel(
-            lambda x: trans[x],
-            lambda x: absorb[x],
+        return AbsorbedChainModel(
+            lambda x: [(y, r) for y, r in self.transitions(x) if y in wset],
+            self.absorb_rate,
             states=window,
             name=f"{self.name}|K={K}" if self.name else f"K={K}",
         )
-        model.c0, model.qbar = exact_bounds(model)
-        return model
 
     def max_total_rate(self, states: Iterable[int]) -> float:
         return max(self.total_rate(x) for x in states)
@@ -415,18 +425,6 @@ class AbsorbedChainModel:
     def __repr__(self):
         size = len(self.states) if self.is_finite else "inf"
         return f"AbsorbedChainModel(name={self.name!r}, states={size})"
-
-
-def exact_bounds(model: AbsorbedChainModel) -> tuple[float, float]:
-    """(C0, qbar) computed exactly on a finite model."""
-    if not model.is_finite:
-        raise ValueError("exact bounds require a finite model")
-    c0 = max((model.absorb_rate(x) for x in model.states), default=0.0)
-    qbar = max(
-        (math.fsum(r for _, r in model.transitions(x)) for x in model.states),
-        default=0.0,
-    )
-    return c0, qbar
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .conditioned import evolve_conditioned
 from .errors import ConfigInvalid, DegenerateInput, QsdError
 from .fv import fv_run, fv_stationary
 # perfbench/spans.py wraps uniformize and the solvers by their names in this module
-from .models import resolve_model, uniformize
+from .models import WINDOW_MAX_STATES, resolve_model, uniformize
 from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power
 from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
@@ -51,9 +51,23 @@ AFP_MAX_STEPS = 10**7
 # each uniformization step is a series of matvecs on the window: 10^6 steps
 # take about 3 s on two-state and 13 s on a 200-state window
 CONDITIONED_MAX_STEPS = 10**6
-# a truncation lists the states of its window: the oracle on 10^5 of them
-# takes about 2 s and 200 MB, on 10^6 about 25 s and 1.7 GB
-WINDOW_MAX_STATES = 10**5
+# every replica's result is held until the run writes
+MAX_REPLICAS = 10**6
+# units of particle time: 10^7 take about 20 s on two-state, 60 s on bd:1,2,50
+FV_MAX_PARTICLE_TIME = 10**7
+# events of branching attempts, at most cap x horizon each: 10^9 take about 5 min
+BRANCH_MAX_EVENTS = 10**9
+# the dense n x n means, and 1024 offspring rows of n counts per type visited:
+# a long branch run on a 200-state cycle peaks at about 370 MB
+BRANCH_MAX_TYPES = 200
+# the products of run values (a list summed) that bound each method's work
+_FV_WORK = (("particles", "horizon", "replicas"), FV_MAX_PARTICLE_TIME)
+WORK_BOUNDS = {
+    "fv": [_FV_WORK], "couple": [_FV_WORK], "scan": [_FV_WORK],
+    "branch": [(("cap", "horizon", "replicas"), BRANCH_MAX_EVENTS)],
+    "report": [(("fv_particles", "fv_horizon"), FV_MAX_PARTICLE_TIME),
+               (("branch_cap", "branch_horizon", "branch_attempts"), BRANCH_MAX_EVENTS)],
+}
 
 
 def worker_count() -> int:
@@ -159,7 +173,8 @@ COMMON = (
     Param("model", lambda text: resolve_model(text), REQUIRED,
           "point | two-state | bd:p,q[,K] | gw:b,d | file:PATH"),
     Param("seed", int, 0, "root seed of every random stream", low=0),
-    Param("replicas", int, ExperimentConfig.replicas, "independent replicas", low=1),
+    Param("replicas", int, ExperimentConfig.replicas, "independent replicas", low=1,
+          high=MAX_REPLICAS),
 )
 _HORIZON = Param("horizon", float, REQUIRED, "time horizon", low=0, above=True)
 _TRUNC = Param("trunc", int, lambda v: max(v["model"].states) if v["model"].states else None,
@@ -384,14 +399,18 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
             problems.append("horizon: a stationary fv run needs horizon > burnin")
         if v["burnin"] == 0.0 and v["init"] is None:
             problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
-        if v["horizon"] > FV_MAX_SAMPLES * v["grid"]:
+        if v["horizon"] * v["replicas"] > FV_MAX_SAMPLES * v["grid"]:
             problems.append(
-                f"grid: horizon / grid = {v['horizon'] / v['grid']:.3g} sample times, above"
-                f" {FV_MAX_SAMPLES:.0e}; each keeps one measure per replica"
+                f"grid: horizon / grid x replicas = {v['horizon'] / v['grid'] * v['replicas']:.3g}"
+                f" sample times, above {FV_MAX_SAMPLES:.0e}; each keeps one measure"
             )
     if method == "report" and v["fv_burnin"] >= v["fv_horizon"]:
         problems.append(f"fv_burnin: must be below fv_horizon = {v['fv_horizon']:g},"
                         f" got {v['fv_burnin']:g}")
+    for keys, bound in WORK_BOUNDS.get(method, ()):
+        amount = math.prod(sum(v[k]) if isinstance(v[k], list) else v[k] for k in keys)
+        if amount > bound:
+            problems.append(f"{keys[0]}: {' x '.join(keys)} = {amount:.3g}, above {bound:.0e}")
     # the states the run lives on: up to trunc, else the finite model's
     window = model.state_window(v["trunc"]) if v.get("trunc") is not None else model.states
     if window is None:
@@ -405,6 +424,9 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
     if not initial <= set(window):
         outside = sorted(initial - set(window))
         problems.append(f"initial states {outside} lie outside the model's window")
+    if method in ("branch", "report") and len(window) > BRANCH_MAX_TYPES:
+        problems.append(f"model: branching keeps a dense mean matrix over its {len(window)}"
+                        f" types, above {BRANCH_MAX_TYPES}")
     if v.get("alpha", "auto") != "auto" and not certifies_supercritical(model, v["alpha"]):
         problems.append(f"alpha: {v['alpha']:g} is not certified supercritical on {cfg.model};"
                         " use at least the largest total rate, or auto")

@@ -17,10 +17,12 @@ Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
 indicator that the two trajectories have split.  The engine keeps each
 particle's next internal and voter mark time in one heap and draws every
-mark from one block on its stream's ``TAG_EVENTS`` child.  It places the
-particles with ``fv.initial_positions``, which opens the ``TAG_INIT`` child
-only when the initial law has more than one state: a point mass places
-them without a draw.
+mark from one block on its stream's ``TAG_EVENTS`` child.  An internal mark
+moves a particle through the model's ``jump_table``, the table the
+Gillespie kernels draw from, so no second copy of the rates is built.  The
+engine places the particles with ``fv.initial_positions``, which opens the
+``TAG_INIT`` child only when the initial law has more than one state: a
+point mass places them without a draw.
 
 The return map factors A with ``oracle.return_map_solver``, the solve that
 the oracle's inverse iteration runs too.  scipy is used only by its sparse
@@ -256,39 +258,17 @@ def simulate_tagged_limit(
 # -- graphical construction and the coupling --------------------------------
 
 
-def _internal_partition(model: AbsorbedChainModel, qbar: float):
-    """Per-state inverse cdf over [0, 1): jump targets in state order, hold last.
+def _internal_target(model: AbsorbedChainModel, x: int, u: float) -> int:
+    """Where an internal mark with uniform u moves x.
 
-    Interval widths are q(x, y)/qbar; the remainder is the holding interval.
-    Both coupled processes use the same fixed partition, which is what makes
-    internal events preserve coincidence of trajectories.
+    The ``jump_table(x)`` target whose interval holds a(x) + u qbar, past
+    the absorption entry a(x) that comes first; x holds when the sum is at
+    least the table's total.  So a jump to y has width q(x, y)/qbar in u,
+    and both coupled processes read the same table.
     """
-    cache: dict[int, tuple[tuple[float, ...], tuple[int, ...]]] = {}
-
-    def lookup(x: int):
-        got = cache.get(x)
-        if got is None:
-            cum = []
-            targets = []
-            running = 0.0
-            for y, r in sorted(model.transitions(x)):
-                running += r / qbar
-                cum.append(running)
-                targets.append(y)
-            cum.append(1.0)
-            targets.append(x)  # holding interval
-            got = (tuple(cum), tuple(targets))
-            cache[x] = got
-        return got
-
-    def draw(x: int, u: float) -> int:
-        cum, targets = lookup(x)
-        idx = bisect_right(cum, u)
-        if idx >= len(targets):
-            idx = len(targets) - 1
-        return targets[idx]
-
-    return draw
+    targets, cum, total = model.jump_table(x)
+    s = model.absorb_rate(x) + u * model.qbar
+    return x if s >= total else targets[bisect_right(cum, s)]
 
 
 def _voter_target_others(occupancy: dict[int, int], n: int, x_i: int, v: float) -> int:
@@ -343,17 +323,18 @@ def _graphical_engine(
 
     The system is the particle positions and the count per state: the marks
     pick the particles, so nothing indexes particles by state or rate.  The
-    heap holds each particle's next internal mark (rate qbar) and next voter
-    mark (rate C0).  Every mark is drawn from one block on the stream's
-    ``TAG_EVENTS`` child: first exp(qbar) then exp(C0) for each particle in
-    turn, then per popped mark its uniform u (internal) or its pair (b, v)
-    (voter), and the wait to that particle's next mark of the same kind.
+    heap holds each particle's next internal mark (rate qbar, moved by
+    :func:`_internal_target`) and next voter mark (rate C0).  Every mark is
+    drawn from one block on the stream's ``TAG_EVENTS`` child: first
+    exp(qbar) then exp(C0) for each particle in turn, then per popped mark
+    its uniform u (internal) or its pair (b, v) (voter), and the wait to
+    that particle's next mark of the same kind.
     """
     qbar = model.qbar
     c0 = model.c0
     if qbar is None or c0 is None or not (math.isfinite(qbar) and math.isfinite(c0)):
         raise ValueError(
-            "the graphical construction needs declared finite qbar and C0"
+            "the graphical construction needs finite qbar and C0, declared or on a finite model"
             " (position-dependent unbounded rates are not supported here)"
         )
     couple = path is not None
@@ -377,7 +358,6 @@ def _graphical_engine(
         heap.append((blocks.exp(c0) if c0 > 0 else math.inf, i, 1))
     heapq.heapify(heap)  # (time, particle, kind) keys are distinct: one pop order
 
-    internal_draw = _internal_partition(model, qbar)
     absorb_rate = model.absorb_rate
 
     y = first
@@ -406,7 +386,7 @@ def _graphical_engine(
         if kind == 0:
             u = blocks.u()
             heapq.heappush(heap, (t_ev + blocks.exp(qbar), i, 0))
-            target = internal_draw(x, u)
+            target = _internal_target(model, x, u)
         else:
             b = blocks.u()
             v = blocks.u()
@@ -425,7 +405,7 @@ def _graphical_engine(
                 tagged_states.append(target)
         if couple and i == 0:
             if kind == 0:
-                y_target = internal_draw(y, u)
+                y_target = _internal_target(model, y, u)
             elif b <= absorb_rate(y) / c0:
                 y_target = path.inverse_cdf_at(t_ev, v)
                 if coupled and y_target != positions[0]:

@@ -1,5 +1,6 @@
 import math
 import os
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,32 @@ def column_bound(model) -> float:
         for y, r in model.transitions(x):
             col[y] += r
     return max(col.values())
+
+
+def reference_bounds(model) -> tuple[float, float]:
+    """(C0, qbar) of a finite model by the exact formula the package used to store eagerly."""
+    c0 = max((model.absorb_rate(x) for x in model.states), default=0.0)
+    qbar = max((math.fsum(r for _, r in model.transitions(x)) for x in model.states), default=0.0)
+    return c0, qbar
+
+
+def reference_internal_partition(model, qbar: float):
+    """The graphical engine's former inverse cdf of an internal mark u at x.
+
+    Jump targets in sorted (y, rate) order with widths q(x, y)/qbar, then
+    the holding interval up to 1.
+    """
+    def draw(x: int, u: float) -> int:
+        cum, targets, running = [], [], 0.0
+        for y, r in sorted(model.transitions(x)):
+            running += r / qbar
+            cum.append(running)
+            targets.append(y)
+        cum.append(1.0)
+        targets.append(x)
+        return targets[min(bisect_right(cum, u), len(targets) - 1)]
+
+    return draw
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

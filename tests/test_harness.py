@@ -459,6 +459,57 @@ class TestCli:
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["fv", "--model", "two-state", "--particles", "3", "--horizon", "1e9",
+              "--burnin", "1", "--grid", "1e6"], "particles x horizon x replicas = 3e+09"),
+            (["fv", "--model", "two-state", "--particles", "10", "--horizon", "1",
+              "--init", "delta:2", "--replicas", "100000000000"], "replicas: must be"),
+            (["scan", "--model", "two-state", "--particles", "5000,6000", "--horizon", "1",
+              "--init", "delta:2", "--replicas", "1000"],
+             "particles x horizon x replicas = 1.1e+07"),
+            (["oracle", "--model", "bd:1,2,100000000000"],
+             "K = 100000000000 is above the window bound 100000"),
+            (["branch", "--model", "bd:1,2,30000", "--horizon", "1"], "over its 30000 types"),
+            (["branch", "--model", "two-state", "--horizon", "1e6", "--cap", "100000000000"],
+             "cap x horizon x replicas = 1e+17"),
+            (["fv", "--model", "two-state", "--particles", "2", "--horizon", "5",
+              "--init", "delta:2", "--grid", "5e-6", "--replicas", "1000000"],
+             "horizon / grid x replicas = 1e+12 sample times"),
+        ],
+        ids=["fv-stationary-particle-time", "fv-replicas", "scan-particle-time", "oracle-bd-window",
+             "branch-types", "branch-events", "fv-samples-of-all-replicas"],
+    )
+    def test_runs_past_a_cost_bound_exit_2(self, argv, problem, tmp_path, capsys):
+        # each is refused before any state is listed or any work is done
+        assert cli_main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config" in err and problem in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", [
+        "fv_particles = 100000\nfv_horizon = 110\n",
+        "branch_cap = 10000000\nbranch_horizon = 12\n",
+    ])
+    def test_report_past_a_cost_bound_exits_2(self, section, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("qsdconfig v1\nmethod = report\nmodel = two-state\nseed = 1\n"
+                           "[report]\n" + section)
+        assert cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bd_window_above_the_bound_gives_one_message(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("qsdconfig v1\nmethod = oracle\nmodel = bd:1,2,100000000000\nseed = 1\n")
+        assert cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "a")]) == 2
+        from_file = capsys.readouterr().err
+        argv = ["oracle", "--model", "bd:1,2,100000000000", "--out-dir", str(tmp_path / "b")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == from_file
+        assert "K = 100000000000" in from_file and "100000" in from_file
+
     def test_empty_model_window_is_named(self, tmp_path, capsys):
         assert cli_main(["oracle", "--model", "bd:1,2,0", "--out-dir", str(tmp_path)]) == 2
         assert "model: the window of bd:1,2,0 holds no live state" in capsys.readouterr().err

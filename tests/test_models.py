@@ -20,7 +20,7 @@ from qsdsim import (
 )
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
 
-from conftest import column_bound, multi_jump_model_file
+from conftest import column_bound, multi_jump_model_file, reference_bounds
 
 
 class TestBuildFinite:
@@ -248,3 +248,54 @@ class TestResolveModel:
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve_model("nope")
+
+
+class TestBounds:
+    @pytest.mark.parametrize("name", ["point", "two-state", "bd:1,2,30", "bd:0.6,1.7,40",
+                                      "gw:1,2|60", "multi-jump", "hand-built"])
+    def test_derived_bounds_match_the_exact_formula(self, name, tmp_path):
+        # hand-built declares nothing: its bounds read None before they were derived
+        if name == "multi-jump":
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        elif name == "hand-built":
+            model = AbsorbedChainModel(
+                HAND_BUILT.__getitem__, HAND_BUILT_ABSORB.__getitem__, states=(1, 2, 3)
+            )
+        elif name == "gw:1,2|60":
+            model = resolve_model("gw:1,2").restricted(60)
+        else:
+            model = resolve_model(name)
+        assert (model.c0, model.qbar) == reference_bounds(model)
+
+    def test_declared_bounds_are_kept(self):
+        assert (resolve_model("bd:1,2").c0, resolve_model("bd:1,2").qbar) == (2.0, 3.0)
+        assert (resolve_model("gw:1,2").c0, resolve_model("gw:1,2").qbar) == (2.0, math.inf)
+        # a declared value wins over the derived one; an undeclared infinite bound is None
+        model = AbsorbedChainModel(HAND_BUILT.__getitem__, HAND_BUILT_ABSORB.__getitem__,
+                                   states=(1, 2, 3), c0=5.0)
+        assert (model.c0, model.qbar) == (5.0, reference_bounds(model)[1])
+        assert AbsorbedChainModel(lambda x: [(x + 1, 1.0)], lambda x: 1.0).qbar is None
+
+    def test_restricted_walks_no_state_until_read(self):
+        seen = []
+
+        def transitions(x):
+            seen.append(x)
+            return [(x + 1, 1.0)] + ([(x - 1, 2.0)] if x > 1 else [])
+
+        window = AbsorbedChainModel(transitions, lambda x: 2.0 if x == 1 else 0.0).restricted(40)
+        assert seen == []
+        assert (window.c0, window.qbar) == (2.0, 3.0)
+        assert sorted(seen) == list(range(1, 41))
+
+    def test_bd_window_is_the_walks_restriction(self):
+        walk = resolve_model("bd:0.6,1.7").restricted(40)
+        window = resolve_model("bd:0.6,1.7,40")
+        assert window.name == "bd:0.6,1.7,40"
+        assert window.states == walk.states
+        for x in window.states:
+            assert window.jump_table(x) == walk.jump_table(x)
+
+    def test_bd_window_above_the_bound_is_refused_before_listing(self):
+        with pytest.raises(ValueError, match="K = 100000000000 is above the window bound"):
+            resolve_model("bd:1,2,100000000000")

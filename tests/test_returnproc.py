@@ -17,12 +17,15 @@ from qsdsim import (
     fv_run_graphical,
     phi_iterate,
     phi_map,
+    read_model_file,
     resolve_model,
     simulate_mu_return,
     simulate_tagged_limit,
     solve_qsd_power,
     tv_distance,
 )
+from qsdsim import returnproc
+from qsdsim.chain import AbsorbedChainModel
 from qsdsim.errors import NotIrreducible, PathTooShort
 from qsdsim.oracle import _path_solver
 
@@ -32,6 +35,7 @@ from conftest import (
     large_model_file,
     multi_jump_model_file,
     one_sample_chi2_pvalue,
+    reference_internal_partition,
     two_sample_chi2_pvalue,
 )
 
@@ -405,3 +409,86 @@ class TestKernelEquivalence:
         b = [gillespie(r) for r in range(2000)]
         pval = two_sample_chi2_pvalue(a, b)
         assert pval > 0.01
+
+
+# Unsorted transition lists and one absorbing state, so an internal mark's
+# interval starts past a(1) at state 1 only; state 2 lists target 3 twice.
+UNSORTED = {1: [(3, 0.4), (2, 0.3)], 2: [(3, 0.2), (1, 0.7), (3, 0.35)], 3: [(2, 0.6), (1, 0.15)]}
+UNSORTED_ABSORB = {1: 0.5, 2: 0.0, 3: 0.0}
+
+
+def unsorted_model():
+    return AbsorbedChainModel(UNSORTED.__getitem__, UNSORTED_ABSORB.__getitem__, states=(1, 2, 3))
+
+
+class TestInternalMarks:
+    @pytest.mark.parametrize("name", ["two-state", "bd:1,2,30", "gw:1,2|60", "multi-jump"])
+    def test_target_matches_sorted_partition(self, name, tmp_path):
+        # builders list transitions by target, so the jump table maps every u
+        # of a grid, each interval's edges and midpoint included, as the old
+        # sorted partition did.  a(x) + u qbar against rate sums and u against
+        # sums of rate/qbar may round apart on an edge itself: there either
+        # neighbouring target is allowed
+        if name == "multi-jump":
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        elif name == "gw:1,2|60":
+            model = resolve_model("gw:1,2").restricted(60)
+        else:
+            model = resolve_model(name)
+        reference = reference_internal_partition(model, model.qbar)
+        for x in model.states:
+            jumps = sorted(model.transitions(x))
+            edges = np.cumsum([0.0] + [r / model.qbar for _, r in jumps])
+            sides = [y for y, _ in jumps] + [x]  # the target right of each edge
+            us = np.concatenate([np.linspace(0.0, 1.0, 201), edges, (edges[1:] + edges[:-1]) / 2])
+            for u in us[us < 1.0].tolist():
+                got, want = returnproc._internal_target(model, x, u), reference(x, u)
+                if got != want:
+                    k = int(np.abs(edges - u).argmin())
+                    assert k >= 1 and abs(edges[k] - u) < 1e-15
+                    assert {got, want} == {sides[k - 1], sides[k]}
+
+    def test_unsorted_lists_keep_each_targets_width(self):
+        model = unsorted_model()
+        reference = reference_internal_partition(model, model.qbar)
+        m = 100_000
+        us = ((np.arange(m) + 0.5) / m).tolist()
+        for x in model.states:
+            got = np.bincount([returnproc._internal_target(model, x, u) for u in us], minlength=4)
+            ref = np.bincount([reference(x, u) for u in us], minlength=4)
+            # each interval's two edges cost at most one grid point apiece
+            assert np.abs(got - ref).max() <= 4
+            for y in (1, 2, 3):
+                # the holding interval is what the jumps leave of [0, 1)
+                rate = sum(r for z, r in UNSORTED[x] if z == y) if y != x else (
+                    model.qbar - sum(r for _, r in UNSORTED[x]))
+                assert abs(got[y] / m - rate / model.qbar) <= 4 / m
+
+    def test_coupled_processes_take_one_target_per_internal_mark(self, monkeypatch):
+        model = unsorted_model()
+        calls = []
+        draw = returnproc._internal_target
+
+        def recording(model, x, u):
+            calls.append((x, u, draw(model, x, u)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(returnproc, "_internal_target", recording)
+        mu = Distribution.delta(1)
+        path = evolve_conditioned(model, mu, 3.0, None, 3)
+        shared = 0
+        for r in range(20):
+            calls.clear()
+            run = coupled_tagged_run(model, 4, mu, 3.0, RngStream(61, (r,)), path=path)
+            # the limit process reads particle 1's internal mark right after it
+            for (x, u, target), (y, v, y_target) in zip(calls, calls[1:]):
+                if u == v and x == y:
+                    assert target == y_target
+                    shared += 1
+            t_end = run.coupling.divergence_time if run.coupling.diverged else 3.0
+            tagged, limit = (
+                [(t, z) for t, z in zip(traj.times, traj.states) if t < t_end]
+                for traj in (run.tagged, run.limit)
+            )
+            assert tagged == limit
+        assert shared > 50

@@ -7,7 +7,9 @@ q(x, x) = -(sum of off-diagonal rates) is never stored, always derived.
 
 This module also holds the live generator block that every deterministic
 solver builds from, the sparse probability vectors used throughout the
-package and the plain Gillespie simulation of the chain up to absorption.
+package and :func:`_z_mu_events`, the one Gillespie loop of Z^mu (the chain
+that jumps to mu when it absorbs): the run up to absorption, the mu-return
+chain and the tagged particle's limit process each set its revival rule.
 """
 
 from __future__ import annotations
@@ -438,6 +440,37 @@ class AbsorptionSample:
 DEFAULT_EVENT_CAP = 10**7
 
 
+def _z_mu_events(model: AbsorbedChainModel, x: int, blocks: UniformBlock, end: float,
+                 revive: Callable[[float, float], int], event_cap: int):
+    """Gillespie events of Z^mu, the chain that jumps to mu when it absorbs.
+
+    From state x at time 0, yields (t, dt, x, y, revived) per event before
+    ``end``: event time, drawn wait, states before and after, and whether
+    the jump absorbed and ``revive(t, u)`` drew y.  Each event draws the
+    wait, the jump, then on absorption the revival uniform; the wait that
+    crosses ``end`` is the last draw.  Raises :class:`EventCapExceeded` at a
+    state with total rate 0, and at an event past ``event_cap`` before ``end``.
+    """
+    t, events = 0.0, 0
+    while True:
+        total = model.total_rate(x)
+        if total <= 0.0:
+            raise EventCapExceeded(f"state {x} has total rate 0; the chain is stuck")
+        dt = blocks.exp(total)
+        if t + dt >= end:
+            return
+        if events == event_cap:
+            raise EventCapExceeded(f"more than {event_cap} events before t={end}")
+        events += 1
+        t += dt
+        y = model.sample_jump(x, blocks.u())
+        revived = y == 0
+        if revived:
+            y = revive(t, blocks.u())
+        yield t, dt, x, y, revived
+        x = y
+
+
 def simulate_until_absorption(
     model: AbsorbedChainModel,
     start: Distribution,
@@ -447,24 +480,18 @@ def simulate_until_absorption(
     """Gillespie simulation of the raw chain until the absorbing jump.
 
     Exact event-driven simulation: exponential holding times at the total
-    rate, categorical jump draws.  Raises :class:`EventCapExceeded` after
-    ``event_cap`` jumps, which signals a practically non-absorbing input.
+    rate, categorical jump draws, run by :func:`_z_mu_events` up to its
+    first absorption.  Raises :class:`EventCapExceeded` past ``event_cap``
+    jumps, which signals a practically non-absorbing input.
     """
     if event_cap <= 0:
         raise ValueError("event_cap must be positive")
     blocks = UniformBlock(rng.child(TAG_EVENTS))
     x = start.sample(blocks.u())
-    t = 0.0
-    for _ in range(event_cap):
-        total = model.total_rate(x)
-        if total <= 0.0:
-            raise EventCapExceeded(f"state {x} has total rate 0; absorption is impossible")
-        t += blocks.exp(total)
-        y = model.sample_jump(x, blocks.u())
-        if y == 0:
+    for t, _, x, _, absorbed in _z_mu_events(model, x, blocks, math.inf, lambda t, u: 0, event_cap):
+        if absorbed:
             return AbsorptionSample(tau=t, exit_state=x)
-        x = y
-    raise EventCapExceeded(f"no absorption within {event_cap} events")
+    raise EventCapExceeded("the absorption time overflowed to infinity")
 
 
 # -- model files ----------------------------------------------------------

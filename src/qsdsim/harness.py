@@ -404,6 +404,8 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
                 f"grid: horizon / grid x replicas = {v['horizon'] / v['grid'] * v['replicas']:.3g}"
                 f" sample times, above {FV_MAX_SAMPLES:.0e}; each keeps one measure"
             )
+    if method == "scan" and len(set(v["particles"])) < 2:
+        problems.append(f"particles: a rate fit needs two distinct N, got {v['particles']}")
     if method == "report" and v["fv_burnin"] >= v["fv_horizon"]:
         problems.append(f"fv_burnin: must be below fv_horizon = {v['fv_horizon']:g},"
                         f" got {v['fv_burnin']:g}")
@@ -432,6 +434,12 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
                         " use at least the largest total rate, or auto")
     if v.get("state") is not None and v["state"] not in window:
         problems.append(f"state: the probed state {v['state']} lies outside the model's window")
+    # uniformize checks the rate against the restricted window, whose edge drops jumps
+    if method == "afp" and v["uniformization-rate"] is not None:
+        maxrate = model.restricted(v["trunc"]).max_total_rate(window)
+        if v["uniformization-rate"] < maxrate - 1e-12:
+            problems.append(f"uniformization-rate: must be at least the window's largest total"
+                            f" rate {maxrate:g}, got {v['uniformization-rate']:g}")
     # evolve_conditioned runs over the horizon: the conditioned run, couple's
     # shared path, and the reference law of fixed-time fv and of scan
     if method in ("conditioned", "couple", "scan") or (method == "fv" and v["burnin"] == 0.0):

@@ -192,6 +192,8 @@ def uniformize(
     1.05 x max keeps some holding probability, hence aperiodicity.  Memory
     is O(jumps in the window): no n x n matrix is built.
     """
+    if not model.is_finite and truncation is None:
+        raise ValueError("an infinite model needs an explicit truncation")
     finite = model if model.is_finite and truncation is None else model.restricted(
         truncation if truncation is not None else max(model.states)
     )

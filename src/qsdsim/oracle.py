@@ -7,19 +7,20 @@ block's shape:
 * *Two-way paths* (every builtin chain: ``two-state``, ``bd:p,q[,K]``,
   ``gw:b,d``).  Such a chain is reversible, so the block is similar to a
   symmetric tridiagonal matrix S.  The top eigenvalue of S comes from
-  Sturm-count bisection and the vector from two Thomas solves of
+  Sturm-count bisection and the vector from two ``_sweep`` solves of
   (sigma I - S) u = 1 with sigma just above it; that matrix is a
   positive-definite M-matrix, so u stays entrywise positive.  The vector is
   mapped back in log space.  On bd:1,2 a whole solve takes about 7 ms at
   K=400 and 0.12 s at K=6400 on a 2-vCPU host, where power iteration needed
   143,663 steps (1.2 s) at K=400 and did not converge at K >= 800.
 * *Other windows* iterate the return map Phi(v) = v A^-1 / |v A^-1|,
-  A = -Q_live, whose fixed point is the QSD.  A^-1 is entrywise positive on
-  an irreducible window that absorbs, so this inverse iteration converges
-  from any positive start, periodic chains included.  Its step count grows
-  with the window on drifted chains: a walk with skips takes 3,716 steps
-  (0.12 s) on 250 states, 34,656 (1.7 s) on 1000 and 171,445 (26 s) on
-  3000, on the same host with one BLAS thread.
+  A = -Q_live, whose fixed point is the QSD, with the Phi step of
+  :func:`return_map_iterates` that ``returnproc`` runs too.  A^-1 is
+  entrywise positive on an irreducible window that absorbs, so this inverse
+  iteration converges from any positive start, periodic chains included.
+  Its step count grows with the window on drifted chains: a walk with skips
+  takes 3,716 steps (0.12 s) on 250 states, 34,656 (1.7 s) on 1000 and
+  171,445 (26 s) on 3000, on the same host with one BLAS thread.
 
 :func:`solve_qsd_discrete` solves a uniformized chain P = I + Q/rate by the
 same routes on its window's generator, since P and Q share the left Perron
@@ -27,12 +28,14 @@ vector, and maps the eigenvalue back to 1 + lambda/rate.
 
 A is factored once by :func:`return_map_solver`, which imports
 ``scipy.sparse.linalg`` only for its sparse LU on non-path windows of more
-than ``PHI_LAPACK_LIMIT`` states.
+than ``PHI_LAPACK_LIMIT`` states; on a two-way path it runs ``_sweep``, the
+positive tridiagonal solve that the path route runs too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -83,33 +86,41 @@ def check_irreducible(model: AbsorbedChainModel, states) -> None:
 PHI_LAPACK_LIMIT = 200
 
 
-def _path_solver(total: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """Solve A^T w = v on a two-way path, from the pivots of A^T computed once.
+def _sweep(piv: list[float], lower: list[float], upper: list[float]):
+    """solve(y) = u for the tridiagonal matrix of LU pivots ``piv``, sub- and
+    superdiagonal -``lower`` and -``upper`` (both >= 0), multipliers computed once.
 
-    A^T has diagonal ``total``, superdiagonal -``down`` and subdiagonal
-    -``up``, so its LU pivots are those of :func:`_pivots` at 0.
-    A is a nonsingular M-matrix, so every pivot is positive; then, for a
-    nonnegative v, the forward sweep y(i+1) = v(i+1) + up(i)/d(i) y(i) and
-    the back sweep w(i) = (y(i) + down(i) w(i+1)) / d(i) add nonnegative
-    terms only.  Pure Python on lists: no BLAS call, O(n) per solve.
+    With positive pivots, a nonnegative right-hand side y makes the forward
+    sweep y(i+1) += lower(i)/piv(i) y(i), which overwrites the list y, and the
+    back sweep u(i) = (y(i) + upper(i) u(i+1)) / piv(i) add nonnegative terms
+    only, so nothing cancels.  Pure Python on lists: no BLAS call, O(n) per solve.
+    """
+    mult = [e / p for e, p in zip(lower, piv)]
+    back = list(zip(upper[::-1], piv[-2::-1]))
+
+    def solve(y: list[float]) -> list[float]:
+        for i, m in enumerate(mult):
+            y[i + 1] += m * y[i]
+        u = [y[-1] / piv[-1]]
+        for yi, (e, p) in zip(y[-2::-1], back):
+            u.append((yi + e * u[-1]) / p)
+        u.reverse()
+        return u
+
+    return solve
+
+
+def _path_solver(total: np.ndarray, up: np.ndarray, down: np.ndarray):
+    """Solve A^T w = v on a two-way path: one :func:`_sweep` with the pivots of A^T.
+
+    A^T has diagonal ``total``, superdiagonal -``down`` and subdiagonal -``up``;
+    A is a nonsingular M-matrix, so every pivot (:func:`_pivots` at 0) is positive.
     """
     piv = _pivots(0.0, total.tolist(), (up * down).tolist())
     if piv is None:
         raise NotIrreducible("the path block is singular, so Phi is undefined")
-    mult = [u / p for u, p in zip(up.tolist(), piv)]
-    back = list(zip(down.tolist()[::-1], piv[-2::-1]))
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        y = v.tolist()
-        for i, m in enumerate(mult):
-            y[i + 1] += m * y[i]
-        w = [y[-1] / piv[-1]]
-        for yi, (d, p) in zip(y[-2::-1], back):
-            w.append((yi + d * w[-1]) / p)
-        w.reverse()
-        return np.array(w)
-
-    return solve
+    sweep = _sweep(piv, up.tolist(), down.tolist())
+    return lambda v: np.array(sweep(v.tolist()))
 
 
 def return_map_solver(b: LiveBlock):
@@ -163,31 +174,39 @@ def return_map_solver(b: LiveBlock):
 GAP_HEAD = 32
 
 
-def _inverse_iteration(solve, start: np.ndarray, tol: float, max_iters: int):
-    """Iterate v -> w / s with w = max(solve(v), 0) and s = |w|.
+def return_map_iterates(solve, v: np.ndarray):
+    """The return map's iterates w = max(solve(v), 0) / s from v, s the sum of the clipped solve.
 
-    ``solve`` applies A^-T for an A whose inverse is entrywise nonnegative,
-    so the clip only removes round-off, and 1/s tends to the Perron root of
-    A.  The loop stops, from the second step on, once both the TV gap
-    between successive iterates and the drift of 1/s are below ``tol``, and
-    raises :class:`NoConvergence` past ``max_iters``.  Returns (vector, s,
-    iterations, gap log), the log holding the first and the last
-    ``GAP_HEAD`` gaps.
+    ``solve`` applies A^-T for an A whose inverse is entrywise nonnegative, so
+    the clip only removes round-off.  Yields (w, s, 0.5 |w - v|_1) forever.
     """
-    v = start / start.sum()
-    root = 0.0
-    gaps: list[float] = []
-    gap = None
-    for it in range(1, max_iters + 1):
+    while True:
         w = np.maximum(solve(v), 0.0)
         s = float(w.sum())
         w /= s
-        gap = 0.5 * float(np.abs(w - v).sum())
+        yield w, s, 0.5 * float(np.abs(w - v).sum())
+        v = w
+
+
+def _inverse_iteration(solve, start: np.ndarray, tol: float, max_iters: int):
+    """Run :func:`return_map_iterates` from ``start`` normalized.
+
+    1/s tends to the Perron root of A.  The loop stops, from the second
+    step on, once both the TV gap between successive iterates and the drift
+    of 1/s are below ``tol``, and raises :class:`NoConvergence` past
+    ``max_iters``.  Returns (vector, s, iterations, gap log), the log
+    holding the first and the last ``GAP_HEAD`` gaps.
+    """
+    root = 0.0
+    gaps: list[float] = []
+    gap = None
+    iterates = islice(return_map_iterates(solve, start / start.sum()), max_iters)
+    for it, (v, s, gap) in enumerate(iterates, 1):
         drift = abs(1.0 / s - root)
         gaps.append(gap)
         if len(gaps) > 2 * GAP_HEAD:
             del gaps[GAP_HEAD]
-        v, root = w, 1.0 / s
+        root = 1.0 / s
         if gap < tol and drift < tol and it >= 2:
             return v, s, it, gaps
     raise NoConvergence(
@@ -213,23 +232,6 @@ def _pivots(x: float, total: list[float], off2: list[float]) -> list[float] | No
             return None
         piv.append(p)
     return piv
-
-
-def _thomas(piv: list[float], off: list[float], rhs: list[float]) -> list[float]:
-    """Solve (x I - S) u = rhs from the pivots of x I - S.
-
-    The off-diagonal of x I - S is ``-off`` <= 0, so with positive pivots and
-    a positive right-hand side every step adds positive terms: u is positive
-    and has no cancellation.
-    """
-    y = [rhs[0]]
-    for p, e, r in zip(piv, off, rhs[1:]):
-        y.append(r + e / p * y[-1])
-    u = [y[-1] / piv[-1]]
-    for i in range(len(piv) - 2, -1, -1):
-        u.append((y[i] + off[i] * u[-1]) / piv[i])
-    u.reverse()
-    return u
 
 
 def _path_qsd(b: LiveBlock) -> tuple[np.ndarray, float, int]:
@@ -266,9 +268,10 @@ def _path_qsd(b: LiveBlock) -> tuple[np.ndarray, float, int]:
     piv = _pivots(hi, total, off2)
     if piv is None:
         raise NoConvergence("bisection lost the top eigenvalue of the path block")
-    u = _thomas(piv, off, [1.0] * n)
+    solve = _sweep(piv, off, off)
+    u = solve([1.0] * n)
     top = max(u)
-    u = np.array(_thomas(piv, off, [v / top for v in u]))
+    u = np.array(solve([v / top for v in u]))
     if not (np.all(u > 0.0) and np.all(np.isfinite(u))):
         raise NoConvergence("the shifted path solve left the positive cone")
     log_nu = np.log(u)

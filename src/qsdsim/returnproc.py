@@ -1,14 +1,15 @@
 """The return process, its fixed-point map, and the tagged-particle coupling.
 
-A chain that re-enters the live states with law mu whenever it absorbs has
-effective rates q(x, y) + q(x, 0) mu(y).  Its invariant law defines the map
-Phi(mu); QSDs are exactly the fixed points of Phi, which makes both the
+A chain Z^mu that re-enters the live states with law mu whenever it absorbs
+has effective rates q(x, y) + q(x, 0) mu(y).  Its invariant law defines the
+map Phi(mu); QSDs are exactly the fixed points of Phi, which makes both the
 direct iteration and the time-inhomogeneous "tagged particle" limit process
 (return law T_t mu) useful simulation routes.  By the renewal argument of
 Ferrari, Kesten, Martinez and Picco (1995), Phi(mu) = mu A^-1 / |mu A^-1|
 with A = -Q_live, the normalized occupation law before absorption from mu;
 ``phi_map`` computes it as one linear solve, and ``simulate_mu_return``
-checks it by simulation.  On an infinite space every QSD nu_theta of
+checks it by simulation.  Both simulators here run ``chain._z_mu_events``,
+the Gillespie loop of the run up to absorption too.  On an infinite space every QSD nu_theta of
 ``bd:p,q`` is a fixed point of Phi, so the return map alone cannot select
 the minimal QSD.
 
@@ -24,8 +25,8 @@ engine places the particles with ``fv.initial_positions``, which opens the
 ``TAG_INIT`` child only when the initial law has more than one state: a
 point mass places them without a draw.
 
-The return map factors A with ``oracle.return_map_solver``, the solve that
-the oracle's inverse iteration runs too.  scipy is used only by its sparse
+``phi_map`` and ``phi_iterate`` read ``oracle.return_map_iterates``, the
+one Phi step, which the oracle's inverse iteration reads too.  scipy is used only by its sparse
 LU factorization on windows that are not two-way paths and have more than
 ``oracle.PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.splu``), and
 through ``evolve_conditioned`` on windows of more than
@@ -40,14 +41,15 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution
+from .chain import AbsorbedChainModel, Distribution, _z_mu_events
 from .conditioned import ConditionedPath, evolve_conditioned
 from .errors import EventCapExceeded, PathTooShort
 from .fv import FvTrace, initial_positions, sample_times
-from .oracle import return_map_solver
+from .oracle import return_map_iterates, return_map_solver
 from .rng import RngStream, UniformBlock, TAG_EVENTS
 
 MU_RETURN_EVENT_CAP = 10**8
@@ -72,60 +74,35 @@ def simulate_mu_return(
 ) -> OccupationResult:
     """Simulate the return chain and accumulate its occupation measure.
 
-    Base Gillespie dynamics; an absorbing jump instantaneously re-draws the
-    position from mu (landing on the current state is a null event).  The
-    occupation measure over [0, horizon] estimates Phi(mu) for long runs.
+    The chain is Z^mu of :func:`~qsdsim.chain._z_mu_events`: base Gillespie
+    dynamics, and an absorbing jump instantaneously re-draws the position
+    from mu (landing on the current state is a null event).  The occupation
+    measure over [0, horizon] estimates Phi(mu) for long runs.
     """
     blocks = UniformBlock(rng.child(TAG_EVENTS))
-    x = mu.sample(blocks.u())
-    t = 0.0
-    events = 0
-    returns = 0
+    t, y = 0.0, mu.sample(blocks.u())
+    events = returns = 0
     acc: dict[int, float] = {}
-    while True:
-        total = model.total_rate(x)
-        if total <= 0.0:
-            raise EventCapExceeded(f"state {x} has total rate 0")
-        dt = blocks.exp(total)
-        if t + dt >= horizon:
-            acc[x] = acc.get(x, 0.0) + (horizon - t)
-            break
+    for events, (t, dt, x, y, returned) in enumerate(
+        _z_mu_events(model, y, blocks, horizon, lambda t, u: mu.sample(u), event_cap), 1
+    ):
         acc[x] = acc.get(x, 0.0) + dt
-        t += dt
-        y = model.sample_jump(x, blocks.u())
-        if y == 0:
-            y = mu.sample(blocks.u())
-            returns += 1
-        x = y
-        events += 1
-        if events > event_cap:
-            raise EventCapExceeded(f"more than {event_cap} events before t={horizon}")
+        returns += returned
+    acc[y] = acc.get(y, 0.0) + (horizon - t)
     return OccupationResult(Distribution.from_weights(acc), events, returns, horizon)
 
 
-def _phi_step(model: AbsorbedChainModel):
-    """The return map on mass vectors over ``model.states``.
+def _phi_iterates(model: AbsorbedChainModel, mu: Distribution):
+    """The iterates of Phi from mu as mass vectors over ``model.states``, A factored once.
 
-    Factors A = -Q_live of the model's cached live block once, with
-    :func:`~qsdsim.oracle.return_map_solver`; the returned step maps v to
-    v A^-1 / |v A^-1|.  Raises :class:`NotIrreducible` where some live state
-    cannot reach absorption.
+    Raises :class:`NotIrreducible` where some live state cannot reach absorption.
     """
     if not model.is_finite:
         raise ValueError("phi_map needs a finite model; truncate first")
     solve = return_map_solver(model.live_block())
-
-    def step(v: np.ndarray) -> np.ndarray:
-        w = np.maximum(solve(v), 0.0)  # A^-1 is entrywise nonnegative; this clips round-off
-        return w / w.sum()
-
-    return step
-
-
-def _mass_vector(model: AbsorbedChainModel, mu: Distribution) -> np.ndarray:
     if not set(mu.support) <= set(model.states):
         raise ValueError("mu puts mass outside the model's states")
-    return mu.as_vector(model.states)
+    return return_map_iterates(solve, mu.as_vector(model.states))
 
 
 def _distribution(states, v: np.ndarray) -> Distribution:
@@ -137,16 +114,16 @@ def phi_map(model: AbsorbedChainModel, mu: Distribution) -> Distribution:
 
     By the renewal argument of Ferrari, Kesten, Martinez and Picco (1995) it
     is the occupation law before absorption from mu:
-    Phi(mu) = mu A^-1 / |mu A^-1| with A = -Q_live, one linear solve with
-    the factorization of :func:`~qsdsim.oracle.return_map_solver`.
+    Phi(mu) = mu A^-1 / |mu A^-1| with A = -Q_live, the first of the
+    iterates of :func:`~qsdsim.oracle.return_map_iterates`.
 
     QSDs are the fixed points of Phi, but on an infinite space it has more
     than one: every QSD nu_theta of ``bd:p,q`` (0 < theta <= theta*) is a
     fixed point, so the return map alone cannot select the minimal QSD.
     On an irreducible finite window the fixed point is unique.
     """
-    step = _phi_step(model)
-    return _distribution(model.states, step(_mass_vector(model, mu)))
+    w, _, _ = next(_phi_iterates(model, mu))
+    return _distribution(model.states, w)
 
 
 @dataclass
@@ -167,24 +144,19 @@ def phi_iterate(
 ) -> PhiIterationResult:
     """Iterate mu -> Phi(mu) until successive iterates agree in TV.
 
-    The iterate is a dense mass vector over ``model.states``, and each
-    iteration is one step of :func:`_phi_step`, which factors A once for
-    the whole run; a ``Distribution`` is built only for the result.
+    The iterate is a dense mass vector over ``model.states``, taken from
+    :func:`~qsdsim.oracle.return_map_iterates` with A factored once for the
+    whole run; a ``Distribution`` is built only for the result.
     Exhausting ``max_iters`` (at least 1) is reported through
     ``converged=False`` rather than an exception; the TV log is the useful
     diagnostic either way.
     """
     if max_iters < 1:
         raise ValueError(f"phi_iterate needs max_iters >= 1, got {max_iters}")
-    step = _phi_step(model)
-    mu = _mass_vector(model, mu0)
     log: list[float] = []
     converged = False
-    for _ in range(max_iters):
-        nxt = step(mu)
-        gap = 0.5 * float(np.abs(nxt - mu).sum())
+    for mu, _, gap in islice(_phi_iterates(model, mu0), max_iters):
         log.append(gap)
-        mu = nxt
         if gap < tol:
             converged = True
             break
@@ -220,38 +192,21 @@ def simulate_tagged_limit(
 ) -> Trajectory:
     """Simulate the limit process of the tagged particle.
 
-    Same driving jumps as the base chain; an absorption attempt at time t
-    re-draws the position from the conditioned law at t (read exactly from the
-    path).  The total event rate at x is the constant r(x) because the
+    Z^mu of :func:`~qsdsim.chain._z_mu_events` with a moving mu: same
+    driving jumps as the base chain, and an absorption attempt at time t
+    re-draws the position from the conditioned law at t (read exactly from
+    the path).  The total event rate at x is the constant r(x) because the
     return law is a probability, so no thinning is needed.
     """
     horizon = path.horizon if horizon is None else horizon
     if horizon > path.horizon + 1e-12:
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
     blocks = UniformBlock(rng.child(TAG_EVENTS))
-    t = 0.0
-    x = y0
-    times = [0.0]
-    states = [x]
-    events = 0
-    while True:
-        total = model.total_rate(x)
-        if total <= 0.0:
-            raise EventCapExceeded(f"state {x} has total rate 0")
-        t_next = t + blocks.exp(total)
-        if t_next >= horizon:
-            break
-        t = t_next
-        y = model.sample_jump(x, blocks.u())
-        if y == 0:
-            y = path.inverse_cdf_at(t, blocks.u())
+    times, states = [0.0], [y0]
+    for t, _, x, y, _ in _z_mu_events(model, y0, blocks, horizon, path.inverse_cdf_at, event_cap):
         if y != x:
             times.append(t)
             states.append(y)
-            x = y
-        events += 1
-        if events > event_cap:
-            raise EventCapExceeded(f"more than {event_cap} events before t={horizon}")
     return Trajectory(times, states)
 
 

@@ -431,6 +431,12 @@ class TestCli:
              "--init", "delta:2"],
             ["conditioned", "--model", "two-state", "--init", "delta:2", "--horizon", "1",
              "--grid", "1e-9"],
+            ["scan", "--model", "two-state", "--particles", "10", "--horizon", "0.5",
+             "--init", "delta:2", "--replicas", "3"],
+            ["scan", "--model", "two-state", "--particles", "10,10", "--horizon", "0.5",
+             "--init", "delta:2", "--replicas", "3"],
+            ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
+             "--uniformization-rate", "0.5"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -452,12 +458,22 @@ class TestCli:
             "couple-negative-seed", "scan-negative-seed", "scan-state-zero",
             "scan-state-outside-trunc", "fv-grid-too-fine", "fv-stationary-grid-too-fine",
             "oracle-empty-model-window", "couple-path-too-long", "conditioned-grid-too-fine",
+            "scan-one-n", "scan-repeated-n", "afp-rate-below-window",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("rate, code", [(2.5, 0), (2.0, 0), (1.9, 2)])
+    def test_afp_rate_is_checked_on_the_restricted_window(self, rate, code, tmp_path):
+        # bd:1,2 restricted to {1} keeps only absorption (rate 2): the dropped
+        # birth jump is out of uniformize's total, so the full chain's 3 is no bound
+        argv = ["afp", "--model", "bd:1,2", "--trunc", "1", "--steps", "10", "--start", "1",
+                "--uniformization-rate", str(rate), "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == code
+        assert (tmp_path / "afp.csv").exists() == (code == 0)
 
     @pytest.mark.parametrize(
         "argv, problem",

@@ -138,6 +138,11 @@ class TestUniformize:
         with pytest.raises(RateTooSmall):
             uniformize(t2, rate=1.0)
 
+    @pytest.mark.parametrize("spec", ["bd:1,2", "gw:1,2"])
+    def test_infinite_model_needs_a_truncation(self, spec):
+        with pytest.raises(ValueError, match="an infinite model needs an explicit truncation"):
+            uniformize(resolve_model(spec))
+
     def test_preserves_qsd(self, t2):
         cont = solve_qsd_power(t2)
         disc = solve_qsd_discrete(uniformize(t2))

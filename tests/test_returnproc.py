@@ -21,12 +21,13 @@ from qsdsim import (
     resolve_model,
     simulate_mu_return,
     simulate_tagged_limit,
+    simulate_until_absorption,
     solve_qsd_power,
     tv_distance,
 )
 from qsdsim import returnproc
 from qsdsim.chain import AbsorbedChainModel
-from qsdsim.errors import NotIrreducible, PathTooShort
+from qsdsim.errors import EventCapExceeded, NotIrreducible, PathTooShort
 from qsdsim.oracle import _path_solver
 
 from conftest import (
@@ -348,6 +349,48 @@ class TestTaggedLimit:
         path = evolve_conditioned(t2, Distribution.delta(2), 1.0, 1e-3, 2)
         with pytest.raises(PathTooShort):
             simulate_tagged_limit(t2, path, 2, RngStream(0), horizon=2.0)
+
+
+def absorption_run(model, start, cap):
+    return simulate_until_absorption(model, Distribution.delta(start), RngStream(40), event_cap=cap)
+
+
+def mu_return_run(model, start, cap):
+    return simulate_mu_return(model, Distribution.delta(start), 10.0, RngStream(41), event_cap=cap)
+
+
+def tagged_run(model, start, cap):
+    path = evolve_conditioned(model, Distribution.delta(start), 5.0, None, max(model.states))
+    return simulate_tagged_limit(model, path, start, RngStream(42), event_cap=cap)
+
+
+FORCED = {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0, (4, 0): 1.0}  # four forced jumps to absorption
+CYCLE = {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0}  # never absorbs, and every event moves
+
+
+class TestZMuEvents:
+    """The one Gillespie loop behind the three single-particle simulators."""
+
+    @pytest.mark.parametrize("run", [absorption_run, mu_return_run, tagged_run])
+    def test_stuck_state_raises(self, run):
+        model = build_finite({(1, 2): 1.0, (1, 0): 1.0})  # state 2 has no way out
+        with pytest.raises(EventCapExceeded, match="state 2 has total rate 0"):
+            run(model, 2, 10**6)
+
+    @pytest.mark.parametrize("run, rates, count", [
+        (absorption_run, FORCED, lambda r: 4),
+        (mu_return_run, FORCED, lambda r: r.events),
+        (tagged_run, CYCLE, lambda r: len(r.times) - 1),
+    ], ids=["absorption", "mu-return", "tagged"])
+    def test_event_cap_boundary(self, run, rates, count):
+        # a cap of exactly the run's event count changes nothing; one less raises
+        model = build_finite(rates)
+        full = run(model, 1, 10**6)
+        n = count(full)
+        assert n >= 4
+        assert run(model, 1, n) == full
+        with pytest.raises(EventCapExceeded, match=f"more than {n - 1} events"):
+            run(model, 1, n - 1)
 
 
 class TestCoupledRun:

@@ -399,6 +399,12 @@ class AbsorbedChainModel:
             self._blocks[states] = got
         return got
 
+    def truncation_or_top(self, K: int | None) -> int:
+        """K, else the largest state of a finite model; an infinite model needs K."""
+        if K is None and not self.is_finite:
+            raise ValueError("an infinite model needs an explicit truncation")
+        return max(self.states) if K is None else K
+
     def state_window(self, K: int) -> tuple[int, ...]:
         """States covered by a truncation at K (ids <= K)."""
         if self.is_finite:
@@ -459,7 +465,7 @@ def _z_mu_events(model: AbsorbedChainModel, x: int, blocks: UniformBlock, end: f
         dt = blocks.exp(total)
         if t + dt >= end:
             return
-        if events == event_cap:
+        if events >= event_cap:
             raise EventCapExceeded(f"more than {event_cap} events before t={end}")
         events += 1
         t += dt

@@ -28,10 +28,10 @@ from .afp import afp_run
 from .branching import certifies_supercritical, ks_estimate
 from .chain import AbsorbedChainModel, Distribution, tv_distance
 from .conditioned import evolve_conditioned
-from .errors import ConfigInvalid, DegenerateInput, QsdError
+from .errors import ConfigInvalid, DegenerateInput, QsdError, RateTooSmall
 from .fv import fv_run, fv_stationary
 # perfbench/spans.py wraps uniformize and the solvers by their names in this module
-from .models import WINDOW_MAX_STATES, resolve_model, uniformize
+from .models import WINDOW_MAX_STATES, resolve_model, uniformization_rate, uniformize
 from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power
 from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
@@ -434,12 +434,11 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
                         " use at least the largest total rate, or auto")
     if v.get("state") is not None and v["state"] not in window:
         problems.append(f"state: the probed state {v['state']} lies outside the model's window")
-    # uniformize checks the rate against the restricted window, whose edge drops jumps
     if method == "afp" and v["uniformization-rate"] is not None:
-        maxrate = model.restricted(v["trunc"]).max_total_rate(window)
-        if v["uniformization-rate"] < maxrate - 1e-12:
-            problems.append(f"uniformization-rate: must be at least the window's largest total"
-                            f" rate {maxrate:g}, got {v['uniformization-rate']:g}")
+        try:
+            uniformization_rate(model, v["trunc"], v["uniformization-rate"])
+        except RateTooSmall as err:
+            problems.append(f"uniformization-rate: {err}")
     # evolve_conditioned runs over the horizon: the conditioned run, couple's
     # shared path, and the reference law of fixed-time fv and of scan
     if method in ("conditioned", "couple", "scan") or (method == "fv" and v["burnin"] == 0.0):
@@ -721,7 +720,6 @@ def _run_scan(v, out):
     ref_mass = ref.mass(probe_state)
     root = RngStream(v["seed"])
     rows = []
-    points = []
     for n in v["particles"]:
         def one(r, n=n):
             tr = fv_run(model, mu, horizon, [horizon], root.child(n, r), n=n)
@@ -731,10 +729,9 @@ def _run_scan(v, out):
         err = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(len(errs)))
         rows.append((n, err, stderr))
-        points.append((n, err))
     path = out / "scan.csv"
     write_csv(path, ["n_particles", "error", "stderr"], rows)
-    fit = rate_fit(points)
+    fit = rate_fit([(n, err) for n, err, _ in rows])
     fpath = out / "scan_fit.json"
     write_json(fpath, {"slope": fit.slope, "intercept": fit.intercept, "residual": fit.residual})
     gpath = out / "scan.gp"

@@ -181,6 +181,27 @@ class DiscreteChainModel:
         return f"DiscreteChainModel(name={self.name!r}, n={self.n})"
 
 
+def uniformization_rate(
+    model: AbsorbedChainModel, truncation: int | None = None, rate: float | None = None
+) -> tuple[AbsorbedChainModel, float]:
+    """The window :func:`uniformize` runs on and the rate it uses there.
+
+    The window is the finite model itself, else ``restricted(truncation)``,
+    whose edge totals leave out the dropped jumps.  The rate must dominate
+    every total jump rate in the window, else :class:`RateTooSmall` is
+    raised; the default 1.05 x max keeps some holding probability, hence
+    aperiodicity.
+    """
+    K = model.truncation_or_top(truncation)
+    finite = model if model.is_finite and truncation is None else model.restricted(K)
+    maxrate = finite.max_total_rate(finite.states)
+    if rate is None:
+        rate = 1.05 * maxrate if maxrate > 0 else 1.0
+    if rate < maxrate - 1e-12:
+        raise RateTooSmall(f"uniformization rate {rate} < max total rate {maxrate}")
+    return finite, rate
+
+
 def uniformize(
     model: AbsorbedChainModel, truncation: int | None = None, rate: float | None = None
 ) -> DiscreteChainModel:
@@ -188,21 +209,10 @@ def uniformize(
 
     The left Perron vector is unchanged by uniformization, which is what
     lets the discrete solver and history-renewal chain target the same QSD.
-    The rate must dominate every total jump rate in the window; the default
-    1.05 x max keeps some holding probability, hence aperiodicity.  Memory
-    is O(jumps in the window): no n x n matrix is built.
+    The window and the rate are those of :func:`uniformization_rate`.
+    Memory is O(jumps in the window): no n x n matrix is built.
     """
-    if not model.is_finite and truncation is None:
-        raise ValueError("an infinite model needs an explicit truncation")
-    finite = model if model.is_finite and truncation is None else model.restricted(
-        truncation if truncation is not None else max(model.states)
-    )
-    maxrate = finite.max_total_rate(finite.states)
-    if rate is None:
-        rate = 1.05 * maxrate if maxrate > 0 else 1.0
-    if rate < maxrate - 1e-12:
-        raise RateTooSmall(f"uniformization rate {rate} < max total rate {maxrate}")
-    return DiscreteChainModel(finite, rate)
+    return DiscreteChainModel(*uniformization_rate(model, truncation, rate))
 
 
 # -- builtin model names ----------------------------------------------------

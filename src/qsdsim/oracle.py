@@ -127,7 +127,7 @@ def return_map_solver(b: LiveBlock):
     """solve(v) = A^-T v for A = -Q_live of the block, with A factored once.
 
     v A^-1 is the row vector ``solve(v)``, the occupation before absorption
-    from v.  On a two-way path each solve is one positive Thomas sweep of
+    from v.  On a two-way path each solve is one :func:`_sweep` run, through
     :func:`_path_solver`, with no linear-algebra library call.  Other
     windows of at most ``PHI_LAPACK_LIMIT`` states compute A^-T once and
     take one matvec per solve; larger ones factor one sparse LU.  A is
@@ -298,10 +298,7 @@ def solve_qsd_power(
     ``max_iters``.  Either route raises :class:`NotIrreducible` where no
     state absorbs.
     """
-    if truncation is None:
-        if not model.is_finite:
-            raise ValueError("an infinite model needs an explicit truncation")
-        truncation = max(model.states)
+    truncation = model.truncation_or_top(truncation)
     return _solve_window(model.restricted(truncation), truncation, tol, max_iters)
 
 

@@ -9,9 +9,9 @@ Ferrari, Kesten, Martinez and Picco (1995), Phi(mu) = mu A^-1 / |mu A^-1|
 with A = -Q_live, the normalized occupation law before absorption from mu;
 ``phi_map`` computes it as one linear solve, and ``simulate_mu_return``
 checks it by simulation.  Both simulators here run ``chain._z_mu_events``,
-the Gillespie loop of the run up to absorption too.  On an infinite space every QSD nu_theta of
-``bd:p,q`` is a fixed point of Phi, so the return map alone cannot select
-the minimal QSD.
+the Gillespie loop of the run up to absorption too.  On an infinite space
+every QSD nu_theta of ``bd:p,q`` is a fixed point of Phi, so the return
+map alone cannot select the minimal QSD.
 
 The second half of the module realizes the Fleming-Viot system from marked
 Poisson streams (internal jumps plus voter/revival events per particle) and
@@ -26,13 +26,13 @@ engine places the particles with ``fv.initial_positions``, which opens the
 point mass places them without a draw.
 
 ``phi_map`` and ``phi_iterate`` read ``oracle.return_map_iterates``, the
-one Phi step, which the oracle's inverse iteration reads too.  scipy is used only by its sparse
-LU factorization on windows that are not two-way paths and have more than
-``oracle.PHI_LAPACK_LIMIT`` states (``scipy.sparse.linalg.splu``), and
-through ``evolve_conditioned`` on windows of more than
-``DENSE_WINDOW_LIMIT`` (400) states; both import it when they run.  The
-return map on a two-way path (every builtin chain, at any size) calls no
-linear-algebra library at all.
+one Phi step, which the oracle's inverse iteration reads too.  scipy is
+used only by its sparse LU factorization on windows that are not two-way
+paths and have more than ``oracle.PHI_LAPACK_LIMIT`` states
+(``scipy.sparse.linalg.splu``), and through ``evolve_conditioned`` on
+windows of more than ``DENSE_WINDOW_LIMIT`` (400) states; both import it
+when they run.  The return map on a two-way path (every builtin chain, at
+any size) calls no linear-algebra library at all.
 """
 
 from __future__ import annotations
@@ -97,9 +97,7 @@ def _phi_iterates(model: AbsorbedChainModel, mu: Distribution):
 
     Raises :class:`NotIrreducible` where some live state cannot reach absorption.
     """
-    if not model.is_finite:
-        raise ValueError("phi_map needs a finite model; truncate first")
-    solve = return_map_solver(model.live_block())
+    solve = return_map_solver(model.live_block())  # an infinite model raises ValueError here
     if not set(mu.support) <= set(model.states):
         raise ValueError("mu puts mass outside the model's states")
     return return_map_iterates(solve, mu.as_vector(model.states))
@@ -432,9 +430,5 @@ def coupled_tagged_run(
     The returned indicator records the first divergence time.
     """
     if path is None:
-        if truncation is None:
-            if not model.is_finite:
-                raise ValueError("an infinite model needs an explicit truncation")
-            truncation = max(model.states)
-        path = evolve_conditioned(model, mu, horizon, None, truncation)
+        path = evolve_conditioned(model, mu, horizon, None, model.truncation_or_top(truncation))
     return _graphical_engine(model, n, mu, horizon, rng, grid, path, event_cap)

@@ -19,6 +19,7 @@ from qsdsim import (
     uniformize,
 )
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
+from qsdsim.models import uniformization_rate
 
 from conftest import column_bound, multi_jump_model_file, reference_bounds
 
@@ -137,6 +138,15 @@ class TestUniformize:
     def test_rate_too_small(self, t2):
         with pytest.raises(RateTooSmall):
             uniformize(t2, rate=1.0)
+
+    def test_rate_is_checked_on_the_restricted_window(self):
+        # bd:1,2 restricted to {1} drops the birth jump: its largest total rate is 2, not 3
+        model = resolve_model("bd:1,2")
+        window, rate = uniformization_rate(model, 1)
+        assert window.states == (1,) and rate == 1.05 * 2.0
+        assert uniformize(model, 1, rate=2.0).rate == 2.0
+        with pytest.raises(RateTooSmall):
+            uniformization_rate(model, 1, rate=2.0 - 1e-9)
 
     @pytest.mark.parametrize("spec", ["bd:1,2", "gw:1,2"])
     def test_infinite_model_needs_a_truncation(self, spec):

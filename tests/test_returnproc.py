@@ -95,6 +95,11 @@ class TestPhiMap:
     def test_oracle_fixed_point(self, t2, t2_oracle):
         assert tv_distance(phi_map(t2, t2_oracle.nu), t2_oracle.nu) <= 1e-10
 
+    @pytest.mark.parametrize("run", [phi_map, phi_iterate])
+    def test_infinite_model_needs_a_window(self, run):
+        with pytest.raises(ValueError, match="an infinite model needs an explicit window"):
+            run(resolve_model("bd:1,2"), Distribution.delta(1))
+
     def test_not_irreducible(self):
         # state 2 neither absorbs nor returns; with mu = delta_1 the return
         # chain cannot reach 2 from 1... build a genuinely split chain
@@ -391,6 +396,12 @@ class TestZMuEvents:
         assert run(model, 1, n) == full
         with pytest.raises(EventCapExceeded, match=f"more than {n - 1} events"):
             run(model, 1, n - 1)
+
+    @pytest.mark.parametrize("run, rates", [(mu_return_run, FORCED), (tagged_run, CYCLE)],
+                             ids=["mu-return", "tagged"])
+    def test_negative_cap_raises_at_the_first_event(self, run, rates):
+        with pytest.raises(EventCapExceeded, match="more than -1 events"):
+            run(build_finite(rates), 1, -1)
 
 
 class TestCoupledRun:

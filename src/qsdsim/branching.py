@@ -238,14 +238,13 @@ def ks_estimate(
     cap: int,
     restarts: int,
     rng: RngStream,
-    start: int | None = None,
 ) -> KsEstimate:
     """Normalized type profile at the horizon, averaged over surviving attempts.
 
     ``restarts`` is the total number of independent attempts from a single
-    individual; attempts that die out are simply counted against survival.
-    The growth-rate fit uses the pre-cap log-size samples and should match
-    alpha plus the principal eigenvalue.
+    individual at the first state; attempts that die out are simply counted
+    against survival.  The growth-rate fit uses the pre-cap log-size samples
+    and should match alpha plus the principal eigenvalue.
     """
     sm = alpha if isinstance(alpha, ShiftedMeanMatrix) else build_shifted(model, alpha)
     if not sm.supercritical:
@@ -254,13 +253,11 @@ def ks_estimate(
         )
     if cap < 2:
         raise ValueError(f"cap must be at least 2, got {cap}: down-sampling keeps cap // 2 individuals")
-    if start is None:
-        start = sm.states[0]
     profiles = []
     slopes = []
     cap_events = 0
     for k in range(restarts):
-        pop = _run_attempt(sm, start, horizon, cap, rng.child(k, TAG_EVENTS))
+        pop = _run_attempt(sm, sm.states[0], horizon, cap, rng.child(k, TAG_EVENTS))
         if pop is None:
             continue
         profiles.append(pop.profile())

@@ -73,7 +73,8 @@ class Distribution:
         """Normalize nonnegative weights into a distribution.
 
         Weights of magnitude at most ``MASS_EPS`` are dropped as round-off; a
-        NaN, infinite or more negative weight raises ``ValueError``.
+        NaN, infinite or more negative weight, or a sum that overflows, raises
+        ``ValueError``.
         """
         kept = {}
         for x, w in weights.items():
@@ -81,7 +82,10 @@ class Distribution:
                 raise ValueError(f"weight {w} at state {x} is not finite and nonnegative")
             if w > MASS_EPS:
                 kept[x] = w
-        total = math.fsum(kept.values())
+        try:
+            total = math.fsum(kept.values())
+        except OverflowError:
+            raise ValueError("the weights' sum overflows") from None
         if total <= 0:
             raise ValueError("weights sum to zero")
         return cls({x: w / total for x, w in kept.items()})
@@ -268,6 +272,9 @@ class AbsorbedChainModel:
         ``math.inf`` marks an explicitly unbounded quantity.  A declared
         value wins; left out, a finite model derives it on first read and an
         infinite one reads None.
+    nu_star : callable, optional
+        The minimal QSD of an infinite model, known in closed form: maps x to
+        (log nu*(x), log of nu*'s mass above x).  None where none is declared.
     """
 
     def __init__(
@@ -278,6 +285,7 @@ class AbsorbedChainModel:
         c0: float | None = None,
         qbar: float | None = None,
         name: str = "",
+        nu_star: Callable[[int], tuple[float, float]] | None = None,
     ):
         self._transitions_fn = transitions_fn
         self._absorb_fn = absorb_fn
@@ -287,6 +295,7 @@ class AbsorbedChainModel:
         if qbar is not None:
             self.qbar = qbar
         self.name = name
+        self.nu_star = nu_star
         self._trans_cache: dict[int, tuple[tuple[int, float], ...]] = {}
         self._absorb_cache: dict[int, float] = {}
         self._jump_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
@@ -416,8 +425,12 @@ class AbsorbedChainModel:
 
         Dropping (rather than redirecting) keeps the restricted generator
         substochastic, so the principal-eigenvector problem stays well posed.
-        A state's transitions are the parent's, filtered on first use.
+        A state's transitions are the parent's, filtered on first use.  A
+        finite model with K at or above its top state is its own window, and
+        is returned as it is, with its cached blocks.
         """
+        if self.is_finite and K >= max(self.states, default=0):
+            return self
         window = self.state_window(K)
         wset = set(window)
         return AbsorbedChainModel(
@@ -509,8 +522,9 @@ def read_model_file(path) -> AbsorbedChainModel:
     """Parse the line-oriented model format.
 
     Header line ``qsdmodel v1``; one ``x y rate`` triple per line with y = 0
-    meaning absorption; ``#`` starts a comment.  Negative rates, duplicate
-    (x, y) pairs and self-loops are rejected.
+    meaning absorption; ``#`` starts a comment.  Negative or non-finite
+    rates, a state whose total rate overflows, duplicate (x, y) pairs and
+    self-loops are rejected, naming the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -519,6 +533,7 @@ def read_model_file(path) -> AbsorbedChainModel:
     if not body or body[0][1] != MODEL_HEADER:
         raise ModelFormatError(f"missing '{MODEL_HEADER}' header line")
     rates: dict[tuple[int, int], float] = {}
+    totals: dict[int, float] = {}
     for lineno, ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -532,11 +547,14 @@ def read_model_file(path) -> AbsorbedChainModel:
             raise ModelFormatError(f"line {lineno}: states must be x >= 1, y >= 0")
         if x == y:
             raise ModelFormatError(f"line {lineno}: self-loop at state {x}")
-        if rate < 0:
-            raise ModelFormatError(f"line {lineno}: negative rate {rate}")
+        if not 0 <= rate < math.inf:
+            raise ModelFormatError(f"line {lineno}: rate {rate} is not finite and nonnegative")
         if (x, y) in rates:
             raise ModelFormatError(f"line {lineno}: duplicate pair ({x}, {y})")
         rates[(x, y)] = rate
+        totals[x] = totals.get(x, 0.0) + rate
+        if totals[x] == math.inf:
+            raise ModelFormatError(f"line {lineno}: the total rate out of state {x} overflows")
     from .models import build_finite  # deferred; models builds on this module
 
     return build_finite(rates)

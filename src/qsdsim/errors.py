@@ -10,7 +10,7 @@ class EventCapExceeded(QsdError):
 
 
 class NegativeRate(QsdError):
-    """A transition rate below zero was supplied."""
+    """A rate below zero or not finite was supplied, or a state's total rate overflows."""
 
 
 class SelfLoop(QsdError):
@@ -47,8 +47,8 @@ class NoConvergence(QsdError):
         self.last_gap = last_gap
 
 
-class NoStabilization(QsdError):
-    """A truncation schedule was exhausted before successive solutions agreed."""
+class NoMinimalQsd(QsdError):
+    """An infinite model declares no minimal QSD, or its declared law is too wide to list."""
 
 
 class DeadConfig(QsdError):

@@ -57,6 +57,10 @@ MAX_REPLICAS = 10**6
 FV_MAX_PARTICLE_TIME = 10**7
 # events of branching attempts, at most cap x horizon each: 10^9 take about 5 min
 BRANCH_MAX_EVENTS = 10**9
+# phi keeps a log float and a phi.csv row per iteration: 10^6 peak at 190 MB
+PHI_MAX_ITERS = 10**6
+# a Phi step costs 0.2-0.4 us per window state: 10^8 state-steps take 20-40 s
+PHI_MAX_STATE_STEPS = 10**8
 # the dense n x n means, and 1024 offspring rows of n counts per type visited:
 # a long branch run on a 200-state cycle peaks at about 370 MB
 BRANCH_MAX_TYPES = 200
@@ -214,7 +218,7 @@ PARAMS: dict[str, tuple[Param, ...]] = {
     ),
     "phi": (
         _INIT,
-        Param("iters", int, 200, "most fixed-point iterations", low=1),
+        Param("iters", int, 200, "most fixed-point iterations", low=1, high=PHI_MAX_ITERS),
         Param("tol", float, 1e-10, "stop once the TV between iterates is below this",
               low=0, above=True),
     ),
@@ -261,7 +265,7 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("fv_particles", int, 400, "stationary FV particles", low=2, high=FV_MAX_PARTICLES),
         Param("fv_burnin", float, 10.0, "stationary FV burn-in, below fv_horizon", low=0),
         Param("fv_horizon", float, 110.0, "stationary FV horizon", low=0, above=True),
-        Param("phi_iters", int, 200, "most phi iterations", low=1),
+        Param("phi_iters", int, 200, "most phi iterations", low=1, high=PHI_MAX_ITERS),
         Param("afp_steps", int, 200_000, "afp renewal steps", low=1, high=AFP_MAX_STEPS),
         Param("branch_horizon", float, 12.0, "branching horizon", low=0, above=True),
         Param("branch_cap", int, 50_000, "branching population cap", low=2),
@@ -426,6 +430,10 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
     if not initial <= set(window):
         outside = sorted(initial - set(window))
         problems.append(f"initial states {outside} lie outside the model's window")
+    iters = "iters" if method == "phi" else "phi_iters"
+    if iters in v and v[iters] * len(window) > PHI_MAX_STATE_STEPS:
+        problems.append(f"{iters}: {iters} x {len(window)} window states ="
+                        f" {v[iters] * len(window):.3g}, above {PHI_MAX_STATE_STEPS:.0e}")
     if method in ("branch", "report") and len(window) > BRANCH_MAX_TYPES:
         problems.append(f"model: branching keeps a dense mean matrix over its {len(window)}"
                         f" types, above {BRANCH_MAX_TYPES}")
@@ -743,7 +751,6 @@ def cross_method_report(
     model: AbsorbedChainModel,
     budget: ReportBudget | None = None,
     seed: int = 0,
-    reference: Distribution | None = None,
 ) -> list[dict]:
     """Run every stationary method against the oracle on one finite model.
 
@@ -755,50 +762,29 @@ def cross_method_report(
     if not model.is_finite:
         raise ValueError("cross_method_report needs a finite model; truncate first")
     budget = budget or ReportBudget()
-    rows: list[dict] = []
     t0 = time.perf_counter()
-    if reference is None:
-        reference = solve_qsd_power(model).nu
-    rows.append(
-        {"method": "oracle", "tv_to_oracle": 0.0, "runtime_s": time.perf_counter() - t0, "status": "ok"}
-    )
-    start = Distribution.delta(model.states[0])
-
-    def attempt(name, fn):
+    reference = solve_qsd_power(model).nu
+    rows = [{"method": "oracle", "tv_to_oracle": 0.0, "runtime_s": time.perf_counter() - t0,
+             "status": "ok"}]
+    x0 = model.states[0]
+    methods = {
+        "fv_stationary": lambda: fv_stationary(model, budget.fv_particles, budget.fv_burnin,
+                                               budget.fv_horizon, RngStream(seed, (1,))),
+        "phi_iterate": lambda: phi_iterate(model, Distribution.delta(x0),
+                                           max_iters=budget.phi_iters).dist,
+        "afp": lambda: afp_run(uniformize(model), x0, budget.afp_steps,
+                               RngStream(seed, (2,))).estimate,
+        "branch": lambda: ks_estimate(model, "auto", budget.branch_horizon, budget.branch_cap,
+                                      budget.branch_attempts, RngStream(seed, (3,))).nu_hat,
+    }
+    for name, run in methods.items():
         t1 = time.perf_counter()
         try:
-            tv, status = tv_distance(fn(), reference), "ok"
+            tv, status = tv_distance(run(), reference), "ok"
         except QsdError as exc:
             tv, status = math.nan, f"failed: {exc}"
         rows.append({"method": name, "tv_to_oracle": tv, "runtime_s": time.perf_counter() - t1,
                      "status": status})
-
-    attempt(
-        "fv_stationary",
-        lambda: fv_stationary(
-            model, budget.fv_particles, budget.fv_burnin, budget.fv_horizon, RngStream(seed, (1,))
-        ),
-    )
-    attempt("phi_iterate", lambda: phi_iterate(model, start, max_iters=budget.phi_iters).dist)
-
-    def afp_dist():
-        d = uniformize(model)
-        return afp_run(
-            d, model.states[0], budget.afp_steps, RngStream(seed, (2,))
-        ).estimate
-
-    attempt("afp", afp_dist)
-    attempt(
-        "branch",
-        lambda: ks_estimate(
-            model,
-            "auto",
-            budget.branch_horizon,
-            budget.branch_cap,
-            budget.branch_attempts,
-            RngStream(seed, (3,)),
-        ).nu_hat,
-    )
     return rows
 
 

@@ -3,7 +3,8 @@
 Covers finite rate matrices given explicitly, birth-death walks with
 constant rates, the binary-split Galton-Watson population chain, and the
 uniformized discrete-time view, one sparse row per state, that the
-history-renewal method walks.
+history-renewal method walks.  The two infinite families declare their
+minimal QSD nu* in closed form (van Doorn 1991), in log space.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class BirthDeathSpec:
     down_rate: float
 
     def __post_init__(self):
-        if not all(0 <= r < math.inf for r in (self.up_rate, self.down_rate)):
-            raise NegativeRate("birth-death rates must be finite and nonnegative")
+        p, q = self.up_rate, self.down_rate
+        if not (min(p, q) >= 0 and p + q < math.inf):  # a NaN fails one of the two tests
+            raise NegativeRate("birth-death rates must be nonnegative with a finite sum")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
     """Finite model from a {(x, y): rate} map; y = 0 entries are absorption.
 
     Transitions are listed by target; C0 and qbar are derived on first read.
+    A rate below zero or not finite, or a state whose total rate overflows,
+    raises :class:`NegativeRate`.
     """
     trans: dict[int, list[tuple[int, float]]] = {}
     absorb: dict[int, float] = {}
@@ -65,7 +69,7 @@ def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
         x, y = int(x), int(y)
         if x == y:
             raise SelfLoop(f"explicit diagonal entry at state {x}")
-        if r < 0:
+        if not 0 <= r < math.inf:
             raise NegativeRate(f"rate {r} on ({x}, {y})")
         if x <= 0:
             raise ValueError("source states must be >= 1")
@@ -77,21 +81,23 @@ def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
             trans.setdefault(x, []).append((y, float(r)))
     for x in states:
         trans.setdefault(x, []).sort()
-    return AbsorbedChainModel(
-        lambda x: trans[x],
-        lambda x: absorb.get(x, 0.0),
-        states=sorted(states),
-        name="finite",
-    )
+    model = AbsorbedChainModel(lambda x: trans[x], lambda x: absorb.get(x, 0.0),
+                               states=sorted(states), name="finite")
+    for x in model.states:
+        if model.total_rate(x) == math.inf:
+            raise NegativeRate(f"the total rate out of state {x} overflows")
+    return model
 
 
 def build_birth_death(spec: BirthDeathSpec, truncation: int | None = None) -> AbsorbedChainModel:
     """Random walk with constant drift; absorption happens on the down-jump at 1.
 
     Transitions are enumerated lazily and the declared bounds are
-    C0 = down rate, qbar = up + down.  With ``truncation=K`` the walk is its
-    ``restricted(K)``, named ``bd:p,q,K``: the up-jump at K is dropped and
-    the bounds are derived on first read.
+    C0 = down rate, qbar = up + down.  With p < q the walk declares its
+    minimal QSD nu*(x) = (1 - r)^2 x r^(x-1), r = sqrt(p/q), whose mass
+    above x is r^x (1 + x (1 - r)); with p >= q it has no QSD.  With
+    ``truncation=K`` the walk is its ``restricted(K)``, named ``bd:p,q,K``:
+    the up-jump at K is dropped and the bounds are derived on first read.
     """
     p, q = spec.up_rate, spec.down_rate
 
@@ -101,8 +107,17 @@ def build_birth_death(spec: BirthDeathSpec, truncation: int | None = None) -> Ab
     def absorb(x: int) -> float:
         return q if x == 1 else 0.0
 
+    nu_star = None
+    if p < q:
+        r = math.sqrt(p / q)
+        log_r, log_gap = (math.log(r) if r > 0 else -math.inf), math.log1p(-r)
+
+        def nu_star(x: int) -> tuple[float, float]:
+            return (2 * log_gap + math.log(x) + (x - 1) * log_r if x > 1 else 2 * log_gap,
+                    x * log_r + math.log1p(x * (1 - r)))
+
     model = AbsorbedChainModel(transitions, absorb, states=None, c0=q, qbar=p + q,
-                               name=f"bd:{p},{q}")
+                               name=f"bd:{p},{q}", nu_star=nu_star)
     if truncation is None:
         return model
     window = model.restricted(truncation)
@@ -115,26 +130,23 @@ def build_galton_watson(spec: GaltonWatsonSpec) -> AbsorbedChainModel:
 
     Rates grow linearly with the population, so the out-rate supremum is
     declared infinite; only n = 1 can absorb, so C0 equals the death rate.
+    The declared minimal QSD is geometric: nu*(n) = (1 - rho) rho^(n-1),
+    rho = b/d, whose mass above n is rho^n.
     """
     b, d = spec.split_rate, spec.death_rate
+    log_rho, log_gap = (math.log(b / d) if b > 0 else -math.inf), math.log1p(-b / d)
+
+    def nu_star(n: int) -> tuple[float, float]:
+        return log_gap + (n - 1) * log_rho if n > 1 else log_gap, n * log_rho
 
     def transitions(n: int):
-        out = [(n + 1, b * n)]
-        if n >= 2:
-            out.append((n - 1, d * n))
-        return sorted(out)
+        return [(n - 1, d * n), (n + 1, b * n)] if n >= 2 else [(n + 1, b * n)]
 
     def absorb(n: int) -> float:
         return d if n == 1 else 0.0
 
-    return AbsorbedChainModel(
-        transitions,
-        absorb,
-        states=None,
-        c0=d,
-        qbar=math.inf,
-        name=f"gw:{b},{d}",
-    )
+    return AbsorbedChainModel(transitions, absorb, states=None, c0=d, qbar=math.inf,
+                              name=f"gw:{b},{d}", nu_star=nu_star)
 
 
 class DiscreteChainModel:
@@ -173,12 +185,8 @@ class DiscreteChainModel:
                 raise ValueError("rows plus kill mass must sum to 1")
             self.rows[x] = (tuple(b.states[j] for j in order), cum)
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
     def __repr__(self):
-        return f"DiscreteChainModel(name={self.name!r}, n={self.n})"
+        return f"DiscreteChainModel(name={self.name!r}, n={len(self.states)})"
 
 
 def uniformization_rate(
@@ -186,14 +194,13 @@ def uniformization_rate(
 ) -> tuple[AbsorbedChainModel, float]:
     """The window :func:`uniformize` runs on and the rate it uses there.
 
-    The window is the finite model itself, else ``restricted(truncation)``,
-    whose edge totals leave out the dropped jumps.  The rate must dominate
+    The window is ``restricted(truncation)`` (by default the finite model
+    itself), whose edge totals leave out the dropped jumps.  The rate must dominate
     every total jump rate in the window, else :class:`RateTooSmall` is
     raised; the default 1.05 x max keeps some holding probability, hence
     aperiodicity.
     """
-    K = model.truncation_or_top(truncation)
-    finite = model if model.is_finite and truncation is None else model.restricted(K)
+    finite = model.restricted(model.truncation_or_top(truncation))
     maxrate = finite.max_total_rate(finite.states)
     if rate is None:
         rate = 1.05 * maxrate if maxrate > 0 else 1.0

@@ -1,4 +1,5 @@
-"""Reference QSDs on finite or truncated spaces via the principal left eigenvector.
+"""Reference QSDs: the principal left eigenvector on finite or truncated
+spaces, and the closed form an infinite model declares (:func:`minimal_qsd_reference`).
 
 On a finite window the QSD is the normalized left Perron vector of the live
 block of the generator.  :func:`solve_qsd_power` picks its route from the
@@ -34,15 +35,17 @@ positive tridiagonal solve that the path route runs too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution, LiveBlock, strongly_connected, tv_distance
-from .errors import NoConvergence, NoStabilization, NotIrreducible
-from .conditioned import qsd_residual
-from .models import DiscreteChainModel
+from .chain import MASS_EPS, AbsorbedChainModel, Distribution, LiveBlock, strongly_connected
+from .chain import tv_distance  # noqa: F401  (perfbench/spans.py wraps it by this name)
+from .errors import NoConvergence, NoMinimalQsd, NotIrreducible
+from .conditioned import qsd_residual, theta_of
+from .models import WINDOW_MAX_STATES, DiscreteChainModel
 
 
 @dataclass
@@ -52,9 +55,10 @@ class QsdSolution:
     ``lam`` is the principal eigenvalue of the live generator block (negative
     in continuous time, in (0, 1) for a discrete skeleton); ``theta = -lam``
     for continuous models.  ``residual`` is the sup-norm fixed-point defect.
-    ``meta["solver"]`` names the route, ``"path"`` or ``"inverse"``, and
-    ``iterations`` counts its steps: Sturm-count bisection steps on the path
-    route, solves with the factored A on the inverse route.  On the inverse
+    ``meta["solver"]`` names the route, ``"path"``, ``"inverse"`` or
+    ``"exact"`` (a declared closed form, with no step), and ``iterations``
+    counts its steps: Sturm-count bisection steps on the path route, solves
+    with the factored A on the inverse route.  On the inverse
     route ``meta["gap_log"]`` is a bounded record of the TV gaps between
     successive iterates: the first ``GAP_HEAD`` gaps and the last
     ``GAP_HEAD``.
@@ -306,8 +310,6 @@ def _solve_window(finite: AbsorbedChainModel, truncation: int, tol: float, max_i
     """:func:`solve_qsd_power` on a finite window model, read as it is."""
     states = finite.states
     check_irreducible(finite, states)
-    if finite.max_total_rate(states) <= 0:
-        raise NotIrreducible("all states have total rate zero")
     b = finite.live_block()
     if b.two_way_path is not None:
         if not (b.absorb > 0).any():
@@ -350,36 +352,29 @@ def solve_qsd_discrete(
     )
 
 
-DEFAULT_SCHEDULE = (100, 200, 400, 800, 1600)
+def minimal_qsd_reference(model: AbsorbedChainModel) -> QsdSolution:
+    """The minimal QSD: the oracle's solve on a finite model, the declared nu* on an infinite one.
 
-
-def minimal_qsd_reference(
-    model: AbsorbedChainModel,
-    schedule=DEFAULT_SCHEDULE,
-    tol: float = 1e-8,
-    solver_tol: float = 1e-12,
-) -> QsdSolution:
-    """Truncation-stabilized QSD used as the minimal-QSD reference.
-
-    Solves on increasing windows until two consecutive solutions agree in
-    total variation.  Identifying that limit with the minimal QSD is an
-    engineering convention (well supported for birth-death chains); the
-    solution is tagged accordingly in ``meta``.
+    The closed form (:attr:`AbsorbedChainModel.nu_star`) is cut at the first
+    state above which its mass falls below ``MASS_EPS``; theta is
+    :func:`theta_of` and ``iterations`` is 0.  An infinite model that
+    declares no nu*, or whose cut would pass ``WINDOW_MAX_STATES`` states,
+    raises :class:`NoMinimalQsd`.
     """
     if model.is_finite:
-        sol = solve_qsd_power(model, tol=solver_tol)
-        sol.meta["minimal_qsd_convention"] = "finite space: unique solution"
-        return sol
-    prev = None
-    for K in schedule:
-        sol = solve_qsd_power(model, truncation=K, tol=solver_tol)
-        if prev is not None and tv_distance(prev.nu, sol.nu) < tol:
-            sol.meta["minimal_qsd_convention"] = (
-                f"truncation limit stabilized at K={K} (tv tol {tol:g})"
-            )
-            sol.meta["schedule"] = tuple(schedule)
-            return sol
-        prev = sol
-    raise NoStabilization(
-        f"schedule {tuple(schedule)} exhausted without TV-stabilization below {tol:g}"
-    )
+        return solve_qsd_power(model)
+    if model.nu_star is None:
+        raise NoMinimalQsd(f"{model.name}: no minimal QSD is declared for this infinite model")
+    log_masses = []
+    for x in range(1, WINDOW_MAX_STATES + 1):
+        log_mass, log_above = model.nu_star(x)
+        log_masses.append(log_mass)
+        if log_above < math.log(MASS_EPS):
+            break
+    else:
+        raise NoMinimalQsd(f"{model.name}: nu* holds {MASS_EPS:g} past {WINDOW_MAX_STATES} states")
+    nu = Distribution.from_weights(dict(enumerate(np.exp(log_masses).tolist(), 1)))
+    theta = theta_of(model, nu)
+    return QsdSolution(nu=nu, lam=-theta, theta=theta, residual=qsd_residual(model, nu).sup_norm,
+                       truncation=len(log_masses), iterations=0,
+                       meta={"solver": "exact", "model": model.name})

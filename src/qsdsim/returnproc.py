@@ -361,20 +361,17 @@ def _graphical_engine(
                 y_target = _internal_target(model, y, u)
             elif b <= absorb_rate(y) / c0:
                 y_target = path.inverse_cdf_at(t_ev, v)
-                if coupled and y_target != positions[0]:
-                    coupled = False
-                    divergence_time = t_ev
             else:
                 y_target = y
-                if coupled and target != x:
-                    # accepted for the particle, rejected for the limit: only
-                    # possible after divergence, asserted by monotonicity
-                    coupled = False
-                    divergence_time = t_ev
             if y_target != y:
                 y = y_target
                 y_times.append(t_ev)
                 y_states.append(y)
+            # while coupled, both sit at one state and read each mark alike,
+            # so only a revival can part them
+            if coupled and positions[0] != y:
+                coupled = False
+                divergence_time = t_ev
         events += 1
         if events > event_cap:
             raise EventCapExceeded(f"more than {event_cap} marks before t={horizon}")

@@ -163,7 +163,7 @@ def test_c05_decorrelation(t2):
 @criterion(6, "stationary FV on the branching chain selects the minimal QSD (TV <= 0.05)")
 def test_c06_selection_principle():
     gw = resolve_model("gw:1,2")
-    reference = minimal_qsd_reference(gw, schedule=(100, 200, 400)).nu
+    reference = minimal_qsd_reference(gw).nu
     stationary = fv_stationary(gw, 1000, 50.0, 550.0, RngStream(106), init=Distribution.delta(1))
     assert tv_distance(stationary, reference) <= 0.05
 

@@ -47,6 +47,11 @@ class TestDistribution:
         d = Distribution({1: 1.0, 2: 1e-16})
         assert d.support == (1,)
 
+    def test_from_weights_rejects_a_sum_that_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            Distribution.from_weights({1: 1e308, 2: 1e308})
+        assert Distribution.from_weights({1: 1e308, 2: 3e307}).mass(2) == 3e307 / 1.3e308
+
     def test_from_weights_normalizes(self):
         d = Distribution.from_weights({1: 2.0, 2: 6.0})
         assert d.mass(1) == 0.25
@@ -167,6 +172,14 @@ class TestLiveBlock:
         assert full.total[i] == 0.03 + 2.1 + 0.12  # q(9, 0) + q(9, 8) + q(9, 10)
         assert restricted.total[i] == 0.03 + 2.1
 
+    def test_finite_model_is_its_own_window(self, t2):
+        bd = resolve_model("bd:1,2,50")
+        for model, top in ((t2, 2), (bd, 50)):
+            assert model.restricted(top) is model
+            assert model.restricted(top + 7) is model
+        assert bd.restricted(49) is not bd
+        assert bd.restricted(49).states == tuple(range(1, 50))
+
     def test_cached_per_window_and_read_only(self):
         model = resolve_model("bd:1,2")
         b = model.live_block(model.state_window(5))
@@ -278,6 +291,17 @@ class TestModelFile:
         p = tmp_path / "bad.qsd"
         p.write_text("qsdmodel v1\n1 0 -1.0\n")
         with pytest.raises(ModelFormatError):
+            read_model_file(p)
+
+    @pytest.mark.parametrize("rows, line", [
+        ("1 0 1\n1 2 nan\n2 1 1\n", "line 3: rate nan"),
+        ("1 0 1\n1 2 inf\n2 1 1\n", "line 3: rate inf"),
+        ("1 0 1\n1 2 1e308\n1 3 1e308\n2 1 1\n3 1 1\n", "line 4: the total rate out of state 1"),
+    ])
+    def test_rate_that_is_not_finite_names_its_line(self, tmp_path, rows, line):
+        p = tmp_path / "bad.qsd"
+        p.write_text("qsdmodel v1\n" + rows)
+        with pytest.raises(ModelFormatError, match=line):
             read_model_file(p)
 
     def test_duplicate_rejected(self, tmp_path):

@@ -10,11 +10,13 @@ from qsdsim import (
     cross_method_report,
     emit_config,
     evolve_conditioned,
+    minimal_qsd_reference,
     parse_config,
     parse_distribution,
     rate_fit,
     resolve_model,
     run_config,
+    tv_distance,
 )
 from qsdsim.cli import build_parser, main as cli_main
 from qsdsim.errors import ConfigInvalid, DegenerateInput
@@ -324,15 +326,84 @@ class TestCli:
         assert rc == 3
 
     def test_uncomputable_fv_reference_fails_before_simulating(self, tmp_path, monkeypatch):
-        # bd:1,2 without --trunc has no stabilizing truncation reference
+        # bd:2,1 drifts away from absorption, so it has no QSD and declares none
         def fv_stationary(*args, **kwargs):
             raise AssertionError("stationary FV ran before its reference was known")
 
         monkeypatch.setattr(harness, "fv_stationary", fv_stationary)
-        argv = ["fv", "--model", "bd:1,2", "--particles", "10", "--burnin", "1",
+        argv = ["fv", "--model", "bd:2,1", "--particles", "10", "--burnin", "1",
                 "--horizon", "3", "--out-dir", str(tmp_path)]
         assert cli_main(argv) == 3
         assert not (tmp_path / "fv.csv").exists()
+
+    def test_stationary_fv_on_the_drifted_walk_is_measured_against_nu_star(self, tmp_path):
+        argv = ["fv", "--model", "bd:1,2", "--particles", "50", "--horizon", "20",
+                "--burnin", "5", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "fv.csv").read_text().splitlines()[1:]]
+        estimate = Distribution({int(x): float(m) for _, _, x, m in rows})
+        exact = minimal_qsd_reference(resolve_model("bd:1,2")).nu
+        summary = json.loads((tmp_path / "fv_summary.json").read_text())
+        assert summary["mean_tv_to_reference"] == tv_distance(estimate, exact)
+
+    @pytest.mark.parametrize("model, problem", [
+        ("file:nan.qsd", "model: line 3: rate nan"),
+        ("file:huge.qsd", "model: line 4: the total rate out of state 1 overflows"),
+        ("bd:1e308,1e308,5", "model: birth-death rates must be nonnegative with a finite sum"),
+    ])
+    @pytest.mark.parametrize("method, args", [
+        ("conditioned", "init = delta:1\nhorizon = 1\n"),
+        ("fv", "particles = 5\nhorizon = 1\ninit = delta:1\n"),
+        ("phi", "init = delta:1\n"),
+        ("oracle", ""),
+        ("branch", "horizon = 1\n"),
+    ])
+    def test_rate_that_is_not_finite_exits_2_before_any_work(
+            self, model, problem, method, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.qsd").write_text("qsdmodel v1\n1 0 1\n1 2 nan\n2 1 1\n")
+        (tmp_path / "huge.qsd").write_text(
+            "qsdmodel v1\n1 0 1\n1 2 1e308\n1 3 1e308\n2 1 1\n3 1 1\n")
+        (tmp_path / "exp.cfg").write_text(
+            f"qsdconfig v1\nmethod = {method}\nmodel = {model}\nseed = 1\n[{method}]\n{args}")
+        argv = [method, "--model", model]
+        for line in args.splitlines():
+            key, value = line.split(" = ")
+            argv += [f"--{key}", value]
+        for front in (argv, ["--config", "exp.cfg"]):
+            assert cli_main(front + ["--out-dir", "out"]) == 2
+            assert f"invalid config: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_initial_law_whose_sum_overflows_exits_2(self, tmp_path, capsys):
+        argv = ["fv", "--model", "two-state", "--particles", "5", "--horizon", "1",
+                "--init", "1:1e308,2:1e308", "--out-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 2
+        assert "init: the weights' sum overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["phi", "--model", "bd:1,2,100000", "--init", "delta:1", "--iters", "1000000",
+          "--tol", "1e-300"], "iters: iters x 100000 window states = 1e+11, above 1e+08"),
+        (["phi", "--model", "two-state", "--init", "delta:1", "--iters", "1000001"],
+         "iters: must be at least 1 and at most 1000000"),
+    ])
+    def test_phi_past_its_work_bound_exits_2(self, argv, problem, tmp_path, capsys):
+        assert cli_main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, problem", [
+        ("phi_iters = 1000000000000", "phi_iters: must be at least 1 and at most 1000000"),
+        ("phi_iters = 1000000", "phi_iters: phi_iters x 200 window states = 2e+08"),
+    ])
+    def test_report_phi_past_its_work_bound_exits_2(self, line, problem, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("qsdconfig v1\nmethod = report\nmodel = bd:1,2,200\nseed = 1\n"
+                           f"[report]\n{line}\n")
+        assert cli_main(["--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -46,6 +46,15 @@ class TestBuildFinite:
         with pytest.raises(NegativeRate):
             build_finite({(1, 2): -1.0, (1, 0): 1.0})
 
+    @pytest.mark.parametrize("rates, match", [
+        ({(1, 2): math.nan, (2, 1): 1.0, (1, 0): 1.0}, "rate nan"),
+        ({(1, 2): math.inf, (2, 1): 1.0, (1, 0): 1.0}, "rate inf"),
+        ({(1, 2): 1e308, (1, 3): 1e308, (2, 1): 1.0, (3, 1): 1.0, (1, 0): 1.0}, "state 1 overflows"),
+    ])
+    def test_rate_that_is_not_finite_rejected(self, rates, match):
+        with pytest.raises(NegativeRate, match=match):
+            build_finite(rates)
+
 
 class TestBirthDeath:
     def test_truncated_transitions(self):
@@ -88,8 +97,34 @@ class TestBirthDeath:
         with pytest.raises(NegativeRate):
             BirthDeathSpec(-1.0, 2.0)
 
+    @pytest.mark.parametrize("p, q", [(1e308, 1e308), (math.nan, 1.0), (1.0, math.nan)])
+    def test_rates_without_a_finite_sum_rejected(self, p, q):
+        with pytest.raises(NegativeRate):
+            BirthDeathSpec(p, q)
+
+    def test_declared_minimal_qsd(self):
+        # nu*(x) = (1 - r)^2 x r^(x-1), r = sqrt(p/q); its mass above x is r^x (1 + x (1 - r))
+        r = math.sqrt(0.6 / 1.7)
+        nu_star = resolve_model("bd:0.6,1.7").nu_star
+        for x in (1, 2, 30):
+            log_mass, log_above = nu_star(x)
+            assert log_mass == pytest.approx(math.log((1 - r) ** 2 * x * r ** (x - 1)), abs=1e-12)
+            assert log_above == pytest.approx(math.log(r**x * (1 + x * (1 - r))), abs=1e-12)
+        assert resolve_model("bd:0,1").nu_star(1) == (0.0, -math.inf)
+        for name in ("bd:1,1", "bd:2,1", "bd:1,2,50"):
+            assert resolve_model(name).nu_star is None
+
 
 class TestGaltonWatson:
+    def test_declared_minimal_qsd(self):
+        # nu*(n) = (1 - rho) rho^(n-1), rho = b/d; its mass above n is rho^n
+        rho = 1.3 / 2.7
+        nu_star = resolve_model("gw:1.3,2.7").nu_star
+        for n in (1, 2, 30):
+            log_mass, log_above = nu_star(n)
+            assert log_mass == pytest.approx(math.log((1 - rho) * rho ** (n - 1)), abs=1e-12)
+            assert log_above == pytest.approx(n * math.log(rho), abs=1e-12)
+
     def test_rates(self):
         m = build_galton_watson(GaltonWatsonSpec(1.0, 2.0))
         assert m.absorb_rate(1) == 2.0

@@ -24,7 +24,7 @@ from qsdsim import (
     tv_distance,
     uniformize,
 )
-from qsdsim.errors import NoConvergence, NoStabilization, NotIrreducible
+from qsdsim.errors import NoConvergence, NoMinimalQsd, NotIrreducible
 
 from conftest import T2_LAMBDA, T2_NU1, large_model_file, multi_jump_model_file
 
@@ -281,9 +281,8 @@ class TestPathRoute:
         assert scaled == pytest.approx(math.pi**2 * math.sqrt(2.0), rel=0.01)
 
     def test_window_tv_to_exact_qsd_falls_as_inverse_square(self, bd12_windows):
-        # exact minimal QSD of bd:1,2: nu*(x) = (1 - r)^2 x r^(x - 1), r = sqrt(1/2)
-        r = BD12_RATIO
-        exact = Distribution.from_weights({x: (1 - r) ** 2 * x * r ** (x - 1) for x in range(1, 400)})
+        # the minimal QSD that bd:1,2 declares: nu*(x) = (1 - r)^2 x r^(x - 1), r = sqrt(1/2)
+        exact = minimal_qsd_reference(resolve_model("bd:1,2")).nu
         for K in BD12_WINDOWS:
             sol, _ = bd12_windows[K]
             assert 30.0 <= K**2 * tv_distance(sol.nu, exact) <= 45.0, K
@@ -348,27 +347,66 @@ class TestSolveDiscrete:
         assert 2.0 * sol.theta == pytest.approx(-T2_LAMBDA, abs=1e-9)
 
 
+def bd12_minimal_defects(nu):
+    """What tells nu apart from the minimal QSD of bd:1,2 beyond the fixed-point residual.
+
+    Every nu_theta with 0 < theta <= theta* is a QSD of the walk, so its
+    residual is small as well; theta_of and the tail ratio nu(x+1)/nu(x) =
+    r (x+1)/x single out nu*.
+    """
+    defects = []
+    if abs(theta_of(resolve_model("bd:1,2"), nu) - BD12_THETA_STAR) > 1e-12:
+        defects.append("theta")
+    if abs(nu.mass(41) / nu.mass(40) - BD12_RATIO * 41 / 40) > 1e-12:
+        defects.append("tail")
+    return defects
+
+
+def bd12_nu_theta(theta):
+    """The QSD of bd:1,2 at 0 < theta < theta*: nu(x) ~ r2^x - r1^x, r1 < r2 the roots of
+    2 r^2 - (3 - theta) r + 1 = 0."""
+    disc = math.sqrt((3.0 - theta) ** 2 - 8.0)
+    r1, r2 = (3.0 - theta - disc) / 4.0, (3.0 - theta + disc) / 4.0
+    return Distribution.from_weights({x: r2**x - r1**x for x in range(1, 300)})
+
+
 class TestMinimalReference:
-    def test_galton_watson_stabilizes_to_geometric(self):
+    def test_galton_watson_is_geometric(self):
         m = build_galton_watson(GaltonWatsonSpec(1.0, 2.0))
-        sol = minimal_qsd_reference(m, schedule=(100, 200, 400))
-        # exact minimal QSD of the binary-split chain: geometric(b/d)
+        sol = minimal_qsd_reference(m)
+        # the minimal QSD of the binary-split chain: geometric(b/d)
         exact = Distribution.from_weights({n: 0.5**n for n in range(1, 200)})
-        assert tv_distance(sol.nu, exact) <= 1e-9
-        assert sol.theta == pytest.approx(1.0, abs=1e-8)  # d - b
-        assert "minimal_qsd_convention" in sol.meta
+        assert tv_distance(sol.nu, exact) <= 1e-14
+        assert sol.theta == pytest.approx(1.0, abs=1e-12)  # d - b
+        assert sol.residual <= 1e-12
+        assert (sol.iterations, sol.meta["solver"]) == (0, "exact")
 
     def test_finite_model_returns_directly(self, t2, t2_oracle):
         sol = minimal_qsd_reference(t2)
         assert tv_distance(sol.nu, t2_oracle.nu) <= 1e-12
 
-    def test_drifted_walk_needs_loose_tolerance(self):
+    def test_drifted_walk_is_van_doorn(self):
         m = build_birth_death(BirthDeathSpec(1.0, 2.0))
-        sol = minimal_qsd_reference(m, schedule=(100, 200), tol=5e-3)
-        assert sol.truncation == 200
-        assert sol.theta == pytest.approx((math.sqrt(2) - 1) ** 2, abs=5e-3)
+        sol = minimal_qsd_reference(m)
+        assert sol.theta == pytest.approx(BD12_THETA_STAR, abs=1e-12)
+        assert sol.lam == -sol.theta
+        assert sol.residual <= 1e-12
+        assert bd12_minimal_defects(sol.nu) == []
+        # cut where the mass left, r^K (1 + K (1 - r)), falls below MASS_EPS = 1e-15
+        K, r = sol.truncation, BD12_RATIO
+        assert r**K * (1 + K * (1 - r)) < 1e-15 <= r ** (K - 1) * (1 + (K - 1) * (1 - r))
+        assert (sol.iterations, sol.meta["solver"]) == (0, "exact")
 
-    def test_schedule_exhaustion(self):
-        m = build_birth_death(BirthDeathSpec(1.0, 2.0))
-        with pytest.raises(NoStabilization):
-            minimal_qsd_reference(m, schedule=(50, 100), tol=1e-12)
+    def test_other_qsds_pass_the_residual_but_not_the_minimal_checks(self):
+        nu = bd12_nu_theta(0.15)
+        assert qsd_residual(resolve_model("bd:1,2"), nu).sup_norm <= 1e-12
+        assert bd12_minimal_defects(nu) == ["theta", "tail"]
+
+    @pytest.mark.parametrize("name, match", [
+        ("bd:2,1", "bd:2.0,1.0: no minimal QSD"),
+        ("bd:1,1", "bd:1.0,1.0: no minimal QSD"),
+        ("bd:0.9999,1", "bd:0.9999,1.0: .* past 100000 states"),
+    ], ids=["drifts-away", "null-recurrent", "too-wide-to-list"])
+    def test_undeclared_infinite_model_raises(self, name, match):
+        with pytest.raises(NoMinimalQsd, match=match):
+            minimal_qsd_reference(resolve_model(name))

@@ -20,8 +20,11 @@ and revivals are frequent, and its ``couple`` run pins the graphical
 engine's mark order where the initial law has two atoms and most replicas
 diverge.  The ``phi`` digests pin the return map's routes:
 the builtin chains take the positive Thomas sweep, which calls no BLAS, so
-they run in this process whatever the BLAS thread count, and the multi-jump
-file takes the dense inverse.
+they run in this process whatever the BLAS thread count, the multi-jump
+file takes the dense inverse, and the 250-state walk with skips takes the
+sparse LU, as its ``oracle`` run does.  The 500-state ``conditioned`` run
+pins the CSR uniformization step.  The single-run APIs are pinned one
+digest per result, so that a change names the API whose draws moved.
 """
 
 import hashlib
@@ -49,7 +52,7 @@ from qsdsim import (
 )
 
 from conftest import (
-    afp_advance, blas_thread_env, branch_event, fv_event, multi_jump_model_file,
+    afp_advance, blas_thread_env, branch_event, fv_event, large_model_file, multi_jump_model_file,
 )
 
 GOLDEN = {
@@ -236,40 +239,95 @@ def test_multi_jump_run_matches_golden_digest(name, tmp_path):
         assert _sha256(tmp_path / "out" / fname) == digest, fname
 
 
-API_DIGEST = "3a3a1d2a0dc287cfd6e3dddb710f7c1f1ab91479e905a305c196ebb8cf2b7419"
+# Seeded runs on the sparse routes, keyed by name: (method, model, params,
+# digests), where "{skip}" stands for the 250-state walk with skips.  That file
+# is not a two-way path and has more than PHI_LAPACK_LIMIT states, so its
+# ``oracle`` and ``phi`` runs factor one sparse LU; the 500-state window is
+# above DENSE_WINDOW_LIMIT, so its ``conditioned`` run steps with CSR matvecs.
+SPARSE_GOLDEN = {
+    "oracle-skip250": ("oracle", "file:{skip}", {}, {"oracle.json": "13426e160bb682ac536a7c29fd63881585bfe7c18a44d39ca18ec57e3cec4eec"}),
+    "phi-skip250": (
+        "phi", "file:{skip}", {"init": "delta:1", "iters": "20"},
+        {
+            "phi.csv": "0a9c9af1859c0f3df399b067ff1b6a70d0bc064d9cfb4bb53fa1e6661f59bc64",
+            "phi_dist.csv": "9708206fab5c76e09a616a9ce43256673ca4664cbd43968431196f19530d0fff",
+        },
+    ),
+    "conditioned-bd500": (
+        "conditioned", "bd:1,2,500", {"init": "delta:1", "horizon": "1.0"},
+        {"conditioned.csv": "aba2d1c9befe9ad1c6c839aecefaf155a6110101e0257679be8a5abba5712f70"},
+    ),
+}
 
 
-def _api_draws() -> list:
-    """Seeded results of the public single-run APIs and of single kernel events."""
+@pytest.mark.parametrize("name", sorted(SPARSE_GOLDEN))
+def test_sparse_route_run_matches_golden_digest(name, tmp_path):
+    method, model, params, digests = SPARSE_GOLDEN[name]
+    model = model.format(skip=large_model_file(tmp_path))
+    cfg = ExperimentConfig(method=method, model=model, seed=0, params=params)
+    run_config(cfg, tmp_path / "out")
+    written = {p.name for p in (tmp_path / "out").iterdir()} - {"summary.json"}
+    assert written == set(digests)
+    for fname, digest in digests.items():
+        assert _sha256(tmp_path / "out" / fname) == digest, fname
+
+
+# One digest per entry of _api_draws(), so that a change shows which API moved.
+API_DIGESTS = {
+    "absorption-0": "81027a2a3e1d60cfc0e37c2e9cc4aaf7bdfb8e6adb1cf71a8295dc83c627cca7",
+    "absorption-1": "e6282e9cf881edbbde5e96cd0382191a68776b204f2b1b9bf89a92884cf19d01",
+    "absorption-2": "ef15f58671ce76192338097ee456bb4d5ef741e4662667e732d1c5f8fa28f2d3",
+    "mu-return": "aee999d895ac41efacf84196b51c89b5fd3547c217617c5a84c793c416b045a5",
+    "tagged-limit": "9ca0f45d2341f996708d4adfc3bfa8526b1dc01d607ccccf88af02f9f1d10efe",
+    "fv-event-0": "b44261747ba72a627cb57cf54911f683914016fef1c20ec33c09a6b1ad5cb47e",
+    "fv-event-1": "c39e17f009771d36a40d930e40bf65f055c1723bf1cdf328d8699b6cb37a84d5",
+    "fv-event-2": "6c31ccbdf086f9b300b305be474dd369a9b4d49fa84a0c13d4137c1215d52ec6",
+    "fv-event-3": "971a3f1d4bd2158d73bc4fcde053bcedb01c24f8220b41566c44f7f318ee8817",
+    "fv-event-4": "23a669990a9dd3e5256ef6331ea3ee0eeb6ec0464af9d1ccc2f97b3195ea04f3",
+    "afp": "75b36d30d6cad7356b3d584339242d64773e8896ef614f40e77fe4c702891963",
+    "branching": "c8326a8bca5f2187b30f6eef36f32ad27420276769c2dff400d1e98ab2f3ba98",
+    "graphical": "63aeeb406aec6b92222db0d2584a78b3a6fffd3d90a000c4dd132399cae5f441",
+}
+
+
+def _api_draws() -> dict:
+    """Seeded results of the public single-run APIs and of single kernel events, by name."""
     t2 = resolve_model("two-state")
     bd = resolve_model("bd:1,2,8")
     root = RngStream(17)
-    out = []
+    out = {}
     for r in range(3):
         s = simulate_until_absorption(bd, Distribution.delta(3), root.child(1, r))
-        out.append((s.tau, s.exit_state))
+        out[f"absorption-{r}"] = (s.tau, s.exit_state)
     occ = simulate_mu_return(bd, Distribution.delta(1), 20.0, root.child(2))
-    out.append((sorted(occ.occupation.items()), occ.events, occ.returns))
+    out["mu-return"] = (sorted(occ.occupation.items()), occ.events, occ.returns)
     path = evolve_conditioned(t2, Distribution.delta(2), 2.0, 1e-3, 2)
     traj = simulate_tagged_limit(t2, path, 2, root.child(3))
-    out.append((traj.times, traj.states))
+    out["tagged-limit"] = (traj.times, traj.states)
     cfg = ParticleConfig(bd, [1, 2, 3, 4])
     for k in range(5):
-        out.append(fv_event(cfg, bd, root.child(4, k)))
+        out[f"fv-event-{k}"] = fv_event(cfg, bd, root.child(4, k))
     d = uniformize(bd)
     h = HistoryState.start_at(1)
     for k in range(5):
         afp_advance(h, d, root.child(5, k))
-    out.append(h.history)
+    out["afp"] = h.history
     sm = build_shifted(t2, 2.0)
     pop = BranchingPopulation(sm.states, [4, 4], 12)
     for k in range(5):
         branch_event(pop, sm, root.child(6, k))
-    out.append((pop.t, pop.counts))
+    out["branching"] = (pop.t, pop.counts)
     tr = fv_run_graphical(bd, 6, Distribution.delta(1), 2.0, [1.0, 2.0], root.child(8))
-    out.append(([sorted(m.items()) for m in tr.measures], tr.events, tr.revivals))
+    out["graphical"] = ([sorted(m.items()) for m in tr.measures], tr.events, tr.revivals)
     return out
 
 
-def test_api_draws_match_golden_digest():
-    assert hashlib.sha256(repr(_api_draws()).encode()).hexdigest() == API_DIGEST
+@pytest.fixture(scope="module")
+def api_draws():
+    return _api_draws()
+
+
+@pytest.mark.parametrize("name", sorted(API_DIGESTS))
+def test_api_draw_matches_golden_digest(name, api_draws):
+    assert set(api_draws) == set(API_DIGESTS)
+    assert hashlib.sha256(repr(api_draws[name]).encode()).hexdigest() == API_DIGESTS[name]

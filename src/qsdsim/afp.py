@@ -1,9 +1,10 @@
 """History-renewal approximation of the discrete-time QSD.
 
-A walker moves with the uniformized substochastic matrix, read one sparse
-row per state; on a kill event it re-enters according to the empirical
-distribution of its own past positions.  The normalized history converges
-to the QSD of the discrete chain (the Aldous-Flannery-Palacios scheme).
+A walker moves with the uniformized substochastic matrix P = I + Q/rate,
+read from the window model's ``jump_table``; on a kill event it re-enters
+according to the empirical distribution of its own past positions.  The
+normalized history converges to the QSD of the discrete chain (the
+Aldous-Flannery-Palacios scheme).
 The history starts as a unit atom at the start state so the renewal draw
 is always well defined.  One loop, ``_advance``, takes the steps;
 :func:`afp_run` advances it from checkpoint to checkpoint.
@@ -45,26 +46,30 @@ def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps
     """Take ``steps`` renewal steps in place.
 
     The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|:
-    one uniform picks a within-window move from x's sparse cumulative row,
-    and a kill (the uniform past the row's mass) draws a second uniform that
-    picks an element of the stored history list, which realizes the renewal
-    part exactly in O(1).
+    with s = u x rate, the walker holds when s >= total(x), else takes the
+    ``jump_table`` target at s, and target 0 draws a second uniform that
+    picks an element of the stored history list, the renewal part in O(1).
     """
     if h.total + steps > MASS_LIMIT:
         raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
-    rows = d.rows
+    jump_table = d.model.jump_table
+    tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
+    rate = d.rate
     history = h.history
     counts = h.counts
     u = blocks.u
     walker = h.walker
     total = h.total
     for _ in range(steps):
-        v = u()
-        targets, cum = rows[walker]
-        if v < cum[-1]:
-            walker = targets[bisect_right(cum, v)]
-        else:
-            walker = history[int(u() * total)]
+        table = tables.get(walker)
+        if table is None:
+            table = tables[walker] = jump_table(walker)
+        targets, cum, out = table
+        s = u() * rate
+        if s < out:
+            walker = targets[bisect_right(cum, s)]
+            if walker == 0:
+                walker = history[int(u() * total)]
         counts[walker] = counts.get(walker, 0) + 1
         history.append(walker)
         total += 1

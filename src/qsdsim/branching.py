@@ -1,7 +1,8 @@
 """Supercritical multitype branching estimator of the QSD.
 
 Shifting the live generator block by alpha on the diagonal gives a
-nonnegative offspring mean matrix m(x, y) = q(x, y) + (alpha + 1) delta_xy.
+nonnegative offspring mean matrix m(x, y) = q(x, y) + (alpha + 1) delta_xy,
+read from the block's dense Q^T (``LiveBlock.generator_t``).
 Individuals live mean-one exponential lifetimes and branch with independent
 Poisson(m(x, y)) offspring per type; for alpha large enough the process is
 supercritical and the normalized type profile converges, on survival, to
@@ -93,10 +94,8 @@ def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
     else:
         alpha = float(alpha)
 
-    b = model.live_block()
-    means = np.zeros((n, n))
-    np.fill_diagonal(means, alpha + 1.0 - b.total)
-    np.add.at(means, (b.src, b.dst), b.rate)
+    means = model.live_block().generator_t(dense=True).T.copy()
+    means[np.diag_indices(n)] += alpha + 1.0
     if means.diagonal().min() < 0:
         worst = states[int(means.diagonal().argmin())]
         raise NegativeMean(

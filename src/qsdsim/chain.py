@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EventCapExceeded, ModelFormatError
+from .errors import EventCapExceeded, ModelFormatError, NegativeRate
 from .rng import RngStream, UniformBlock, TAG_EVENTS
 
 # Masses below this are treated as exact zeros when building distributions.
@@ -185,7 +185,8 @@ class LiveBlock:
     in transition order.  ``total[i]`` is ``total_rate(states[i])``, the
     ``jump_table`` sum with absorption first, so the diagonal is ``-total``;
     ``absorb[i]`` is q(x, 0); ``boundary`` holds the states with a jump that
-    leaves the window.
+    leaves the window.  Walkers read the model's ``jump_table``, solvers
+    the block, and a solver that needs a matrix :meth:`generator_t`.
 
     The block keeps the model's truncation convention.  On a
     ``restricted(K)`` model (the oracle, uniformization, the branching
@@ -204,6 +205,24 @@ class LiveBlock:
     total: np.ndarray
     absorb: np.ndarray
     boundary: tuple[int, ...]
+
+    def generator_t(self, dense: bool):
+        """Q^T: the jumps in block order, then -``total`` on the diagonal.
+
+        Dense, or CSR (the one import of ``scipy.sparse``) by the caller's size rule.
+        """
+        n = len(self.states)
+        span = np.arange(n)
+        rows = np.concatenate([self.dst, span])
+        cols = np.concatenate([self.src, span])
+        vals = np.concatenate([self.rate, -self.total])
+        if dense:
+            qt = np.zeros((n, n))
+            np.add.at(qt, (rows, cols), vals)
+            return qt
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     @cached_property
     def two_way_path(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -345,8 +364,9 @@ class AbsorbedChainModel:
 
         The first target is 0 when q(x, 0) > 0; the remaining targets follow
         the transition list order.  The one copy of the state's rates: every
-        jump draw reads it, the graphical engine's internal marks too; plain
-        tuples keep per-event lookups cheap.
+        jump draw reads it, the graphical engine's internal marks and the
+        history-renewal steps too; plain tuples keep per-event lookups cheap.
+        A total that is not finite raises :class:`NegativeRate` naming the state.
         """
         got = self._jump_cache.get(x)
         if got is None:
@@ -362,6 +382,8 @@ class AbsorbedChainModel:
                 targets.append(y)
                 running += r
                 cum.append(running)
+            if not math.isfinite(running):
+                raise NegativeRate(f"the total rate out of state {x} overflows")
             got = (tuple(targets), tuple(cum), running)
             self._jump_cache[x] = got
         return got

@@ -4,9 +4,10 @@ The law of the chain at time t conditioned on not yet being absorbed is the
 normalized linear flow mu e^{tQ} / |mu e^{tQ}| on the live states.  Jensen's
 uniformization writes e^{hQ} as a Poisson mixture of powers of a
 nonnegative matrix: a short series of nonnegative terms with an a-priori
-tail bound.  A QSD is exactly a stationary point of the flow, so the same
-module also evaluates the fixed-point residual and the absorption rate
-theta of a candidate distribution.
+tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  A QSD is
+exactly a stationary point of the flow, so the same module also evaluates
+the fixed-point residual and the absorption rate theta of a candidate
+distribution.
 """
 
 from __future__ import annotations
@@ -82,29 +83,17 @@ class ConditionedPath:
 def _window_operator(model: AbsorbedChainModel, states):
     """(transpose generator, indices of the states near the boundary).
 
-    The generator is a dense numpy array on windows of at most
-    ``DENSE_WINDOW_LIMIT`` states and a scipy CSR matrix on larger ones, the
-    only place this module loads scipy.  Jumps that leave the window stay in
-    the diagonal, so they kill.
+    The generator is the live block's :meth:`~qsdsim.chain.LiveBlock.generator_t`:
+    a dense numpy array on windows of at most ``DENSE_WINDOW_LIMIT`` states
+    and a scipy CSR matrix on larger ones.  Jumps that leave the window stay
+    in the diagonal, so they kill.
     """
     b = model.live_block(states)
     n = len(b.states)
-    span = np.arange(n)
-    rows = np.concatenate([b.dst, span])
-    cols = np.concatenate([b.src, span])
-    vals = np.concatenate([b.rate, -b.total])
     near = np.zeros(n, dtype=bool)
     near[[b.index[x] for x in b.boundary]] = True
     near[b.src[near[b.dst]]] = True  # one step back from the boundary counts as "near" it
-    near_idx = np.flatnonzero(near)
-    if n <= DENSE_WINDOW_LIMIT:
-        qt = np.zeros((n, n))
-        np.add.at(qt, (rows, cols), vals)
-    else:
-        import scipy.sparse as sp
-
-        qt = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return qt, near_idx
+    return b.generator_t(n <= DENSE_WINDOW_LIMIT), np.flatnonzero(near)
 
 
 def _poisson_weights(x: float) -> tuple[np.ndarray, float]:

@@ -10,7 +10,7 @@ class EventCapExceeded(QsdError):
 
 
 class NegativeRate(QsdError):
-    """A rate below zero or not finite was supplied, or a state's total rate overflows."""
+    """A rate below zero or not finite was supplied, or a state's or system's total overflows."""
 
 
 class SelfLoop(QsdError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
-from .errors import DeadConfig, EventCapExceeded
+from .errors import DeadConfig, EventCapExceeded, NegativeRate
 from .rng import RngStream, TAG_EVENTS, TAG_INIT
 
 FV_EVENT_CAP = 10**8
@@ -197,7 +197,8 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
     order: the exponential wait, the state (rate-weighted), the particle
     there, the jump, and on an absorption attempt the other particle to copy
     (uniform, by rejection).  Nothing is drawn after the first event time
-    >= ``until``.
+    >= ``until``.  An aggregate rate that overflows raises
+    :class:`~qsdsim.errors.NegativeRate`, one that is 0 :class:`DeadConfig`.
 
     One loop does the tree descent, the work of
     ``AbsorbedChainModel.sample_jump`` and the particle move (the swap-remove
@@ -226,11 +227,14 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
     jump_table = model.jump_table
     tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
     log1p = math.log1p
+    inf = math.inf
     t = 0.0
     events = 0
     while True:
         agg = tree[1]
-        if agg <= 0.0:
+        if not 0.0 < agg < inf:
+            if agg > 0.0:
+                raise NegativeRate(f"the aggregate rate of {n} particles overflows at t={t:g}")
             raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
         if end - pos < 4:  # the four draws every event takes
             chunk = min(2 * chunk, UNIFORM_CHUNK)

@@ -2,16 +2,16 @@
 
 Covers finite rate matrices given explicitly, birth-death walks with
 constant rates, the binary-split Galton-Watson population chain, and the
-uniformized discrete-time view, one sparse row per state, that the
-history-renewal method walks.  The two infinite families declare their
-minimal QSD nu* in closed form (van Doorn 1991), in log space.
+uniformized discrete-time view that the history-renewal method walks: a
+window model and a rate, stepped from the window's ``jump_table``.  The two
+infinite families declare their minimal QSD nu* in closed form (van Doorn
+1991), in log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping
 
 from .chain import AbsorbedChainModel, read_model_file
@@ -84,8 +84,7 @@ def build_finite(rates: Mapping[tuple[int, int], float]) -> AbsorbedChainModel:
     model = AbsorbedChainModel(lambda x: trans[x], lambda x: absorb.get(x, 0.0),
                                states=sorted(states), name="finite")
     for x in model.states:
-        if model.total_rate(x) == math.inf:
-            raise NegativeRate(f"the total rate out of state {x} overflows")
+        model.jump_table(x)  # raises NegativeRate where a state's total overflows
     return model
 
 
@@ -150,16 +149,12 @@ def build_galton_watson(spec: GaltonWatsonSpec) -> AbsorbedChainModel:
 
 
 class DiscreteChainModel:
-    """Uniformized chain P = I + Q/rate on the window ``model``, one sparse row per state.
+    """Uniformized chain P = I + Q/rate on the window ``model``.
 
-    ``rows[x]`` is ``(targets, cum)``: the states P moves x to, in state
-    order, and the running sums of their probabilities.  The hold entry
-    1 - total(x)/rate is always present, so no row is empty; a repeated
-    target is merged by adding in transition order.  So the sums equal a
-    dense row's ``np.cumsum`` at every nonzero entry and at the row end,
-    and ``bisect_right`` draws the same states.  ``kill[i]`` is the
-    probability of absorption from ``states[i]``; each row plus its kill
-    mass sums to 1 within 1e-12.
+    No matrix and no second table of rates is built: a walker steps from
+    the window model's ``jump_table`` (see :func:`qsdsim.afp._advance`),
+    and the solvers read its live block.  ``kill[i]`` is the probability
+    of absorption from ``states[i]``.
     """
 
     def __init__(self, model: AbsorbedChainModel, rate: float):
@@ -170,20 +165,6 @@ class DiscreteChainModel:
         self.index = b.index
         self.name = f"unif({model.name},{rate:g})"
         self.kill = b.absorb / rate
-        hold = (1.0 - b.total / rate).tolist()
-        if min(hold) < 0.0:
-            raise NegativeRate("negative holding probability")
-        # hold first, then the jumps in transition order, as np.add.at adds them
-        mass = [{i: h} for i, h in enumerate(hold)]
-        for i, j, p in zip(b.src.tolist(), b.dst.tolist(), (b.rate / rate).tolist()):
-            mass[i][j] = mass[i].get(j, 0.0) + p
-        self.rows = {}
-        for x, row, k in zip(b.states, mass, self.kill.tolist()):
-            order = sorted(row)
-            cum = tuple(accumulate(row[j] for j in order))
-            if abs(cum[-1] + k - 1.0) > 1e-12:
-                raise ValueError("rows plus kill mass must sum to 1")
-            self.rows[x] = (tuple(b.states[j] for j in order), cum)
 
     def __repr__(self):
         return f"DiscreteChainModel(name={self.name!r}, n={len(self.states)})"
@@ -212,7 +193,7 @@ def uniformization_rate(
 def uniformize(
     model: AbsorbedChainModel, truncation: int | None = None, rate: float | None = None
 ) -> DiscreteChainModel:
-    """Uniformized chain I + Q/rate of the (possibly truncated) model, as sparse rows.
+    """Uniformized chain I + Q/rate of the (possibly truncated) model.
 
     The left Perron vector is unchanged by uniformization, which is what
     lets the discrete solver and history-renewal chain target the same QSD.

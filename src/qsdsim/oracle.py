@@ -27,16 +27,17 @@ block's shape:
 same routes on its window's generator, since P and Q share the left Perron
 vector, and maps the eigenvalue back to 1 + lambda/rate.
 
-A is factored once by :func:`return_map_solver`, which imports
-``scipy.sparse.linalg`` only for its sparse LU on non-path windows of more
-than ``PHI_LAPACK_LIMIT`` states; on a two-way path it runs ``_sweep``, the
-positive tridiagonal solve that the path route runs too.
+A is factored once by :func:`return_map_solver`: on a two-way path by
+``_sweep``, the positive tridiagonal solve of the path route, elsewhere
+from the block's one Q^T (``LiveBlock.generator_t``), loading scipy only
+for the sparse LU on windows of more than ``PHI_LAPACK_LIMIT`` states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -133,15 +134,15 @@ def return_map_solver(b: LiveBlock):
     v A^-1 is the row vector ``solve(v)``, the occupation before absorption
     from v.  On a two-way path each solve is one :func:`_sweep` run, through
     :func:`_path_solver`, with no linear-algebra library call.  Other
-    windows of at most ``PHI_LAPACK_LIMIT`` states compute A^-T once and
-    take one matvec per solve; larger ones factor one sparse LU.  A is
+    windows take A^T = 0 - Q^T from :meth:`LiveBlock.generator_t`: up to
+    ``PHI_LAPACK_LIMIT`` states dense, inverted once for one matvec per
+    solve, larger ones as CSR, converted to CSC for one sparse LU.  A is
     nonsingular exactly when every live state can reach absorption, else
     :class:`NotIrreducible` is raised.  On a two-way path that holds when
     some state absorbs; other blocks are checked with a virtual absorbing
     node.
     """
     n = len(b.states)
-    span = np.arange(n)
     path = b.two_way_path
     if path is not None:
         well_posed = bool((b.absorb > 0).any())
@@ -149,29 +150,20 @@ def return_map_solver(b: LiveBlock):
         absorbing = np.nonzero(b.absorb > 0)[0]
         # edges into the virtual node n from the absorbing states, and out of it to all
         src = np.concatenate([b.src, absorbing, np.full(n, n)])
-        dst = np.concatenate([b.dst, np.full(absorbing.size, n), span])
+        dst = np.concatenate([b.dst, np.full(absorbing.size, n), np.arange(n)])
         well_posed = strongly_connected(n + 1, src, dst)
     if not well_posed:
         raise NotIrreducible("some live state cannot reach absorption, so Phi is undefined")
     # transposed, so that solving A^T w = v gives the row vector w = v A^-1
     if path is not None:
         return _path_solver(b.total, *path)
-    if n <= PHI_LAPACK_LIMIT:
-        a_t = np.diag(b.total)
-        np.subtract.at(a_t, (b.dst, b.src), b.rate)
-        inv_t = np.linalg.inv(a_t)
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            return inv_t @ v
-
-        return solve
-    import scipy.sparse as sp
+    dense = n <= PHI_LAPACK_LIMIT
+    a_t = 0.0 - b.generator_t(dense)  # not -Q^T, which would flip the sign of its zeros
+    if dense:
+        return partial(np.matmul, np.linalg.inv(a_t))
     from scipy.sparse.linalg import splu
 
-    rows = np.concatenate([span, b.dst])
-    cols = np.concatenate([span, b.src])
-    vals = np.concatenate([b.total, -b.rate])
-    return splu(sp.csc_matrix((vals, (rows, cols)), shape=(n, n))).solve
+    return splu(a_t.tocsc()).solve
 
 
 # Gaps kept from the start of an inverse iteration, and again from its end.

@@ -27,9 +27,9 @@ point mass places them without a draw.
 
 ``phi_map`` and ``phi_iterate`` read ``oracle.return_map_iterates``, the
 one Phi step, which the oracle's inverse iteration reads too.  scipy is
-used only by its sparse LU factorization on windows that are not two-way
-paths and have more than ``oracle.PHI_LAPACK_LIMIT`` states
-(``scipy.sparse.linalg.splu``), and through ``evolve_conditioned`` on
+used only where ``LiveBlock.generator_t`` is CSR: by the sparse LU on
+windows that are not two-way paths and have more than
+``oracle.PHI_LAPACK_LIMIT`` states, and through ``evolve_conditioned`` on
 windows of more than ``DENSE_WINDOW_LIMIT`` (400) states; both import it
 when they run.  The return map on a two-way path (every builtin chain, at
 any size) calls no linear-algebra library at all.

@@ -15,7 +15,7 @@ from qsdsim import (
     write_model_file,
 )
 from qsdsim.chain import strongly_connected
-from qsdsim.errors import EventCapExceeded, ModelFormatError
+from qsdsim.errors import EventCapExceeded, ModelFormatError, NegativeRate
 
 from conftest import T2_NU1, multi_jump_model_file
 
@@ -223,6 +223,15 @@ class TestLiveBlock:
     def test_multi_jump_file_is_not_a_path(self, tmp_path):
         model = read_model_file(multi_jump_model_file(tmp_path))
         assert model.live_block().two_way_path is None
+
+
+class TestJumpTable:
+    def test_total_that_overflows_names_the_state(self):
+        # q(2, 1) = 2e308 is not a float: the table of state 2 cannot be built
+        model = resolve_model("gw:1e307,1e308")
+        assert model.jump_table(1)[2] == 1e307 + 1e308
+        with pytest.raises(NegativeRate, match="state 2 overflows"):
+            model.jump_table(2)
 
 
 class TestSimulateUntilAbsorption:

@@ -18,7 +18,7 @@ from qsdsim import (
     resolve_model,
     tv_distance,
 )
-from qsdsim.errors import DeadConfig
+from qsdsim.errors import DeadConfig, NegativeRate
 from qsdsim.fv import FV_EVENT_CAP, _RateIndex, _fv_events
 from qsdsim.returnproc import coupled_tagged_run, fv_run_graphical
 from qsdsim.rng import TAG_EVENTS, TAG_INIT
@@ -189,6 +189,12 @@ class TestFvStep:
         cfg = ParticleConfig(model, [2, 2])
         with pytest.raises(DeadConfig):
             fv_event(cfg, model, RngStream(0))
+
+    def test_aggregate_rate_that_overflows(self):
+        # each particle's rate 1.6e303 is finite, 10^6 of them are not
+        model = resolve_model("gw:1e302,1.5e303")
+        with pytest.raises(NegativeRate, match="aggregate rate of 1000000 particles overflows"):
+            fv_run(model, Distribution.delta(1), 1.0, [1.0], RngStream(1), n=10**6)
 
 
 class TestFvRun:

@@ -98,7 +98,7 @@ GOLDEN = {
         ExperimentConfig(
             method="afp", model="bd:1,2,30", seed=7, params={"steps": "20000", "start": "1"}
         ),
-        {"afp.csv": "197e49ae1154df35cbd4744319767a758e318c3f0dcdbea10af214fd4044ec76"},
+        {"afp.csv": "def2bc8416927fe75c5f1ff0ecd076d5908aa5dc770a9296632544b1dc335e0d"},
     ),
     "branch": (
         # reaches the cap once, so the shared generator's multinomial draw is pinned too
@@ -198,7 +198,7 @@ MULTI_JUMP_GOLDEN = {
     ),
     "afp": (
         "afp", 1, {"steps": "20000", "start": "1"},
-        {"afp.csv": "17a66545143fe7f53bae456004a1dbfbe60efd8053101dc38b4184022520c49d"},
+        {"afp.csv": "406c22a7e9159c12b27eb81d2f1e8116ab57a16c357dfc02bba7102cc2ad46a3"},
     ),
     "couple": (
         # two atoms, so the particles are drawn; 4 of the 6 replicas diverge
@@ -284,7 +284,7 @@ API_DIGESTS = {
     "fv-event-2": "6c31ccbdf086f9b300b305be474dd369a9b4d49fa84a0c13d4137c1215d52ec6",
     "fv-event-3": "971a3f1d4bd2158d73bc4fcde053bcedb01c24f8220b41566c44f7f318ee8817",
     "fv-event-4": "23a669990a9dd3e5256ef6331ea3ee0eeb6ec0464af9d1ccc2f97b3195ea04f3",
-    "afp": "75b36d30d6cad7356b3d584339242d64773e8896ef614f40e77fe4c702891963",
+    "afp": "c31bc8e0507764d3182b86294982dfba50b71ecfc3e8cd86e5c7a16d672b0293",
     "branching": "c8326a8bca5f2187b30f6eef36f32ad27420276769c2dff400d1e98ab2f3ba98",
     "graphical": "63aeeb406aec6b92222db0d2584a78b3a6fffd3d90a000c4dd132399cae5f441",
 }

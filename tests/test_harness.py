@@ -382,6 +382,21 @@ class TestCli:
         assert "init: the weights' sum overflows" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_afp_at_a_rate_inside_the_slack_exits_0(self, tmp_path):
+        # 2 - 1e-13 is below two-state's largest total rate 2 by less than the
+        # 1e-12 slack the config check allows, so the run must not reject it
+        argv = ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
+                "--uniformization-rate", "1.9999999999999", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert (tmp_path / "afp.csv").exists()
+
+    def test_fv_whose_aggregate_rate_overflows_exits_3(self, tmp_path, capsys):
+        # state 1's total rate 1.1e308 is finite, five particles there overflow
+        argv = ["fv", "--model", "gw:1e307,1e308", "--particles", "5", "--horizon", "1",
+                "--init", "delta:1", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 3
+        assert "NegativeRate: the aggregate rate of 5 particles overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, problem", [
         (["phi", "--model", "bd:1,2,100000", "--init", "delta:1", "--iters", "1000000",
           "--tol", "1e-300"], "iters: iters x 100000 window states = 1e+11, above 1e+08"),

@@ -8,6 +8,7 @@ from qsdsim import (
     AbsorbedChainModel,
     BirthDeathSpec,
     GaltonWatsonSpec,
+    HistoryState,
     build_birth_death,
     build_finite,
     build_galton_watson,
@@ -18,6 +19,7 @@ from qsdsim import (
     read_model_file,
     uniformize,
 )
+from qsdsim.afp import _advance
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
 from qsdsim.models import uniformization_rate
 
@@ -157,17 +159,47 @@ class TestGaltonWatson:
         assert tv_distance(sol.nu, Distribution.from_weights(geo)) <= 1e-4
 
 
+class ScriptedUniforms:
+    """Stands in for a ``UniformBlock``: ``u()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.u = iter(values).__next__
+
+
+RENEWAL = "renewal"
+
+
+def step_law(d, x) -> dict:
+    """The law of one ``_advance`` step from x: the measure of u sent to each outcome.
+
+    The breakpoints of u are the jump table's cumulative rates over the
+    rate; one step from the midpoint of each interval between them names
+    its outcome.  A stored history of the marker ``RENEWAL`` alone shows
+    the renewal draw; the hold leaves the walker at x.
+    """
+    _, cum, _ = d.model.jump_table(x)
+    cuts = [0.0, *(c / d.rate for c in cum), 1.0]
+    law: dict = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi > lo:
+            h = HistoryState(walker=x, counts={}, total=1, step=0, history=[RENEWAL])
+            _advance(h, d, ScriptedUniforms([(lo + hi) / 2, 0.0]), 1)
+            law[h.walker] = law.get(h.walker, 0.0) + (hi - lo)
+    return law
+
+
 class TestUniformize:
     def test_t2_explicit_rate(self, t2):
-        # P = [[0, 0.5], [0.5, 0.5]]: the zero hold of state 1 stays in its row
+        # P = [[0, 0.5], [0.5, 0.5]] and kill (0.5, 0): state 1 never holds
         d = uniformize(t2, rate=2.0)
         assert d.states == (1, 2)
-        assert d.rows == {1: ((1, 2), (0.0, 0.5)), 2: ((1, 2), (0.5, 1.0))}
+        assert step_law(d, 1) == {RENEWAL: 0.5, 2: 0.5}
+        assert step_law(d, 2) == {1: 0.5, 2: 0.5}
         assert d.kill.tolist() == [0.5, 0.0]
 
     def test_t1(self, t1):
         d = uniformize(t1, rate=1.0)
-        assert d.rows == {1: ((1,), (0.0,))}
+        assert step_law(d, 1) == {RENEWAL: 1.0}
         assert d.kill.tolist() == [1.0]
 
     def test_rate_too_small(self, t2):
@@ -256,16 +288,16 @@ def test_uniformize_matches_reference_loop(name, truncation, rate, tmp_path):
     d = uniformize(model, truncation=truncation, rate=rate)
     sub, kill, used = reference_uniformize(model, truncation, rate)
     assert d.name.endswith(f",{used:g})")
-    # each sparse row holds the hold entry and the nonzero entries, in state
-    # order, and its running sums are the dense cumsum's at those positions
-    # (so at every nonzero one) and at the row end, bit for bit
-    cum = np.cumsum(sub, axis=1)
+    # one step of the walker sends u to each state, the hold included, with
+    # the mass of the reference row, and to the renewal draw with the kill mass
     for i, x in enumerate(d.states):
-        targets, row = d.rows[x]
-        cols = sorted({i, *np.nonzero(sub[i])[0].tolist()})
-        assert targets == tuple(d.states[j] for j in cols)
-        assert np.array(row).tobytes() == cum[i, cols].tobytes()
-        assert row[-1] == cum[i, -1]
+        law = step_law(d, x)
+        row = np.zeros(len(d.states))
+        for y, m in law.items():
+            if y != RENEWAL:
+                row[d.index[y]] = m
+        assert np.abs(row - sub[i]).max() <= 1e-12
+        assert abs(law.get(RENEWAL, 0.0) - kill[i]) <= 1e-12
     assert d.kill.tobytes() == kill.tobytes()
 
 

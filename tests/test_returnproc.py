@@ -27,7 +27,7 @@ from qsdsim import (
 )
 from qsdsim import returnproc
 from qsdsim.chain import AbsorbedChainModel
-from qsdsim.errors import EventCapExceeded, NotIrreducible, PathTooShort
+from qsdsim.errors import EventCapExceeded, NegativeRate, NotIrreducible, PathTooShort
 from qsdsim.oracle import _path_solver
 
 from conftest import (
@@ -81,6 +81,13 @@ class TestMuReturn:
     def test_qsd_occupation_is_stationary(self, t2, t2_oracle):
         occ = simulate_mu_return(t2, t2_oracle.nu, 1e4, RngStream(22))
         assert tv_distance(occ.occupation, t2_oracle.nu) <= 0.01
+
+    def test_total_rate_that_overflows_raises(self):
+        # the waits at state 1 underflow to 0, and the first visit to state 2,
+        # whose total rate is not a float, raises instead of spinning
+        model = resolve_model("gw:1e307,1e308")
+        with pytest.raises(NegativeRate, match="state 2 overflows"):
+            simulate_mu_return(model, Distribution.delta(1), 1.0, RngStream(20))
 
 
 class TestPhiMap:

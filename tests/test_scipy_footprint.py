@@ -3,12 +3,16 @@
 Replicas run in one plain loop, so no run, and no ``import qsdsim``, loads
 ``concurrent.futures``; the probe reports that module too.
 
-scipy is imported only by the code that calls it: the return map's solve,
-which the oracle's inverse iteration and ``phi_map`` share, on windows that
-are not two-way paths and have more than ``PHI_LAPACK_LIMIT`` states
-(``scipy.sparse.linalg``), and the conditioned flow on more than
-``DENSE_WINDOW_LIMIT`` states (``scipy.sparse`` alone: its uniformization
-steps are CSR matvecs, not ``expm_multiply``).  Every builtin chain is a two-way path, so
+scipy is imported only by the code that calls it.  ``scipy.sparse`` is
+loaded in one place, ``LiveBlock.generator_t``, when a caller asks for the
+CSR form of Q^T: the return map's solve, which the oracle's inverse
+iteration and ``phi_map`` share, on windows that are not two-way paths and
+have more than ``PHI_LAPACK_LIMIT`` states (it then loads
+``scipy.sparse.linalg`` for the sparse LU), and the conditioned flow on
+more than ``DENSE_WINDOW_LIMIT`` states (``scipy.sparse`` alone: its
+uniformization steps are CSR matvecs, not ``expm_multiply``).  The dense
+form, which every smaller window and the branching means read, needs
+numpy alone.  Every builtin chain is a two-way path, so
 the oracle, AFP, stationary FV and ``phi`` at any size need numpy alone on them, and so
 does the oracle on the 12-state multi-jump file.  Each case runs in a fresh interpreter,
 because this one has long since loaded scipy.

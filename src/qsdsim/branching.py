@@ -94,7 +94,7 @@ def build_shifted(model: AbsorbedChainModel, alpha="auto") -> ShiftedMeanMatrix:
     else:
         alpha = float(alpha)
 
-    means = model.live_block().generator_t(dense=True).T.copy()
+    means = model.live_block().generator_t(dense=True).T  # Q, a view of the fresh Q^T
     means[np.diag_indices(n)] += alpha + 1.0
     if means.diagonal().min() < 0:
         worst = states[int(means.diagonal().argmin())]

@@ -154,10 +154,13 @@ class DiscreteChainModel:
     No matrix and no second table of rates is built: a walker steps from
     the window model's ``jump_table`` (see :func:`qsdsim.afp._advance`),
     and the solvers read its live block.  ``kill[i]`` is the probability
-    of absorption from ``states[i]``.
+    of absorption from ``states[i]``.  ``model`` must be finite, and
+    :func:`uniformization_rate` checks ``rate`` on it (``None`` takes its
+    default).
     """
 
-    def __init__(self, model: AbsorbedChainModel, rate: float):
+    def __init__(self, model: AbsorbedChainModel, rate: float | None):
+        model, rate = uniformization_rate(model, None, rate)
         b = model.live_block()
         self.model = model
         self.rate = rate
@@ -200,7 +203,7 @@ def uniformize(
     The window and the rate are those of :func:`uniformization_rate`.
     Memory is O(jumps in the window): no n x n matrix is built.
     """
-    return DiscreteChainModel(*uniformization_rate(model, truncation, rate))
+    return DiscreteChainModel(model.restricted(model.truncation_or_top(truncation)), rate)
 
 
 # -- builtin model names ----------------------------------------------------

@@ -158,12 +158,15 @@ def return_map_solver(b: LiveBlock):
     if path is not None:
         return _path_solver(b.total, *path)
     dense = n <= PHI_LAPACK_LIMIT
-    a_t = 0.0 - b.generator_t(dense)  # not -Q^T, which would flip the sign of its zeros
+    q_t = b.generator_t(dense)
     if dense:
-        return partial(np.matmul, np.linalg.inv(a_t))
+        # 0 - Q^T in place: not -Q^T, which would flip the sign of its zeros
+        return partial(np.matmul, np.linalg.inv(np.subtract(0.0, q_t, out=q_t)))
     from scipy.sparse.linalg import splu
 
-    return splu(a_t.tocsc()).solve
+    a_t = q_t.tocsc()
+    np.negative(a_t.data, out=a_t.data)  # A^T; a sparse matrix stores no zeros it did not list
+    return splu(a_t).solve
 
 
 # Gaps kept from the start of an inverse iteration, and again from its end.

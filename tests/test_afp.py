@@ -88,19 +88,20 @@ class TestAfpRun:
         assert a.estimate == b.estimate
 
     def test_checkpoint_medians_refine(self, t2_disc):
-        # the median TV to the oracle over 20 replicas falls from n to 4n steps;
-        # a 2x step is too small for 20 replicas to resolve: across 60 seed sets
-        # the medians at n, 2n, 4n were out of order in 10 to 13, n and 4n in 1
+        # median TV to the oracle over replicas must not increase along
+        # checkpoints n, 2n, 4n; 80 replicas resolve each 2x step: over seed
+        # sets 1-60 the order failed in at most 1 (20 replicas: 10 to 13)
         ref = solve_qsd_discrete(t2_disc).nu
         n = 50_000
         tvs = []
-        for r in range(20):
+        for r in range(80):
             res = afp_run(
-                t2_disc, 1, 4 * n, RngStream(48, (r,)), checkpoints=[n, 4 * n], reference=ref,
+                t2_disc, 1, 4 * n, RngStream(48, (r,)), checkpoints=[n, 2 * n, 4 * n],
+                reference=ref,
             )
             tvs.append(res.checkpoint_tv)
         med = np.median(np.array(tvs), axis=0)
-        assert med[0] > med[1]
+        assert med[0] >= med[1] >= med[2]
 
     def test_checkpoint_validation(self, t2_disc):
         with pytest.raises(ValueError):

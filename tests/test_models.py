@@ -7,6 +7,7 @@ import pytest
 from qsdsim import (
     AbsorbedChainModel,
     BirthDeathSpec,
+    DiscreteChainModel,
     GaltonWatsonSpec,
     HistoryState,
     build_birth_death,
@@ -205,6 +206,14 @@ class TestUniformize:
     def test_rate_too_small(self, t2):
         with pytest.raises(RateTooSmall):
             uniformize(t2, rate=1.0)
+
+    def test_constructor_checks_its_rate_with_the_same_slack(self, t2):
+        # a direct DiscreteChainModel applies uniformization_rate's rule, 1e-12 slack included
+        with pytest.raises(RateTooSmall):
+            DiscreteChainModel(t2, 2.0 - 1e-9)
+        assert DiscreteChainModel(t2, 2.0 - 1e-13).rate == 2.0 - 1e-13
+        with pytest.raises(ValueError, match="an infinite model needs an explicit truncation"):
+            DiscreteChainModel(resolve_model("bd:1,2"), 4.0)
 
     def test_rate_is_checked_on_the_restricted_window(self):
         # bd:1,2 restricted to {1} drops the birth jump: its largest total rate is 2, not 3

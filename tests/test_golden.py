@@ -22,8 +22,9 @@ diverge.  The ``phi`` digests pin the return map's routes:
 the builtin chains take the positive Thomas sweep, which calls no BLAS, so
 they run in this process whatever the BLAS thread count, the multi-jump
 file takes the dense inverse, and the 250-state walk with skips takes the
-sparse LU, as its ``oracle`` run does.  The 500-state ``conditioned`` run
-pins the CSR uniformization step.  The single-run APIs are pinned one
+sparse LU, as its ``oracle`` run does.  The two-state ``conditioned`` run
+pins the dense step matrix, the 200-state one the dense series route with
+grid times inside a step, and the 500-state one the CSR uniformization step.  The single-run APIs are pinned one
 digest per result, so that a change names the API whose draws moved.
 """
 
@@ -139,6 +140,15 @@ GOLDEN = {
             params={"init": "delta:2", "horizon": "1.0"},
         ),
         {"conditioned.csv": "95b6f64bdc49597e3831440d2562268a012f2a07cc943279b078430d58e3a96a"},
+    ),
+    "conditioned-bd200": (
+        # 200 states and 60 steps of 1/30: the series route, with 40 of the 51
+        # grid times (every 0.04) inside a step
+        ExperimentConfig(
+            method="conditioned", model="bd:1,2,200", seed=0,
+            params={"init": "delta:1", "horizon": "2"},
+        ),
+        {"conditioned.csv": "b9fed49c3ccad1c8a31487ef6dc9201fe40e56257e76308688af12d825a74438"},
     ),
 }
 

@@ -4,10 +4,11 @@ The law of the chain at time t conditioned on not yet being absorbed is the
 normalized linear flow mu e^{tQ} / |mu e^{tQ}| on the live states.  Jensen's
 uniformization writes e^{hQ} as a Poisson mixture of powers of a
 nonnegative matrix: a short series of nonnegative terms with an a-priori
-tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  A QSD is
-exactly a stationary point of the flow, so the same module also evaluates
-the fixed-point residual and the absorption rate theta of a candidate
-distribution.
+tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  A grid
+time inside a step costs one axpy per term on the step's own powers, not a
+series.  A QSD is exactly a stationary point of the flow, so the same module
+also evaluates the fixed-point residual and the absorption rate theta of a
+candidate distribution.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .chain import AbsorbedChainModel, Distribution
+from .chain import AbsorbedChainModel, Distribution, aligned_zeros
 from .errors import TruncationLeak
 
 LEAK_TOL = 1e-6
@@ -107,13 +108,28 @@ def _poisson_weights(x: float) -> tuple[np.ndarray, float]:
         w.append(nxt)
 
 
-def _series(qt, rate: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_k w_k P^k v, with P = I + qt / rate, by len(w) - 1 matvecs."""
-    out = w[0] * v
-    for wk in w[1:]:
+def _series(qt, rate: float, weights, v: np.ndarray) -> list[np.ndarray]:
+    """[sum_k w_k P^k v for w in weights], P = I + qt / rate: one matvec per power
+    P^k v up to the longest list, and one axpy per list and term."""
+    sums = [w[0] * v for w in weights]
+    for k in range(1, max(map(len, weights))):
         v = v + (qt @ v) / rate
-        out += wk * v
-    return out
+        for out, w in zip(sums, weights):
+            if k < len(w):
+                out += w[k] * v
+    return sums
+
+
+def _step_matrix(qt: np.ndarray, rate: float, w: np.ndarray) -> np.ndarray:
+    """The step's matrix sum_k w_k P^k on a 64-byte boundary, one column per series
+    of matvecs: no matrix product, whose BLAS work buffers would stay in the process."""
+    mat = aligned_zeros(qt.shape)
+    e = np.zeros(len(qt))
+    for j in range(len(qt)):
+        e[j] = 1.0
+        mat[:, j] = _series(qt, rate, [w], e)[0]
+        e[j] = 0.0
+    return mat
 
 
 def _advance(qt, maxrate: float, step: float, v: np.ndarray, dt: float) -> np.ndarray:
@@ -121,7 +137,7 @@ def _advance(qt, maxrate: float, step: float, v: np.ndarray, dt: float) -> np.nd
     n = max(1, math.ceil(dt / step - 1e-9))
     w, _ = _poisson_weights(maxrate * dt / n)
     for _ in range(n):
-        v = _series(qt, maxrate or 1.0, w, v)
+        v = _series(qt, maxrate or 1.0, [w], v)[0]
         v /= v.sum()
     return v
 
@@ -140,16 +156,16 @@ def evolve_conditioned(
     ``step=None`` takes 0.1 / Lambda, or the horizon when Lambda = 0) applies
     e^{hQ_w} = sum_k Pois(k; Lambda h) P^k, P = I + Q_w / Lambda >= 0, as one
     step matrix when the window has fewer states than the run has steps, else
-    by matvecs (CSR on a large window), then renormalizes.  The law is kept at
-    the multiples of ``grid_dt`` (default h) below the horizon and at the
-    horizon.  The path's ``advance(v, dt)`` reads any time exactly, a grid
-    time inside a step too, in sub-steps of at most h, whose Poisson weights
-    start at exp(-Lambda h) >= exp(-0.1), so no read underflows.  ``meta``
-    holds the step, the truncation, the weights kept per step (``terms``) and
-    ``tail_bound``, the dropped Poisson mass summed over the steps: every term
-    is nonnegative, so the unnormalized law is below the exact one and at most
-    that much lighter.  Raises :class:`TruncationLeak` when mass within one step
-    of the cut boundary exceeds 1e-6 after a step.
+    by matvecs P^k u (CSR on a large window), then renormalizes.  The law is
+    kept at the multiples of ``grid_dt`` (default h) below the horizon and at
+    the horizon; one at s into a matvec step sums Pois(k; Lambda s) P^k u.
+    The path's ``advance(v, dt)`` reads any time exactly, in sub-steps of at
+    most h, whose weights start at exp(-Lambda h) >= exp(-0.1), so no read
+    underflows.  ``meta`` holds the step, the truncation, the weights kept per
+    step (``terms``) and ``tail_bound``, the dropped Poisson mass summed over
+    the steps: every term is nonnegative, so the unnormalized law is below the
+    exact one and at most that much lighter.  Raises :class:`TruncationLeak`
+    when mass within one step of the cut boundary exceeds 1e-6 after a step.
     """
     states = model.state_window(truncation)
     if not set(mu.support) <= set(states):
@@ -169,33 +185,38 @@ def evolve_conditioned(
     grid = [0.0] + [j * grid_dt for j in range(1, math.ceil(horizon / grid_dt - 1e-9))] + [horizon]
     w, tail = _poisson_weights(maxrate * h)
     rate = maxrate or 1.0
-    if isinstance(qt, np.ndarray) and len(states) < n_steps:
-        # the step matrix, one column per series of matvecs: no matrix product,
-        # whose BLAS work buffers would stay in the process
-        mat = np.empty_like(qt)
-        e = np.zeros(len(states))
-        for j in range(len(states)):
-            e[j] = 1.0
-            mat[:, j] = _series(qt, rate, w, e)
-            e[j] = 0.0
-        step_once = mat.dot
-    else:
-        step_once = partial(_series, qt, rate, w)
-
     advance = partial(_advance, qt, maxrate, h)
+    if isinstance(qt, np.ndarray) and len(states) < n_steps:
+        mat = _step_matrix(qt, rate, w)
+
+        def step_once(u, dts):  # [next law, unnormalized; the law at each dt in the step]
+            return [mat.dot(u)] + [advance(u, dt) for dt in dts]
+    else:
+        def step_once(u, dts):
+            reads = [_poisson_weights(maxrate * dt)[0] for dt in dts]
+            u, *reads = _series(qt, rate, [w, *reads], u)
+            return [u] + [v / v.sum() for v in reads]
+
     u, k = mu.as_vector(states), 0
+    inside = {}  # row -> time past kh of the grid times inside the next step
     snaps = np.empty((len(grid), len(states)))
     for i, t in enumerate(grid):
         while (k + 1 - 1e-9) * h <= t:
             k += 1
-            u = step_once(u)
+            u, *reads = step_once(u, inside.values())
+            for row, v in zip(inside, reads):
+                snaps[row] = v
+            inside.clear()
             u /= u.sum()
             if len(near_idx) and float(u[near_idx].sum()) > LEAK_TOL:
                 raise TruncationLeak(
                     f"mass {u[near_idx].sum():.3g} near the truncation boundary at t={k * h:g};"
                     " increase the truncation"
                 )
-        snaps[i] = u if t <= (k + 1e-9) * h else advance(u, t - k * h)
+        if t <= (k + 1e-9) * h:
+            snaps[i] = u
+        else:
+            inside[i] = t - k * h
 
     meta = {"step": h, "truncation": truncation, "terms": len(w), "tail_bound": n_steps * tail}
     return ConditionedPath(np.array(grid), states, snaps, advance, meta)

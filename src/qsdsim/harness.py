@@ -13,7 +13,6 @@ from the CLI or a file alike, before any work.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -150,24 +149,36 @@ class Param:
 
 
 def parse_distribution(text: str) -> Distribution:
-    """Initial-law syntax: delta:x, uniform:a-b, or x:mass comma pairs (each state once)."""
+    """Initial-law syntax ``LAW_HELP``: delta:x, uniform:a-b, or x:mass comma pairs (each
+    state once).  A malformed law raises ValueError naming its wrong part and the syntax."""
     text = text.strip()
+
+    def read(part: str, what: str, sep: str | None = None, cast=int):
+        """``part`` as an int, or split at ``sep`` into an int and a ``cast``."""
+        try:
+            if sep is None:
+                return int(part)
+            x, y = part.split(sep)
+            return int(x), cast(y)
+        except ValueError:
+            raise ValueError(f"{part!r} is not {what} ({LAW_HELP})") from None
+
     if text.startswith("delta:"):
-        return Distribution.delta(int(text[6:]))
+        return Distribution.delta(read(text[6:], "a state x"))
     if text.startswith("uniform:"):
-        a, b = (int(end) for end in text[8:].split("-"))
-        if b - a >= WINDOW_MAX_STATES:
-            raise ValueError(f"uniform:{a}-{b} spans more than {WINDOW_MAX_STATES} states")
+        a, b = read(text[8:], "a state range a-b", "-")
+        if not 0 <= b - a < WINDOW_MAX_STATES:
+            raise ValueError(f"uniform:{a}-{b} must hold 1 to {WINDOW_MAX_STATES} states, so a <= b"
+                             f" ({LAW_HELP})")
         return Distribution.uniform(range(a, b + 1))
     pairs = {}
     for item in text.split(","):
-        state, mass = item.split(":")
-        x = int(state)
+        x, mass = read(item, "a pair x:m", ":", float)
         if x in pairs:
             raise ValueError(f"state {x} is given more than once")
-        pairs[x] = float(mass)
-        if not 0.0 <= pairs[x] < math.inf:
-            raise ValueError(f"state {x} has mass {mass.strip()}; masses must be finite and >= 0")
+        pairs[x] = mass
+        if not 0.0 <= mass < math.inf:
+            raise ValueError(f"state {x} has mass {mass}; masses must be finite and >= 0")
     return Distribution.from_weights(pairs)
 
 
@@ -491,13 +502,12 @@ _CELL_BY_TYPE = {float: repr, int: str, str: str}
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Fixed column order, '.' decimals via repr, LF endings; a str row is a formatted line."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
     cell = _CELL_BY_TYPE.get
-    for row in rows:
-        line = row if type(row) is str else ",".join([cell(type(v), _cell)(v) for v in row])
-        buf.write(line + "\n")
-    _atomic_write(path, buf.getvalue())
+    lines = [",".join(header)]
+    lines += [row if type(row) is str else ",".join([cell(type(v), _cell)(v) for v in row])
+              for row in rows]
+    lines.append("")  # the last line's LF
+    _atomic_write(path, "\n".join(lines))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -96,21 +96,22 @@ def _sweep(piv: list[float], lower: list[float], upper: list[float]):
     superdiagonal -``lower`` and -``upper`` (both >= 0), multipliers computed once.
 
     With positive pivots, a nonnegative right-hand side y makes the forward
-    sweep y(i+1) += lower(i)/piv(i) y(i), which overwrites the list y, and the
-    back sweep u(i) = (y(i) + upper(i) u(i+1)) / piv(i) add nonnegative terms
-    only, so nothing cancels.  Pure Python on lists: no BLAS call, O(n) per solve.
+    sweep y(i+1) += lower(i)/piv(i) y(i) and the back sweep u(i) = (y(i) +
+    upper(i) u(i+1)) / piv(i) add nonnegative terms only, so nothing cancels.
+    Pure Python, each sweep's running value in a local: no BLAS call, O(n) per
+    solve, and u overwrites the list y.
     """
-    mult = [e / p for e, p in zip(lower, piv)]
-    back = list(zip(upper[::-1], piv[-2::-1]))
+    forward = [(i, e / p) for i, e, p in zip(range(1, len(piv)), lower, piv)]
+    back = list(zip(range(len(piv) - 2, -1, -1), upper[::-1], piv[-2::-1]))
 
     def solve(y: list[float]) -> list[float]:
-        for i, m in enumerate(mult):
-            y[i + 1] += m * y[i]
-        u = [y[-1] / piv[-1]]
-        for yi, (e, p) in zip(y[-2::-1], back):
-            u.append((yi + e * u[-1]) / p)
-        u.reverse()
-        return u
+        acc = y[0]
+        for i, m in forward:
+            y[i] = acc = y[i] + m * acc
+        y[-1] = acc = acc / piv[-1]
+        for i, e, p in back:
+            y[i] = acc = (y[i] + e * acc) / p
+        return y
 
     return solve
 

@@ -591,6 +591,91 @@ def expm_window_law(model, mu, t: float, truncation: int) -> tuple[np.ndarray, f
     return v / v.sum(), float(v.sum())
 
 
+def reference_series(qt, rate: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k w_k P^k v, P = I + qt / rate: one weight list, one series (the earlier _series)."""
+    out = w[0] * v
+    for wk in w[1:]:
+        v = v + (qt @ v) / rate
+        out += wk * v
+    return out
+
+
+def reference_step_matrix(qt: np.ndarray, rate: float, w: np.ndarray) -> np.ndarray:
+    """The step matrix built on ``np.zeros``, wherever malloc puts it, column by column."""
+    mat = np.zeros(qt.shape)
+    e = np.zeros(len(qt))
+    for j in range(len(qt)):
+        e[j] = 1.0
+        mat[:, j] = reference_series(qt, rate, w, e)
+        e[j] = 0.0
+    return mat
+
+
+def reference_conditioned(model, mu, horizon: float, truncation: int, grid_dt=None):
+    """(times, masses) of the conditioned flow at the default step, by the earlier loop.
+
+    Each grid time inside a step runs a series of its own from the step's start
+    (one sub-step of ``_advance`` with the earlier one-list series), where
+    ``evolve_conditioned`` reads it from the step's powers.
+    """
+    from qsdsim.conditioned import _poisson_weights, _window_operator
+
+    states = model.state_window(truncation)
+    maxrate = model.max_total_rate(states)
+    qt, _ = _window_operator(model, states)
+    n_steps = max(1, int(math.ceil(horizon / (0.1 / maxrate) - 1e-9)))
+    h = horizon / n_steps
+    grid_dt = h if grid_dt is None else grid_dt
+    grid = [0.0] + [j * grid_dt for j in range(1, math.ceil(horizon / grid_dt - 1e-9))] + [horizon]
+    w, _ = _poisson_weights(maxrate * h)
+    rate = maxrate or 1.0
+    if isinstance(qt, np.ndarray) and len(states) < n_steps:
+        step_once = reference_step_matrix(qt, rate, w).dot
+    else:
+        def step_once(v):
+            return reference_series(qt, rate, w, v)
+
+    def advance(v, dt):
+        n = max(1, math.ceil(dt / h - 1e-9))
+        wd, _ = _poisson_weights(maxrate * dt / n)
+        for _ in range(n):
+            v = reference_series(qt, rate, wd, v)
+            v /= v.sum()
+        return v
+
+    u, k = mu.as_vector(states), 0
+    snaps = np.empty((len(grid), len(states)))
+    for i, t in enumerate(grid):
+        while (k + 1 - 1e-9) * h <= t:
+            k += 1
+            u = step_once(u)
+            u /= u.sum()
+        snaps[i] = u if t <= (k + 1e-9) * h else advance(u, t - k * h)
+    return np.array(grid), snaps
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal arrays with equal sign bits, so that -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def reference_sweep(piv: list[float], lower: list[float], upper: list[float]):
+    """The earlier ``oracle._sweep``: list indexing in the forward sweep, appends in the back."""
+    mult = [e / p for e, p in zip(lower, piv)]
+    back = list(zip(upper[::-1], piv[-2::-1]))
+
+    def solve(y: list[float]) -> list[float]:
+        for i, m in enumerate(mult):
+            y[i + 1] += m * y[i]
+        u = [y[-1] / piv[-1]]
+        for yi, (e, p) in zip(y[-2::-1], back):
+            u.append((yi + e * u[-1]) / p)
+        u.reverse()
+        return u
+
+    return solve
+
+
 def poisson_tail(x: float, first: int) -> float:
     """P(Poisson(x) >= first), summed term by term (no cancellation); x <= 1."""
     return math.fsum(math.exp(-x) * x**k / math.factorial(k) for k in range(first, first + 40))

@@ -13,10 +13,14 @@ from qsdsim import (
     tv_distance,
 )
 from qsdsim import conditioned
+from qsdsim.chain import aligned_zeros
 from qsdsim.conditioned import DENSE_WINDOW_LIMIT, _window_operator
 from qsdsim.errors import TruncationLeak
 
-from conftest import conditional_law_t2, expm_window_law, multi_jump_model_file, poisson_tail
+from conftest import (
+    conditional_law_t2, expm_window_law, multi_jump_model_file, poisson_tail, reference_conditioned,
+    reference_series, reference_step_matrix, same_bits,
+)
 
 
 def _default_run(model, init, horizon, **kw):
@@ -150,6 +154,85 @@ class TestEvolveConditioned:
         assert [x for x, v in zip(states, leak) if v > 1e-12] == [
             x for x in states if any(y not in states for y, _ in model.transitions(x))
         ]
+
+
+class TestSharedGridReads:
+    """Grid times inside a step, read from the step's powers, keep every bit of a
+    series of their own run from the step's start."""
+
+    # (model, horizon, dense window limit): 60 steps on 30 states build the step
+    # matrix, 21 steps run the dense series, and a limit of 0 runs CSR
+    ROUTES = {
+        "step-matrix": ("bd:1,2,30", 2.0, DENSE_WINDOW_LIMIT),
+        "dense-series": ("bd:1,2,30", 0.7, DENSE_WINDOW_LIMIT),
+        "csr": ("bd:1,2,30", 2.0, 0),
+        "multi-jump-series": ("multi-jump", 1.0, DENSE_WINDOW_LIMIT),
+    }
+
+    @pytest.mark.parametrize("grid", [None, 0.01, 0.05, 0.1, 0.0123, 5.0],
+                             ids=["step", "finer", "coarser", "on-steps", "off", "horizon"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_reads_match_one_series_per_read(self, route, grid, monkeypatch, tmp_path):
+        name, horizon, limit = self.ROUTES[route]
+        monkeypatch.setattr(conditioned, "DENSE_WINDOW_LIMIT", limit)
+        if name == "multi-jump":
+            model = read_model_file(multi_jump_model_file(tmp_path))
+        else:
+            model = resolve_model(name)
+        K = max(model.states)
+        path = _default_run(model, 1, horizon, grid_dt=grid)
+        times, masses = reference_conditioned(model, Distribution.delta(1), horizon, K, grid)
+        assert np.array_equal(path.times, times)
+        assert same_bits(path.masses, masses)
+        h = path.meta["step"]
+        inside = np.abs(times / h - np.round(times / h)) > 1e-6
+        if grid in (0.01, 0.05, 0.0123):
+            assert inside.any()
+        elif name != "multi-jump":  # its step is not 1/30, so 0.1 is off its steps
+            assert not inside.any()
+
+    def test_read_weights_longer_than_the_step(self):
+        # a longer read list runs the powers past the step's own terms
+        model = resolve_model("bd:1,2,30")
+        states = model.state_window(30)
+        qt, _ = _window_operator(model, states)
+        rate = model.max_total_rate(states)
+        short, _ = conditioned._poisson_weights(0.01)
+        long, _ = conditioned._poisson_weights(0.3)
+        assert len(long) > len(short)
+        v = np.random.default_rng(5).random(len(states))
+        a, b, c = conditioned._series(qt, rate, [short, long, short], v)
+        assert same_bits(a, reference_series(qt, rate, short, v))
+        assert same_bits(b, reference_series(qt, rate, long, v))
+        assert same_bits(c, a)
+        assert same_bits(conditioned._series(qt, rate, [long, short], v)[1], a)
+
+
+class TestAlignedOperator:
+    @pytest.mark.parametrize("name", ["two-state", "bd:1,2,200", "bd:1,2,400"])
+    def test_dense_operators_start_on_a_cache_line(self, name):
+        model = resolve_model(name)
+        b = model.live_block(model.state_window(max(model.states)))
+        n = len(b.states)
+        qt = b.generator_t(True)
+        plain = np.zeros((n, n))
+        span = np.arange(n)
+        np.add.at(plain, (np.concatenate([b.dst, span]), np.concatenate([b.src, span])),
+                  np.concatenate([b.rate, -b.total]))
+        assert qt.ctypes.data % 64 == 0 and qt.flags.c_contiguous
+        assert same_bits(qt, plain)
+        rate = model.max_total_rate(b.states)
+        w, _ = conditioned._poisson_weights(0.1)
+        mat = conditioned._step_matrix(qt, rate, w)
+        assert mat.ctypes.data % 64 == 0 and mat.flags.c_contiguous
+        assert same_bits(mat, reference_step_matrix(plain, rate, w))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (3, 5), (7, 7)])
+    def test_aligned_zeros(self, shape):
+        for _ in range(8):  # several allocations, so several malloc offsets
+            a = aligned_zeros(shape)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.ctypes.data % 64 == 0 and not a.any()
 
 
 class TestResidualAndTheta:

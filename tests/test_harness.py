@@ -523,6 +523,11 @@ class TestCli:
              "--init", "delta:2", "--replicas", "3"],
             ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
              "--uniformization-rate", "0.5"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "uniform"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "1:0.5,x"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "uniform:1-2-3"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "delta:1.5"],
+            ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "uniform:5-3"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -545,12 +550,27 @@ class TestCli:
             "scan-state-outside-trunc", "fv-grid-too-fine", "fv-stationary-grid-too-fine",
             "oracle-empty-model-window", "couple-path-too-long", "conditioned-grid-too-fine",
             "scan-one-n", "scan-repeated-n", "afp-rate-below-window",
+            "conditioned-init-uniform-no-range", "conditioned-init-pair-no-mass",
+            "conditioned-init-uniform-three-ends", "conditioned-init-delta-not-integer",
+            "conditioned-init-uniform-empty",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("init, part", [
+        ("uniform", "'uniform'"), ("1:0.5,x", "'x'"), ("uniform:1-2-3", "'1-2-3'"),
+        ("delta:1.5", "'1.5'"), ("uniform:5-3", "uniform:5-3"), ("delta:", "''"),
+    ])
+    def test_unreadable_init_names_its_part_and_the_syntax(self, init, part, tmp_path, capsys):
+        argv = ["conditioned", "--model", "two-state", "--horizon", "1", "--init", init]
+        assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"init: {part} " in err and harness.LAW_HELP in err
+        for python_words in ("unpack", "invalid literal", "total mass"):
+            assert python_words not in err
 
     @pytest.mark.parametrize("rate, code", [(2.5, 0), (2.0, 0), (1.9, 2)])
     def test_afp_rate_is_checked_on_the_restricted_window(self, rate, code, tmp_path):

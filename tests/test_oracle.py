@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim import oracle
 
@@ -26,7 +28,9 @@ from qsdsim import (
 )
 from qsdsim.errors import NoConvergence, NoMinimalQsd, NotIrreducible
 
-from conftest import T2_LAMBDA, T2_NU1, large_model_file, multi_jump_model_file
+from conftest import (
+    T2_LAMBDA, T2_NU1, large_model_file, multi_jump_model_file, reference_sweep, same_bits,
+)
 
 # A window that is not a two-way path (3 -> 1 skips a neighbour, 2 -> 3 is
 # one-way), so the oracle runs inverse iteration on it.
@@ -286,6 +290,21 @@ class TestPathRoute:
         for K in BD12_WINDOWS:
             sol, _ = bd12_windows[K]
             assert 30.0 <= K**2 * tv_distance(sol.nu, exact) <= 45.0, K
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(min_value=1, max_value=60).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 1e3), min_size=n - 1, max_size=n - 1),
+        st.lists(st.floats(0.0, 1e3), min_size=n - 1, max_size=n - 1),
+        st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n),
+    )))
+    def test_sweep_keeps_the_bits_of_the_indexed_sweep(self, system):
+        # positive pivots, nonnegative off-diagonals and right-hand side; the
+        # solver is reused, as the path route solves twice with one factorization
+        piv, lower, upper, y = system
+        solve, reference = oracle._sweep(piv, lower, upper), reference_sweep(piv, lower, upper)
+        for rhs in (y, [v * 0.5 + 1.0 for v in y]):
+            assert same_bits(np.array(solve(list(rhs))), np.array(reference(list(rhs))))
 
 
 

@@ -186,27 +186,24 @@ def evolve_conditioned(
     w, tail = _poisson_weights(maxrate * h)
     rate = maxrate or 1.0
     advance = partial(_advance, qt, maxrate, h)
-    if isinstance(qt, np.ndarray) and len(states) < n_steps:
-        mat = _step_matrix(qt, rate, w)
-
-        def step_once(u, dts):  # [next law, unnormalized; the law at each dt in the step]
-            return [mat.dot(u)] + [advance(u, dt) for dt in dts]
-    else:
-        def step_once(u, dts):
-            reads = [_poisson_weights(maxrate * dt)[0] for dt in dts]
-            u, *reads = _series(qt, rate, [w, *reads], u)
-            return [u] + [v / v.sum() for v in reads]
+    # one step matrix when the window has fewer states than the run has steps
+    by_matrix = isinstance(qt, np.ndarray) and len(states) < n_steps
+    mat = _step_matrix(qt, rate, w) if by_matrix else None
 
     u, k = mu.as_vector(states), 0
-    inside = {}  # row -> time past kh of the grid times inside the next step
+    inside = {}  # row -> s of each grid time kh + s inside the next matvec step
     snaps = np.empty((len(grid), len(states)))
     for i, t in enumerate(grid):
         while (k + 1 - 1e-9) * h <= t:
             k += 1
-            u, *reads = step_once(u, inside.values())
-            for row, v in zip(inside, reads):
-                snaps[row] = v
-            inside.clear()
+            if by_matrix:
+                u = mat.dot(u)
+            else:  # the step's powers P^j u also give the grid times inside it
+                reads = [_poisson_weights(maxrate * s)[0] for s in inside.values()]
+                u, *reads = _series(qt, rate, [w, *reads], u)
+                for row, v in zip(inside, reads):
+                    snaps[row] = v / v.sum()
+                inside.clear()
             u /= u.sum()
             if len(near_idx) and float(u[near_idx].sum()) > LEAK_TOL:
                 raise TruncationLeak(
@@ -215,6 +212,8 @@ def evolve_conditioned(
                 )
         if t <= (k + 1e-9) * h:
             snaps[i] = u
+        elif by_matrix:
+            snaps[i] = advance(u, t - k * h)
         else:
             inside[i] = t - k * h
 

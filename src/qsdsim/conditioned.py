@@ -4,11 +4,11 @@ The law of the chain at time t conditioned on not yet being absorbed is the
 normalized linear flow mu e^{tQ} / |mu e^{tQ}| on the live states.  Jensen's
 uniformization writes e^{hQ} as a Poisson mixture of powers of a
 nonnegative matrix: a short series of nonnegative terms with an a-priori
-tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  A grid
-time inside a step costs one axpy per term on the step's own powers, not a
-series.  A QSD is exactly a stationary point of the flow, so the same module
-also evaluates the fixed-point residual and the absorption rate theta of a
-candidate distribution.
+tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  Where a
+step runs by matvecs, a grid time inside it costs one axpy per term on the
+step's own powers, not a series.  A QSD is exactly a stationary point of the
+flow, so the same module also evaluates the fixed-point residual and the
+absorption rate theta of a candidate distribution.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def evolve_conditioned(
     step matrix when the window has fewer states than the run has steps, else
     by matvecs P^k u (CSR on a large window), then renormalizes.  The law is
     kept at the multiples of ``grid_dt`` (default h) below the horizon and at
-    the horizon; one at s into a matvec step sums Pois(k; Lambda s) P^k u.
+    the horizon; a time s into a matvec step sums Pois(k; Lambda s) P^k u.
     The path's ``advance(v, dt)`` reads any time exactly, in sub-steps of at
     most h, whose weights start at exp(-Lambda h) >= exp(-0.1), so no read
     underflows.  ``meta`` holds the step, the truncation, the weights kept per

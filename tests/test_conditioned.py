@@ -161,12 +161,13 @@ class TestSharedGridReads:
     series of their own run from the step's start."""
 
     # (model, horizon, dense window limit): 60 steps on 30 states build the step
-    # matrix, 21 steps run the dense series, and a limit of 0 runs CSR
+    # matrix, 21 steps (or 12 on the 12 multi-jump states) run the dense series,
+    # and a limit of 0 runs CSR
     ROUTES = {
         "step-matrix": ("bd:1,2,30", 2.0, DENSE_WINDOW_LIMIT),
         "dense-series": ("bd:1,2,30", 0.7, DENSE_WINDOW_LIMIT),
         "csr": ("bd:1,2,30", 2.0, 0),
-        "multi-jump-series": ("multi-jump", 1.0, DENSE_WINDOW_LIMIT),
+        "multi-jump-series": ("multi-jump", 0.5, DENSE_WINDOW_LIMIT),
     }
 
     @pytest.mark.parametrize("grid", [None, 0.01, 0.05, 0.1, 0.0123, 5.0],
@@ -185,6 +186,7 @@ class TestSharedGridReads:
         assert np.array_equal(path.times, times)
         assert same_bits(path.masses, masses)
         h = path.meta["step"]
+        assert (limit > 0 and K < round(horizon / h)) == (route == "step-matrix")
         inside = np.abs(times / h - np.round(times / h)) > 1e-6
         if grid in (0.01, 0.05, 0.0123):
             assert inside.any()

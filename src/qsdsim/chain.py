@@ -177,8 +177,9 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 
 def aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """``np.zeros(shape)`` on a 64-byte boundary: OpenBLAS dgemv on 200 x 200 takes 7.5 us
-    there and 9.5 us at the 16 or 48 mod 64 that ``malloc`` gives, with the same bits."""
+    """``np.zeros(shape)`` on a 64-byte boundary: OpenBLAS's x86-64 (Haswell) dgemv on
+    200 x 200 takes 7.5 us there and 9.5 us at the 16 or 48 mod 64 that ``malloc``
+    gives, with the same bits."""
     buf = np.zeros(math.prod(shape) + 7)
     start = -buf.ctypes.data % 64 // 8
     return buf[start:start + math.prod(shape)].reshape(shape)

@@ -168,8 +168,7 @@ def parse_distribution(text: str) -> Distribution:
     if text.startswith("uniform:"):
         a, b = read(text[8:], "a state range a-b", "-")
         if not 0 <= b - a < WINDOW_MAX_STATES:
-            raise ValueError(f"uniform:{a}-{b} must hold 1 to {WINDOW_MAX_STATES} states, so a <= b"
-                             f" ({LAW_HELP})")
+            raise ValueError(f"{text} must hold 1 to {WINDOW_MAX_STATES} states ({LAW_HELP})")
         return Distribution.uniform(range(a, b + 1))
     pairs = {}
     for item in text.split(","):

@@ -30,7 +30,7 @@ from .models import (
     resolve_model,
     uniformize,
 )
-from .afp import AfpResult, HistoryState, afp_run
+from .afp import AfpResult, afp_run
 from .branching import (
     BranchingPopulation,
     KsEstimate,
@@ -87,7 +87,6 @@ __all__ = [
     "ExperimentConfig",
     "FvTrace",
     "GaltonWatsonSpec",
-    "HistoryState",
     "KsEstimate",
     "ParticleConfig",
     "PhiIterationResult",

@@ -5,15 +5,19 @@ read from the window model's ``jump_table``; on a kill event it re-enters
 according to the empirical distribution of its own past positions.  The
 normalized history converges to the QSD of the discrete chain (the
 Aldous-Flannery-Palacios scheme).
-The history starts as a unit atom at the start state so the renewal draw
-is always well defined.  One loop, ``_advance``, takes the steps;
-:func:`afp_run` advances it from checkpoint to checkpoint.
+The whole state is one list, the history: it starts as a unit atom at the
+start state, so the renewal draw is always well defined, and the walker is
+its last entry.  One loop, ``_advance``, appends the steps; :func:`afp_run`
+advances it from checkpoint to checkpoint and counts each checkpoint's new
+stretch into the estimate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import islice
 
 from .chain import Distribution, tv_distance
 from .models import DiscreteChainModel
@@ -23,43 +27,24 @@ from .rng import RngStream, UniformBlock, TAG_EVENTS
 MASS_LIMIT = 1 << 62
 
 
-@dataclass
-class HistoryState:
-    """Walker position plus the counting measure of all positions so far."""
+def _advance(history: list, d: DiscreteChainModel, blocks: UniformBlock, steps: int) -> None:
+    """Append ``steps`` renewal steps to ``history``, whose last entry is the walker.
 
-    walker: int
-    counts: dict[int, int]
-    total: int
-    step: int
-    history: list[int] = field(default_factory=list)
-
-    @classmethod
-    def start_at(cls, x: int) -> "HistoryState":
-        return cls(walker=x, counts={x: 1}, total=1, step=0, history=[x])
-
-    def distribution(self) -> Distribution:
-        """Normalized history mu_n / |mu_n|."""
-        return Distribution.from_weights({x: c for x, c in self.counts.items()})
-
-
-def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps: int) -> None:
-    """Take ``steps`` renewal steps in place.
-
-    The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|:
-    with s = u x rate, the walker holds when s >= total(x), else takes the
-    ``jump_table`` target at s, and target 0 draws a second uniform that
-    picks an element of the stored history list, the renewal part in O(1).
+    The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|,
+    mu the history so far: with s = u x rate, the walker holds when
+    s >= total(x), else takes the ``jump_table`` target at s, and target 0
+    draws a second uniform that picks an entry of the history, the renewal
+    part in O(1).
     """
-    if h.total + steps > MASS_LIMIT:
+    total = len(history)
+    if total + steps > MASS_LIMIT:
         raise OverflowError("history mass exceeds the 2^62 bookkeeping limit")
     jump_table = d.model.jump_table
     tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
     rate = d.rate
-    history = h.history
-    counts = h.counts
+    append = history.append
     u = blocks.u
-    walker = h.walker
-    total = h.total
+    walker = history[-1]
     for _ in range(steps):
         table = tables.get(walker)
         if table is None:
@@ -70,12 +55,8 @@ def _advance(h: HistoryState, d: DiscreteChainModel, blocks: UniformBlock, steps
             walker = targets[bisect_right(cum, s)]
             if walker == 0:
                 walker = history[int(u() * total)]
-        counts[walker] = counts.get(walker, 0) + 1
-        history.append(walker)
+        append(walker)
         total += 1
-    h.walker = walker
-    h.total = total
-    h.step += steps
 
 
 @dataclass
@@ -112,11 +93,15 @@ def afp_run(
     if checkpoints[0] < 1 or checkpoints[-1] != steps:
         raise ValueError("checkpoints must lie in 1..steps, the last equal to steps")
 
-    h = HistoryState.start_at(start)
+    history = [start]
+    counts = Counter(history)
     blocks = UniformBlock(rng.child(TAG_EVENTS))
     tv_log: list[float] = []
     for cp in checkpoints:
-        _advance(h, d, blocks, cp - h.step)
+        done = len(history)
+        _advance(history, d, blocks, cp + 1 - done)
+        counts.update(islice(history, done, None))
+        estimate = Distribution.from_weights(counts)
         if reference is not None:
-            tv_log.append(tv_distance(h.distribution(), reference))
-    return AfpResult(h.distribution(), checkpoints, tv_log, steps)
+            tv_log.append(tv_distance(estimate, reference))
+    return AfpResult(estimate, checkpoints, tv_log, steps)

@@ -98,13 +98,14 @@ def _window_operator(model: AbsorbedChainModel, states):
 
 
 def _poisson_weights(x: float) -> tuple[np.ndarray, float]:
-    """Poisson(x) weights w_0..w_K and their tail bound w_{K+1}/(1-x/(K+2)) <= TAIL_TOL, K least."""
+    """Poisson(x) weights w_0..w_K, tail bound w_{K+1}/(1-x/(K+2)) <= TAIL_TOL, K least > x - 2."""
     w = [math.exp(-x)]
     while True:
         nxt = w[-1] * x / len(w)
-        tail = nxt / (1.0 - x / (len(w) + 1))
-        if tail <= TAIL_TOL:
-            return np.array(w), tail
+        if len(w) + 1 > x:
+            tail = nxt / (1.0 - x / (len(w) + 1))
+            if tail <= TAIL_TOL:
+                return np.array(w), tail
         w.append(nxt)
 
 

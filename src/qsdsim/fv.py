@@ -7,14 +7,15 @@ system tracks the conditioned evolution at fixed times and, in its
 stationary regime, approximates the QSD (the minimal one when several
 exist).
 
-One event kernel, the generator ``_fv_events``, draws every event:
-fixed-time sampling (:func:`fv_run`) and time averaging
-(:func:`fv_stationary`) consume it, each on its stream's ``TAG_EVENTS``
-child.  The kernel is one loop that owns its uniforms and does the draws,
-the tree walk and the particle move inline.  Per-event work is kept at
-O(log S) in the number of visited states via a weighted tree over states,
-sized to those states, because position-dependent rates (the branching
-population chain) make per-event rate scans too expensive.
+One event kernel, the generator ``_fv_events``, draws every event on the
+configuration's own model: fixed-time sampling (:func:`fv_run`) and time
+averaging (:func:`fv_stationary`) consume it, each on its stream's
+``TAG_EVENTS`` child.  The kernel is one loop that owns its uniforms and
+does the draws, the tree walk and the particle move inline; a state's
+count is the length of its member list, kept nowhere else.  Per-event work
+is kept at O(log S) in the number of visited states via a weighted tree
+over states, sized to those states, because position-dependent rates (the
+branching population chain) make per-event rate scans too expensive.
 
 A replica opens its stream's ``TAG_EVENTS`` child, and its ``TAG_INIT``
 child only when the initial law has more than one state: a point mass
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,7 +45,7 @@ UNIFORM_CHUNK = 1 << 14  # the largest refill of the event kernel's uniforms
 class _RateIndex:
     """Weighted binary tree over state slots for O(log) categorical draws.
 
-    Leaf s holds occupancy(state) * rate(state); internal nodes hold child
+    Leaf s holds count(state) * rate(state); internal nodes hold child
     sums.  Leaves are re-set (not incremented), so float drift cannot
     accumulate beyond one path of roundings per update.  Plain lists: the
     event loop inlines the descent and the leaf updates.
@@ -139,12 +141,14 @@ def sample_times(grid, horizon: float) -> list[float]:
 class ParticleConfig:
     """Positions of the N particles plus the indexes the event loop needs.
 
-    Keeps, per state: the occupancy count and the list of particle ids
-    sitting there (swap-remove layout), plus the weighted tree for
-    rate-proportional particle selection.  States take their entries and
-    tree slots in order of first appearance in ``positions``.  Only grouping
-    the ids by state walks the particles, and a start with every particle at
-    one state skips even that; the counts and the tree are built per state.
+    Keeps, per state, the list of particle ids sitting there (swap-remove
+    layout), whose length is the state's count, plus the weighted tree for
+    rate-proportional particle selection.  ``occupancy`` is a read-only view
+    of those lengths; a state the particles left keeps its empty list and
+    reads 0.  States take their lists and tree slots in order of first
+    appearance in ``positions``.  Only grouping the ids by state walks the
+    particles, and a start with every particle at one state skips even that;
+    the tree is built per state.
     """
 
     def __init__(self, model: AbsorbedChainModel, positions):
@@ -173,8 +177,7 @@ class ParticleConfig:
         self.positions = positions
         self.members = members
         self.where = where
-        self.occupancy = {x: len(lst) for x, lst in members.items()}
-        self.index = _RateIndex({x: c * model.total_rate(x) for x, c in self.occupancy.items()})
+        self.index = _RateIndex({x: len(lst) * model.total_rate(x) for x, lst in members.items()})
 
     @classmethod
     def from_distribution(
@@ -183,13 +186,17 @@ class ParticleConfig:
         """Independent positions from ``dist``: see :func:`initial_positions`."""
         return cls(model, initial_positions(dist, n, rng))
 
+    @property
+    def occupancy(self) -> MappingProxyType:
+        """The count per state, in the order of ``members``."""
+        return MappingProxyType({x: len(lst) for x, lst in self.members.items()})
+
     def empirical(self) -> Distribution:
         return Distribution.from_counts(self.occupancy, self.N)
 
 
-def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
-               until: float, event_cap: int):
-    """The system's events before time ``until``, drawn from ``rng``'s ``TAG_EVENTS`` child.
+def _fv_events(cfg: ParticleConfig, rng: RngStream, until: float, event_cap: int):
+    """The events of ``cfg`` on ``cfg.model`` before ``until``, from ``rng``'s ``TAG_EVENTS`` child.
 
     Yields ``(t, particle, source, target, revived)`` with cfg still as it
     was before the event, and moves the particle when resumed; cfg must not
@@ -202,9 +209,10 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
 
     One loop does the tree descent, the work of
     ``AbsorbedChainModel.sample_jump`` and the particle move (the swap-remove
-    from the source's members, the counts and both leaves with their
-    parents).  The uniforms come from one Philox generator in chunks that
-    start at 64 and double up to 16,384, as
+    from the source's members, and both leaves with their parents, each
+    weighted by the length of the member list just changed).  The uniforms
+    come from one Philox generator in chunks that start at 64 and double up
+    to 16,384, as
     :class:`~qsdsim.rng.UniformBlock` hands them out; Philox output does not
     depend on the chunking, so these are the values a ``UniformBlock`` on
     the same stream gives.
@@ -219,12 +227,11 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
     cap = index.cap
     slot_of = index.slot_of
     state_of = index.state_of
-    occupancy = cfg.occupancy
     members = cfg.members
     where = cfg.where
     positions = cfg.positions
     n = cfg.N
-    jump_table = model.jump_table
+    jump_table = cfg.model.jump_table
     tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
     log1p = math.log1p
     inf = math.inf
@@ -286,10 +293,8 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
             lst[k] = last
             where[last] = k
             lst.pop()
-            c = occupancy[x] - 1
-            occupancy[x] = c
             k = cap + slot_of[x]
-            tree[k] = c * total
+            tree[k] = len(lst) * total
             while k > 1:
                 tree[k >> 1] = tree[k] + tree[k ^ 1]
                 k >>= 1
@@ -299,20 +304,18 @@ def _fv_events(cfg: ParticleConfig, model: AbsorbedChainModel, rng: RngStream,
                 dst = members[y] = []
             where[i] = len(dst)
             dst.append(i)
-            c = occupancy.get(y, 0) + 1
-            occupancy[y] = c
             table = tables.get(y)
             if table is None:
                 table = tables[y] = jump_table(y)
             slot = slot_of.get(y)
             if slot is None:
                 # a state's first visit: the tree may double
-                index.set_weight(y, c * table[2])
+                index.set_weight(y, len(dst) * table[2])
                 tree = index.tree
                 cap = index.cap
             else:
                 k = cap + slot
-                tree[k] = c * table[2]
+                tree[k] = len(dst) * table[2]
                 while k > 1:
                     tree[k >> 1] = tree[k] + tree[k ^ 1]
                     k >>= 1
@@ -338,6 +341,9 @@ class FvTrace:
 
 def _resolve_init(model, init, n, rng) -> ParticleConfig:
     if isinstance(init, ParticleConfig):
+        if init.model is not model:
+            raise ValueError(f"init is a configuration of {init.model!r}; the run's model"
+                             f" is {model!r}, another object")
         return init
     if isinstance(init, Distribution):
         if n is None:
@@ -366,7 +372,7 @@ def fv_run(
     measures = []
     events = 0
     revivals = 0
-    for t, _, _, _, revived in _fv_events(cfg, model, rng, times[-1], event_cap):
+    for t, _, _, _, revived in _fv_events(cfg, rng, times[-1], event_cap):
         # the grid times up to this event see the configuration before it
         while times[len(measures)] <= t:
             measures.append(cfg.empirical())
@@ -408,22 +414,22 @@ def fv_stationary(
     if init is None:
         init = Distribution.delta(model.states[0] if model.is_finite else 1)
     cfg = _resolve_init(model, init, n, rng)
-    occupancy = cfg.occupancy
+    members = cfg.members
     acc: dict[int, float] = {}
     last_change: dict[int, float] = {}
     # each state's mass is flushed into acc when its count changes: the
     # source, which holds the moving particle, and then the target
-    for t, _, x, y, _ in _fv_events(cfg, model, rng, horizon, event_cap):
+    for t, _, x, y, _ in _fv_events(cfg, rng, horizon, event_cap):
         if t > burn_in and y != x:
-            acc[x] = acc.get(x, 0.0) + occupancy[x] * (t - last_change.get(x, burn_in))
+            acc[x] = acc.get(x, 0.0) + len(members[x]) * (t - last_change.get(x, burn_in))
             last_change[x] = t
-            c = occupancy.get(y, 0)
-            if c:
-                acc[y] = acc.get(y, 0.0) + c * (t - last_change.get(y, burn_in))
+            dst = members.get(y)
+            if dst:
+                acc[y] = acc.get(y, 0.0) + len(dst) * (t - last_change.get(y, burn_in))
             last_change[y] = t
-    for x, c in occupancy.items():
-        if c:
-            acc[x] = acc.get(x, 0.0) + c * (horizon - last_change.get(x, burn_in))
+    for x, lst in members.items():
+        if lst:
+            acc[x] = acc.get(x, 0.0) + len(lst) * (horizon - last_change.get(x, burn_in))
     total = math.fsum(acc.values())
     if total <= 0:
         raise DeadConfig("no occupation mass accumulated after burn-in")

@@ -222,7 +222,8 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("burnin", float, 0.0, "burn-in; above 0 the run is stationary and time-averaged",
               low=0),
         Param("grid", float, lambda v: v["horizon"] / 20,
-              "time between samples; default horizon / 20", low=0, above=True),
+              "time between samples of a fixed-time run (burnin 0), which alone takes it;"
+              " default horizon / 20", low=0, above=True),
         Param("init", parse_distribution, None, LAW_HELP + "; a fixed-time run needs one"),
         _TRUNC,
     ),
@@ -413,7 +414,10 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
             problems.append("horizon: a stationary fv run needs horizon > burnin")
         if v["burnin"] == 0.0 and v["init"] is None:
             problems.append("init: a fixed-time fv run (burnin 0) needs an initial law")
-        if v["horizon"] * v["replicas"] > FV_MAX_SAMPLES * v["grid"]:
+        if v["burnin"] > 0.0 and "grid" in cfg.params:
+            problems.append("grid: a stationary fv run (burnin > 0) keeps no samples;"
+                            " only a fixed-time run takes a grid")
+        elif v["burnin"] == 0.0 and v["horizon"] * v["replicas"] > FV_MAX_SAMPLES * v["grid"]:
             problems.append(
                 f"grid: horizon / grid x replicas = {v['horizon'] / v['grid'] * v['replicas']:.3g}"
                 f" sample times, above {FV_MAX_SAMPLES:.0e}; each keeps one measure"

@@ -243,10 +243,13 @@ def _voter_target_others(occupancy: dict[int, int], n: int, x_i: int, v: float) 
 
 @dataclass
 class CouplingIndicator:
-    """First time the coupled trajectories split; monotone indicator psi."""
+    """First time the coupled trajectories split (None: never); monotone indicator psi."""
 
-    diverged: bool
     divergence_time: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_time is not None
 
     def psi(self, t: float) -> int:
         return 1 if self.diverged and t >= self.divergence_time else 0
@@ -318,7 +321,6 @@ def _graphical_engine(
     y_states = [first]
     tagged_times = [0.0]
     tagged_states = [first]
-    coupled = True
     divergence_time = None
 
     gi = 0
@@ -369,8 +371,7 @@ def _graphical_engine(
                 y_states.append(y)
             # while coupled, both sit at one state and read each mark alike,
             # so only a revival can part them
-            if coupled and positions[0] != y:
-                coupled = False
+            if divergence_time is None and positions[0] != y:
                 divergence_time = t_ev
         events += 1
         if events > event_cap:
@@ -386,7 +387,7 @@ def _graphical_engine(
         trace,
         Trajectory(tagged_times, tagged_states),
         Trajectory(y_times, y_states),
-        CouplingIndicator(not coupled, divergence_time),
+        CouplingIndicator(divergence_time),
     )
 
 

@@ -154,7 +154,10 @@ def t2_oracle(t2):
 
 
 def move(cfg, i: int, target: int) -> None:
-    """Relocate particle i of a ParticleConfig, updating occupancy, membership and weights."""
+    """Relocate particle i of a ParticleConfig or ReferenceFv: its member lists and their weights.
+
+    Each state's leaf weight is the length of its member list times its rate.
+    """
     src = cfg.positions[i]
     if target == src:
         return
@@ -164,23 +167,21 @@ def move(cfg, i: int, target: int) -> None:
     lst[j] = last
     cfg.where[last] = j
     lst.pop()
-    cfg.occupancy[src] -= 1
-    cfg.index.set_weight(src, cfg.occupancy[src] * cfg.model.total_rate(src))
+    cfg.index.set_weight(src, len(lst) * cfg.model.total_rate(src))
     cfg.positions[i] = target
     dst = cfg.members.setdefault(target, [])
     cfg.where[i] = len(dst)
     dst.append(i)
-    cfg.occupancy[target] = cfg.occupancy.get(target, 0) + 1
-    cfg.index.set_weight(target, cfg.occupancy[target] * cfg.model.total_rate(target))
+    cfg.index.set_weight(target, len(dst) * cfg.model.total_rate(target))
 
 
-def fv_event(cfg, model, rng) -> tuple:
-    """One event of the FV kernel, applied to cfg in place.
+def fv_event(cfg, rng) -> tuple:
+    """One event of the FV kernel on ``cfg.model``, applied to cfg in place.
 
     Returns ``(t, particle, source, target, revived)``: the first event
     ``fv_run`` would draw from the stream ``rng``.
     """
-    event = next(_fv_events(cfg, model, rng, math.inf, FV_EVENT_CAP))
+    event = next(_fv_events(cfg, rng, math.inf, FV_EVENT_CAP))
     move(cfg, event[1], event[3])
     return event
 
@@ -236,28 +237,26 @@ class _ReferenceRateIndex:
 class ReferenceFv:
     """Reference FV stepper: the event kernel one call per step, on its own state.
 
-    Positions, occupancy and swap-remove member lists moved by :meth:`move`,
-    a 64-leaf :class:`_ReferenceRateIndex`, ``model.sample_jump``, and
-    uniforms handed out one call at a time from blocks of 64 doubling to
-    16,384 on ``rng``'s TAG_EVENTS child.  ``drawn`` counts the uniforms
-    taken.
+    Positions and swap-remove member lists moved by :func:`move`, the count
+    per state read from the lists, a 64-leaf :class:`_ReferenceRateIndex`,
+    ``model.sample_jump``, and uniforms handed out one call at a time from
+    blocks of 64 doubling to 16,384 on ``rng``'s TAG_EVENTS child.
+    ``drawn`` counts the uniforms taken.
     """
 
     def __init__(self, model, positions, rng):
         self.model = model
         self.positions = [int(x) for x in positions]
         self.N = len(self.positions)
-        self.occupancy: dict[int, int] = {}
         self.members: dict[int, list[int]] = {}
         self.where = [0] * self.N
         self.index = _ReferenceRateIndex()
         for i, x in enumerate(self.positions):
-            self.occupancy[x] = self.occupancy.get(x, 0) + 1
             lst = self.members.setdefault(x, [])
             self.where[i] = len(lst)
             lst.append(i)
-        for x, c in self.occupancy.items():
-            self.index.set_weight(x, c * model.total_rate(x))
+        for x, lst in self.members.items():
+            self.index.set_weight(x, len(lst) * model.total_rate(x))
         self._gen = rng.child(TAG_EVENTS).generator()
         self._len = 64
         self._buf = self._gen.random(self._len).tolist()
@@ -274,27 +273,12 @@ class ReferenceFv:
         self.drawn += 1
         return v
 
+    @property
+    def occupancy(self) -> dict[int, int]:
+        return {x: len(lst) for x, lst in self.members.items()}
+
     def exp(self, rate: float) -> float:
         return -math.log1p(-self.u()) / rate
-
-    def move(self, i: int, target: int) -> None:
-        src = self.positions[i]
-        if target == src:
-            return
-        lst = self.members[src]
-        j = self.where[i]
-        last = lst[-1]
-        lst[j] = last
-        self.where[last] = j
-        lst.pop()
-        self.occupancy[src] -= 1
-        self.index.set_weight(src, self.occupancy[src] * self.model.total_rate(src))
-        self.positions[i] = target
-        dst = self.members.setdefault(target, [])
-        self.where[i] = len(dst)
-        dst.append(i)
-        self.occupancy[target] = self.occupancy.get(target, 0) + 1
-        self.index.set_weight(target, self.occupancy[target] * self.model.total_rate(target))
 
     def events(self, until: float):
         """``(t, particle, source, target, revived)`` before ``until``, moving after each yield."""
@@ -317,13 +301,13 @@ class ReferenceFv:
                     j = int(self.u() * self.N)
                 target = self.positions[j]
             yield t, i, x, target, revived
-            self.move(i, target)
+            move(self, i, target)
 
 
-def afp_advance(h, d, rng):
-    """One renewal step of the AFP kernel, in place: the first ``afp_run`` takes on ``rng``."""
-    _advance(h, d, UniformBlock(rng.child(TAG_EVENTS)), 1)
-    return h
+def afp_advance(history, d, rng):
+    """One renewal step appended to ``history``: the first ``afp_run`` takes on ``rng``."""
+    _advance(history, d, UniformBlock(rng.child(TAG_EVENTS)), 1)
+    return history
 
 
 class Extinct(QsdError):
@@ -451,10 +435,13 @@ def branch_event(pop, sm, rng):
 
 
 def check_consistency(cfg, tol: float = 1e-9) -> None:
-    """Invariants of a ParticleConfig: counts sum to N and the rate tree matches a recompute."""
-    assert sum(cfg.occupancy.values()) == cfg.N
-    assert all(x > 0 for x, c in cfg.occupancy.items() if c)
-    exact = math.fsum(c * cfg.model.total_rate(x) for x, c in cfg.occupancy.items() if c)
+    """Invariants of a ParticleConfig: the member lists hold each particle once, where it sits,
+    and the rate tree matches a recompute from their lengths."""
+    assert sorted(i for lst in cfg.members.values() for i in lst) == list(range(cfg.N))
+    assert all(cfg.positions[i] == x and cfg.where[i] == k
+               for x, lst in cfg.members.items() for k, i in enumerate(lst))
+    assert all(x > 0 for x, lst in cfg.members.items() if lst)
+    exact = math.fsum(len(lst) * cfg.model.total_rate(x) for x, lst in cfg.members.items() if lst)
     assert abs(cfg.index.total - exact) <= tol * max(1.0, exact)
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ import pytest
 from qsdsim import (
     BirthDeathSpec,
     Distribution,
-    HistoryState,
     RngStream,
     afp_run,
     build_birth_death,
     resolve_model,
     solve_qsd_discrete,
+    tv_distance,
     uniformize,
 )
+from qsdsim.afp import _advance
+from qsdsim.rng import TAG_EVENTS, UniformBlock
 
 from conftest import afp_advance
 
@@ -26,21 +29,18 @@ def t2_disc(t2_module=None):
 class TestAfpStep:
     def test_point_model_grows_at_one(self, t1):
         d = uniformize(t1, rate=1.0)
-        h = HistoryState.start_at(1)
+        history = [1]
         for _ in range(1000):
-            afp_advance(h, d, RngStream(40, (_,)))
-        assert h.counts == {1: 1001}
-        assert h.total == 1001
-        assert h.step == 1000
+            afp_advance(history, d, RngStream(40, (_,)))
+        assert history == [1] * 1001
 
     def test_step_law_from_state_1(self, t2_disc):
         # from walker 1 with history delta_1: P(next = 1) = kill * 1 = 0.5
         hits = 0
         n = 20_000
         for r in range(n):
-            h = HistoryState.start_at(1)
-            afp_advance(h, t2_disc, RngStream(41, (r,)))
-            hits += h.walker == 1
+            history = afp_advance([1], t2_disc, RngStream(41, (r,)))
+            hits += history[-1] == 1
         p = hits / n
         assert p == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
 
@@ -49,19 +49,16 @@ class TestAfpStep:
         hits = 0
         n = 20_000
         for r in range(n):
-            h = HistoryState.start_at(2)
-            h.walker = 2
-            afp_advance(h, t2_disc, RngStream(42, (r,)))
-            hits += h.walker == 1
+            history = afp_advance([2], t2_disc, RngStream(42, (r,)))
+            hits += history[-1] == 1
         assert hits / n == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / n))
 
-    def test_mass_bookkeeping_exact(self, t2_disc):
-        h = HistoryState.start_at(1)
+    def test_each_step_appends_one_live_state(self, t2_disc):
+        history = [1]
         for k in range(500):
-            afp_advance(h, t2_disc, RngStream(43, (k,)))
-            assert h.total == 1 + h.step
-            assert sum(h.counts.values()) == h.total
-            assert len(h.history) == h.total
+            afp_advance(history, t2_disc, RngStream(43, (k,)))
+            assert len(history) == k + 2
+        assert history[0] == 1 and set(history) <= set(t2_disc.states)
 
 
 class TestAfpRun:
@@ -102,6 +99,23 @@ class TestAfpRun:
             tvs.append(res.checkpoint_tv)
         med = np.median(np.array(tvs), axis=0)
         assert med[0] >= med[1] >= med[2]
+
+    def test_checkpoint_at_every_step_matches_a_recount(self):
+        # the run counts only what each checkpoint adds; a recount of the
+        # whole history after each step on the same stream gives each TV
+        d = uniformize(build_birth_death(BirthDeathSpec(1.0, 2.0), truncation=5))
+        ref = solve_qsd_discrete(d).nu
+        steps = 400
+        res = afp_run(d, 1, steps, RngStream(49), checkpoints=range(1, steps + 1), reference=ref)
+        blocks = UniformBlock(RngStream(49).child(TAG_EVENTS))
+        history = [1]
+        tvs = []
+        for _ in range(steps):
+            _advance(history, d, blocks, 1)
+            tvs.append(tv_distance(Distribution.from_weights(Counter(history)), ref))
+        assert res.checkpoint_tv == tvs
+        assert res.estimate == Distribution.from_weights(Counter(history))
+        assert len(set(history)) == 5
 
     def test_checkpoint_validation(self, t2_disc):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,15 @@ class TestSharedGridReads:
         assert same_bits(b, reference_series(qt, rate, long, v))
         assert same_bits(c, a)
         assert same_bits(conditioned._series(qt, rate, [long, short], v)[1], a)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.1, 1.9, 2.0, 2.5, 5.0, 30.0])
+def test_poisson_weights_cover_the_law(x):
+    # the ratio bound on the tail holds only once the terms fall (K + 2 > x)
+    w, tail = conditioned._poisson_weights(x)
+    assert 0.0 <= tail <= conditioned.TAIL_TOL
+    assert math.fsum(w) + tail >= 1.0 - 1e-15
+    assert len(w) + 1 > x
 
 
 class TestAlignedOperator:

@@ -36,6 +36,14 @@ class TestParticleConfig:
         assert cfg.index.total == pytest.approx(2 * 2.0 + 1 * 1.0)
         assert cfg.empirical() == Distribution.from_weights({1: 2, 2: 1})
 
+    def test_occupancy_is_a_read_only_view_of_the_lists(self, t2):
+        cfg = ParticleConfig(t2, [1, 1, 2])
+        move(cfg, 2, 1)
+        assert cfg.occupancy == {1: 3, 2: 0}  # a state the particles left reads 0
+        with pytest.raises(TypeError):
+            cfg.occupancy[2] = 1
+        assert cfg.members[2] == []
+
     def test_needs_two_particles(self, t2):
         with pytest.raises(ValueError):
             ParticleConfig(t2, [1])
@@ -90,7 +98,7 @@ class TestParticleConfigBuild:
         gen = np.random.default_rng(n)
         positions = gen.integers(1, 12, size=n).tolist()
         cfg = ParticleConfig(resolve_model("bd:1,2,12"), positions)
-        cfg.occupancy[12] = 0  # a state the particles left
+        cfg.members[12] = []  # a state the particles left
         got = cfg.empirical()
         want = Distribution.from_weights(cfg.occupancy)
         assert got.support == want.support
@@ -157,7 +165,7 @@ class TestFvStep:
     def test_point_model_stays_delta(self, t1):
         cfg = ParticleConfig(t1, [1] * 10)
         for _ in range(50):
-            dt = fv_event(cfg, t1, RngStream(1, (_,)))[0]
+            dt = fv_event(cfg, RngStream(1, (_,)))[0]
             assert dt > 0
         assert cfg.empirical() == Distribution.delta(1)
 
@@ -166,7 +174,7 @@ class TestFvStep:
         cfg = ParticleConfig(t2, [1, 1])
         assert cfg.index.total == pytest.approx(4.0)
         for k in range(30):
-            _, _, _, target, revived = fv_event(cfg, t2, RngStream(2, (k,)))
+            _, _, _, target, revived = fv_event(cfg, RngStream(2, (k,)))
             if revived:
                 assert target == 1
                 break
@@ -178,7 +186,7 @@ class TestFvStep:
         n = 20_000
         for k in range(n):
             cfg = ParticleConfig(t2, [1, 2])
-            _, _, source, target, revived = fv_event(cfg, t2, RngStream(3, (k,)))
+            _, _, source, target, revived = fv_event(cfg, RngStream(3, (k,)))
             if revived and source == 1 and target == 2:
                 hits += 1
         p = hits / n
@@ -188,7 +196,7 @@ class TestFvStep:
         model = build_finite({(1, 2): 1.0})  # state 2 is inert
         cfg = ParticleConfig(model, [2, 2])
         with pytest.raises(DeadConfig):
-            fv_event(cfg, model, RngStream(0))
+            fv_event(cfg, RngStream(0))
 
     def test_aggregate_rate_that_overflows(self):
         # each particle's rate 1.6e303 is finite, 10^6 of them are not
@@ -215,6 +223,17 @@ class TestFvRun:
         with pytest.raises(ValueError, match="grid must be"):
             fv_run_graphical(t2, 5, Distribution.delta(2), horizon, grid, RngStream(1), event_cap=10)
 
+    @pytest.mark.parametrize("name, positions", [("bd:5,1,2", [1, 2]), ("bd:5,1,4", [1, 2, 3])])
+    def test_config_of_another_model_is_refused(self, t2, name, positions):
+        # run under two-state, the first would start on bd's leaf weights and
+        # the second would meet a state two-state lacks
+        cfg = ParticleConfig(resolve_model(name), positions)
+        for run in (lambda: fv_run(t2, cfg, 1.0, [1.0], RngStream(1)),
+                    lambda: fv_stationary(t2, 3, 0.1, 1.0, RngStream(1), init=cfg)):
+            with pytest.raises(ValueError, match=r"AbsorbedChainModel\(name='bd:5\.0,1\.0"):
+                run()
+        assert cfg.positions == positions
+
     def test_deterministic_replay(self, t2):
         a = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)
         b = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)
@@ -229,7 +248,7 @@ class TestFvRun:
         tr = fv_run(gw, Distribution.delta(3), 4.0, [4.0], rng, n=100)
         cfg = ParticleConfig.from_distribution(gw, Distribution.delta(3), 100, rng)
         events = revivals = 0
-        for _, _, _, _, revived in _fv_events(cfg, gw, rng, 4.0, FV_EVENT_CAP):
+        for _, _, _, _, revived in _fv_events(cfg, rng, 4.0, FV_EVENT_CAP):
             events += 1
             revivals += revived
             if events % 500 == 0:
@@ -303,7 +322,7 @@ def test_kernel_matches_reference_stepper(name, positions, until, seed, tmp_path
     ref = ReferenceFv(model, positions, rng)
     cfg = ParticleConfig(model, positions)
     events = revivals = 0
-    for mine, theirs in zip_longest(_fv_events(cfg, model, rng, until, FV_EVENT_CAP),
+    for mine, theirs in zip_longest(_fv_events(cfg, rng, until, FV_EVENT_CAP),
                                     ref.events(until)):
         assert mine == theirs
         check_consistency(cfg)

@@ -34,11 +34,11 @@ import sys
 
 import pytest
 
+import qsdsim
 from qsdsim import (
     BranchingPopulation,
     Distribution,
     ExperimentConfig,
-    HistoryState,
     ParticleConfig,
     RngStream,
     build_shifted,
@@ -316,12 +316,12 @@ def _api_draws() -> dict:
     out["tagged-limit"] = (traj.times, traj.states)
     cfg = ParticleConfig(bd, [1, 2, 3, 4])
     for k in range(5):
-        out[f"fv-event-{k}"] = fv_event(cfg, bd, root.child(4, k))
+        out[f"fv-event-{k}"] = fv_event(cfg, root.child(4, k))
     d = uniformize(bd)
-    h = HistoryState.start_at(1)
+    history = [1]
     for k in range(5):
-        afp_advance(h, d, root.child(5, k))
-    out["afp"] = h.history
+        afp_advance(history, d, root.child(5, k))
+    out["afp"] = history
     sm = build_shifted(t2, 2.0)
     pop = BranchingPopulation(sm.states, [4, 4], 12)
     for k in range(5):
@@ -330,6 +330,11 @@ def _api_draws() -> dict:
     tr = fv_run_graphical(bd, 6, Distribution.delta(1), 2.0, [1.0, 2.0], root.child(8))
     out["graphical"] = ([sorted(m.items()) for m in tr.measures], tr.events, tr.revivals)
     return out
+
+
+def test_public_names_resolve_once():
+    assert len(set(qsdsim.__all__)) == len(qsdsim.__all__)
+    assert all(hasattr(qsdsim, name) for name in qsdsim.__all__)
 
 
 @pytest.fixture(scope="module")

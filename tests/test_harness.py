@@ -528,6 +528,10 @@ class TestCli:
             ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "uniform:1-2-3"],
             ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "delta:1.5"],
             ["conditioned", "--model", "two-state", "--horizon", "1", "--init", "uniform:5-3"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "20",
+             "--burnin", "2", "--grid", "7"],
+            ["fv", "--model", "two-state", "--particles", "10", "--horizon", "20",
+             "--burnin", "2", "--grid", "1e-5"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -552,13 +556,23 @@ class TestCli:
             "scan-one-n", "scan-repeated-n", "afp-rate-below-window",
             "conditioned-init-uniform-no-range", "conditioned-init-pair-no-mass",
             "conditioned-init-uniform-three-ends", "conditioned-init-delta-not-integer",
-            "conditioned-init-uniform-empty",
+            "conditioned-init-uniform-empty", "fv-stationary-grid", "fv-stationary-fine-grid",
         ],
     )
     def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
+
+    def test_sample_bound_reads_fixed_time_runs_only(self):
+        # 60,000 replicas at the default grid (horizon / 20) are 1.2e6 sample
+        # times: a fixed-time run keeps them all, a stationary run none
+        params = {"particles": "2", "horizon": "1", "burnin": "0.5"}
+        cfg = ExperimentConfig("fv", "two-state", 1, 60_000, params)
+        assert harness.read_params(cfg)["replicas"] == 60_000
+        cfg.params.update(burnin="0", init="delta:1")
+        with pytest.raises(ConfigInvalid, match="1.2e[+]06 sample times"):
+            harness.read_params(cfg)
 
     @pytest.mark.parametrize("init, part", [
         ("uniform", "'uniform'"), ("1:0.5,x", "'x'"), ("uniform:1-2-3", "'1-2-3'"),
@@ -704,6 +718,8 @@ class TestCli:
             ("report", "two-state", "branch_cap = 1\n", "branch_cap"),
             ("fv", "two-state",
              "particles = 5\nhorizon = 1\ninit = delta:2\ngrid = 1e-300\n", "sample times"),
+            ("fv", "two-state", "particles = 10\nhorizon = 20\nburnin = 2\ngrid = 1e-5\n",
+             "grid: a stationary fv run (burnin > 0) keeps no samples"),
         ],
         ids=["fv-fixed-time-no-init", "afp-zero-steps", "phi-init-outside", "couple-one-particle",
              "fv-init-repeated-state", "fv-init-negative-mass", "fv-init-nan-mass",
@@ -714,7 +730,7 @@ class TestCli:
              "afp-zero-checkpoints", "phi-zero-iters", "phi-negative-iters", "phi-nan-tol",
              "phi-negative-tol", "oracle-nan-tol", "oracle-negative-tol", "report-infinite-gw",
              "report-infinite-bd", "branch-cap-one", "report-branch-cap-one",
-             "fv-grid-too-fine"],
+             "fv-grid-too-fine", "fv-stationary-grid"],
     )
     def test_config_file_unworkable_run_exits_2(
         self, method, model, section, problem, tmp_path, capsys

@@ -9,7 +9,6 @@ from qsdsim import (
     BirthDeathSpec,
     DiscreteChainModel,
     GaltonWatsonSpec,
-    HistoryState,
     build_birth_death,
     build_finite,
     build_galton_watson,
@@ -175,17 +174,18 @@ def step_law(d, x) -> dict:
 
     The breakpoints of u are the jump table's cumulative rates over the
     rate; one step from the midpoint of each interval between them names
-    its outcome.  A stored history of the marker ``RENEWAL`` alone shows
-    the renewal draw; the hold leaves the walker at x.
+    its outcome.  The history is ``[RENEWAL, x]``: the walker x is its last
+    entry, and the renewal draw, at second uniform 0, picks the marker
+    ``RENEWAL``; the hold leaves the walker at x.
     """
     _, cum, _ = d.model.jump_table(x)
     cuts = [0.0, *(c / d.rate for c in cum), 1.0]
     law: dict = {}
     for lo, hi in zip(cuts, cuts[1:]):
         if hi > lo:
-            h = HistoryState(walker=x, counts={}, total=1, step=0, history=[RENEWAL])
-            _advance(h, d, ScriptedUniforms([(lo + hi) / 2, 0.0]), 1)
-            law[h.walker] = law.get(h.walker, 0.0) + (hi - lo)
+            history = [RENEWAL, x]
+            _advance(history, d, ScriptedUniforms([(lo + hi) / 2, 0.0]), 1)
+            law[history[-1]] = law.get(history[-1], 0.0) + (hi - lo)
     return law
 
 

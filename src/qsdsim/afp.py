@@ -7,9 +7,11 @@ normalized history converges to the QSD of the discrete chain (the
 Aldous-Flannery-Palacios scheme).
 The whole state is one list, the history: it starts as a unit atom at the
 start state, so the renewal draw is always well defined, and the walker is
-its last entry.  One loop, ``_advance``, appends the steps; :func:`afp_run`
-advances it from checkpoint to checkpoint and counts each checkpoint's new
-stretch into the estimate.
+its last entry.  One loop, ``_advance``, appends the steps, taking each
+step's uniform from the run's ``iter(UniformBlock(...))`` through
+``islice`` and the renewal uniform by ``next``; :func:`afp_run` advances it
+from checkpoint to checkpoint and counts each checkpoint's new stretch into
+the estimate.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator
 
 from .chain import Distribution, tv_distance
 from .models import DiscreteChainModel
@@ -27,14 +30,14 @@ from .rng import RngStream, UniformBlock, TAG_EVENTS
 MASS_LIMIT = 1 << 62
 
 
-def _advance(history: list, d: DiscreteChainModel, blocks: UniformBlock, steps: int) -> None:
+def _advance(history: list, d: DiscreteChainModel, us: Iterator[float], steps: int) -> None:
     """Append ``steps`` renewal steps to ``history``, whose last entry is the walker.
 
     The next position is y with probability P(x, y) + kill(x) mu(y)/|mu|,
     mu the history so far: with s = u x rate, the walker holds when
     s >= total(x), else takes the ``jump_table`` target at s, and target 0
     draws a second uniform that picks an entry of the history, the renewal
-    part in O(1).
+    part in O(1).  The uniforms are taken from ``us`` in that order.
     """
     total = len(history)
     if total + steps > MASS_LIMIT:
@@ -43,18 +46,17 @@ def _advance(history: list, d: DiscreteChainModel, blocks: UniformBlock, steps: 
     tables: dict[int, tuple] = {}  # state -> (targets, cumulative rates, total rate)
     rate = d.rate
     append = history.append
-    u = blocks.u
     walker = history[-1]
-    for _ in range(steps):
+    for u in islice(us, steps):
         table = tables.get(walker)
         if table is None:
             table = tables[walker] = jump_table(walker)
         targets, cum, out = table
-        s = u() * rate
+        s = u * rate
         if s < out:
             walker = targets[bisect_right(cum, s)]
             if walker == 0:
-                walker = history[int(u() * total)]
+                walker = history[int(next(us) * total)]
         append(walker)
         total += 1
 
@@ -95,11 +97,11 @@ def afp_run(
 
     history = [start]
     counts = Counter(history)
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
     tv_log: list[float] = []
     for cp in checkpoints:
         done = len(history)
-        _advance(history, d, blocks, cp + 1 - done)
+        _advance(history, d, us, cp + 1 - done)
         counts.update(islice(history, done, None))
         estimate = Distribution.from_weights(counts)
         if reference is not None:

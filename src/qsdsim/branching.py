@@ -14,23 +14,30 @@ Populations are capped with multinomial down-sampling to cap/2 on overflow;
 cap events are counted and reported, not hidden, because the control bias is
 not quantified by theory.
 
-Each attempt is one loop over lifetime events with its state in locals.  It
-draws from its stream's generator in a fixed order: 16,384 uniforms at a time
-(two per event: the wait, then the pick), 1,024 Poisson offspring rows of a
-type at a time, and a multinomial on each cap overflow.
+Each attempt is one loop over lifetime events with its state, the prefix
+sums of the type counts, in locals: the dying individual's type is a
+bisection of those sums and its offspring row is added as its own prefix
+sums, in one ``map``.  It draws from its stream's generator in a fixed
+order: 16,384 uniforms at a time from :func:`~qsdsim.rng.uniforms` (two per
+event: the wait, then the pick), each chunk when its first value is asked
+for, 1,024 Poisson offspring rows of a type at a time, and a multinomial on
+each cap overflow.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import add, sub
 
 import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution, mean_distribution
 from .errors import AllExtinct, NegativeMean
 from .oracle import check_irreducible
-from .rng import RngStream, TAG_EVENTS
+from .rng import RngStream, TAG_EVENTS, uniforms
 
 
 @dataclass
@@ -164,59 +171,55 @@ OFFSPRING_ROWS = 1 << 10
 def _run_attempt(sm: ShiftedMeanMatrix, start: int, horizon: float, cap: int, stream: RngStream):
     """One attempt from a single individual, or None when it dies out.
 
-    The event whose time passes the horizon is still applied.
+    The event whose time passes the horizon is still applied.  The state is
+    the prefix sums of the type counts, ``cum``: the dying individual's type
+    is the first whose prefix sum exceeds the pick, an offspring row is
+    added as its own prefix sums, and the counts are their differences.
     """
     gen = stream.generator()
-    uniforms = gen.random(UNIFORM_BLOCK).tolist()
-    pos = 0
-    cols = range(sm.n)
-    # rows[i] iterates type i's offspring rows, each as the count changes (the
-    # parent's -1 included) followed by their sum.  A block's rows are freed
-    # together when the next block replaces it; freeing them one at a time
-    # fragments the heap and raised peak RSS by 2% over a long run.
-    rows = [iter(()) for _ in cols]
-    counts = [0] * sm.n
-    counts[sm.states.index(start)] = 1
+    us = uniforms(gen, repeat(UNIFORM_BLOCK))
+    # rows[i] iterates the prefix sums of type i's offspring rows, each taken
+    # over the count changes (the parent's -1 included).  A block's rows are
+    # freed together when the next block replaces it; freeing them one at a
+    # time fragments the heap and raised peak RSS by 2% over a long run.
+    rows = [iter(()) for _ in range(sm.n)]
+    first = sm.states.index(start)
+    cum = [0] * first + [1] * (sm.n - first)
     total = 1
     t = 0.0
     cap_events = 0
     growth_log = [(0.0, 1)]
     events = 0
-    while t < horizon:
-        if pos == UNIFORM_BLOCK:
-            uniforms = gen.random(UNIFORM_BLOCK).tolist()
-            pos = 0
-        t += -math.log1p(-uniforms[pos]) / total
-        pick = uniforms[pos + 1] * total
-        pos += 2
-        i = 0
-        acc = counts[0]
-        while pick >= acc:
-            i += 1
-            acc += counts[i]
+    log1p = math.log1p
+    for u_wait, u_pick in zip(us, us) if t < horizon else ():  # later passes end by break
+        t += -log1p(-u_wait) / total
+        i = bisect_right(cum, u_pick * total)
         row = next(rows[i], None)
         if row is None:
             block = gen.poisson(sm.means[i], size=(OFFSPRING_ROWS, sm.n))
             block[:, i] -= 1
-            rows[i] = iter(np.column_stack((block, block.sum(axis=1))).tolist())
+            rows[i] = iter(block.cumsum(axis=1).tolist())
             row = next(rows[i])
-        for j, d in zip(cols, row):
-            if d:
-                counts[j] += d
-        total += row[-1]
+        cum = [*map(add, cum, row)]
+        total = cum[-1]
         if total == 0:
             return None
         if total > cap:
-            counts = downsample_counts(counts, cap // 2, gen)
             total = cap // 2
+            cum = list(accumulate(downsample_counts(_differences(cum), total, gen)))
             cap_events += 1
         if t >= horizon:
             break
         events += 1
         if cap_events == 0 and events % 64 == 0:
             growth_log.append((t, total))
-    return BranchingPopulation(sm.states, counts, cap, t, cap_events=cap_events,
+    return BranchingPopulation(sm.states, _differences(cum), cap, t, cap_events=cap_events,
                                growth_log=growth_log)
+
+
+def _differences(cum: list[int]) -> list[int]:
+    """The counts whose prefix sums are ``cum``."""
+    return [cum[0], *map(sub, cum[1:], cum)]
 
 
 def _growth_slope(log: list[tuple[float, int]], min_total: int = 20) -> float | None:

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -490,33 +490,35 @@ class AbsorptionSample:
 DEFAULT_EVENT_CAP = 10**7
 
 
-def _z_mu_events(model: AbsorbedChainModel, x: int, blocks: UniformBlock, end: float,
+def _z_mu_events(model: AbsorbedChainModel, x: int, us: Iterator[float], end: float,
                  revive: Callable[[float, float], int], event_cap: int):
     """Gillespie events of Z^mu, the chain that jumps to mu when it absorbs.
 
     From state x at time 0, yields (t, dt, x, y, revived) per event before
     ``end``: event time, drawn wait, states before and after, and whether
-    the jump absorbed and ``revive(t, u)`` drew y.  Each event draws the
-    wait, the jump, then on absorption the revival uniform; the wait that
-    crosses ``end`` is the last draw.  Raises :class:`EventCapExceeded` at a
-    state with total rate 0, and at an event past ``event_cap`` before ``end``.
+    the jump absorbed and ``revive(t, u)`` drew y.  Each event takes from
+    ``us`` the wait's uniform, the jump's, then on absorption the revival
+    uniform; the wait that crosses ``end`` is the last draw.  Raises
+    :class:`EventCapExceeded` at a state with total rate 0, and at an event
+    past ``event_cap`` before ``end``.
     """
     t, events = 0.0, 0
+    log1p = math.log1p
     while True:
         total = model.total_rate(x)
         if total <= 0.0:
             raise EventCapExceeded(f"state {x} has total rate 0; the chain is stuck")
-        dt = blocks.exp(total)
+        dt = -log1p(-next(us)) / total
         if t + dt >= end:
             return
         if events >= event_cap:
             raise EventCapExceeded(f"more than {event_cap} events before t={end}")
         events += 1
         t += dt
-        y = model.sample_jump(x, blocks.u())
+        y = model.sample_jump(x, next(us))
         revived = y == 0
         if revived:
-            y = revive(t, blocks.u())
+            y = revive(t, next(us))
         yield t, dt, x, y, revived
         x = y
 
@@ -536,9 +538,9 @@ def simulate_until_absorption(
     """
     if event_cap <= 0:
         raise ValueError("event_cap must be positive")
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
-    x = start.sample(blocks.u())
-    for t, _, x, _, absorbed in _z_mu_events(model, x, blocks, math.inf, lambda t, u: 0, event_cap):
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
+    x = start.sample(next(us))
+    for t, _, x, _, absorbed in _z_mu_events(model, x, us, math.inf, lambda t, u: 0, event_cap):
         if absorbed:
             return AbsorptionSample(tau=t, exit_state=x)
     raise EventCapExceeded("the absorption time overflowed to infinity")

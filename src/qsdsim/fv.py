@@ -10,12 +10,14 @@ exist).
 One event kernel, the generator ``_fv_events``, draws every event on the
 configuration's own model: fixed-time sampling (:func:`fv_run`) and time
 averaging (:func:`fv_stationary`) consume it, each on its stream's
-``TAG_EVENTS`` child.  The kernel is one loop that owns its uniforms and
-does the draws, the tree walk and the particle move inline; a state's
-count is the length of its member list, kept nowhere else.  Per-event work
-is kept at O(log S) in the number of visited states via a weighted tree
-over states, sized to those states, because position-dependent rates (the
-branching population chain) make per-event rate scans too expensive.
+``TAG_EVENTS`` child.  The kernel is one loop that zips its uniforms from
+the stream's ``iter(UniformBlock(...))`` and does the draws, the tree walk
+and the particle move inline; a state's count is the length of its member
+list, kept nowhere else.  Per-event work is kept at O(log S) in the number
+of visited states via a weighted tree over states, sized to those states,
+because position-dependent rates (the branching population chain) make
+per-event rate scans too expensive.  A move climbs the two changed leaves'
+paths together, so the ancestors they share are summed once.
 
 A replica opens its stream's ``TAG_EVENTS`` child, and its ``TAG_INIT``
 child only when the initial law has more than one state: a point mass
@@ -36,10 +38,9 @@ import numpy as np
 
 from .chain import AbsorbedChainModel, Distribution
 from .errors import DeadConfig, EventCapExceeded, NegativeRate
-from .rng import RngStream, TAG_EVENTS, TAG_INIT
+from .rng import RngStream, UniformBlock, TAG_EVENTS, TAG_INIT
 
 FV_EVENT_CAP = 10**8
-UNIFORM_CHUNK = 1 << 14  # the largest refill of the event kernel's uniforms
 
 
 class _RateIndex:
@@ -208,20 +209,15 @@ def _fv_events(cfg: ParticleConfig, rng: RngStream, until: float, event_cap: int
     :class:`~qsdsim.errors.NegativeRate`, one that is 0 :class:`DeadConfig`.
 
     One loop does the tree descent, the work of
-    ``AbsorbedChainModel.sample_jump`` and the particle move (the swap-remove
-    from the source's members, and both leaves with their parents, each
-    weighted by the length of the member list just changed).  The uniforms
-    come from one Philox generator in chunks that start at 64 and double up
-    to 16,384, as
-    :class:`~qsdsim.rng.UniformBlock` hands them out; Philox output does not
-    depend on the chunking, so these are the values a ``UniformBlock`` on
-    the same stream gives.
+    ``AbsorbedChainModel.sample_jump`` and the particle move: the
+    swap-remove from the source's members, then both leaves, each weighted
+    by the length of the member list just changed.  The two leaf paths are
+    climbed together up to the ancestor they share and once from there, so
+    each ancestor is summed once, from its final children.  The uniforms
+    come from ``iter(UniformBlock(...))`` on the stream, four per event
+    through one ``zip`` and the revival draws by ``next``.
     """
-    gen = rng.child(TAG_EVENTS).generator()
-    chunk = 64
-    uniforms = gen.random(chunk).tolist()
-    end = chunk
-    pos = 0
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
     index = cfg.index
     tree = index.tree
     cap = index.cap
@@ -237,23 +233,17 @@ def _fv_events(cfg: ParticleConfig, rng: RngStream, until: float, event_cap: int
     inf = math.inf
     t = 0.0
     events = 0
-    while True:
+    for u_wait, u_state, u_particle, u_jump in zip(us, us, us, us):
         agg = tree[1]
         if not 0.0 < agg < inf:
             if agg > 0.0:
                 raise NegativeRate(f"the aggregate rate of {n} particles overflows at t={t:g}")
             raise DeadConfig("aggregate rate is 0; every particle sits at a dead state")
-        if end - pos < 4:  # the four draws every event takes
-            chunk = min(2 * chunk, UNIFORM_CHUNK)
-            uniforms = uniforms[pos:]  # the spent chunk is freed before the next is drawn
-            uniforms += gen.random(chunk).tolist()
-            end = len(uniforms)
-            pos = 0
-        t += -log1p(-uniforms[pos]) / agg
+        t += -log1p(-u_wait) / agg
         if t >= until:
             return
         # the state whose leaf interval holds u * agg
-        w = uniforms[pos + 1] * agg
+        w = u_state * agg
         k = 1
         while k < cap:
             k += k
@@ -263,41 +253,29 @@ def _fv_events(cfg: ParticleConfig, rng: RngStream, until: float, event_cap: int
                 k += 1
         x = state_of[k - cap]
         lst = members[x]
-        i = lst[int(uniforms[pos + 2] * len(lst))]
+        i = lst[int(u_particle * len(lst))]
         table = tables.get(x)
         if table is None:
             table = tables[x] = jump_table(x)
         targets, cum, total = table
         if total <= 0.0:
             raise EventCapExceeded(f"state {x} has total rate 0; the chain is stuck")
-        k = bisect_right(cum, uniforms[pos + 3] * total)
-        pos += 4
+        k = bisect_right(cum, u_jump * total)
         y = targets[k] if k < len(targets) else targets[-1]
         revived = y == 0
         if revived:
             j = i
             while j == i:
-                if pos == end:
-                    chunk = min(2 * chunk, UNIFORM_CHUNK)
-                    uniforms = gen.random(chunk).tolist()
-                    end = chunk
-                    pos = 0
-                j = int(uniforms[pos] * n)
-                pos += 1
+                j = int(next(us) * n)
             y = positions[j]
         yield t, i, x, y, revived
         if y != x:
-            # swap-remove i from x, then re-set x's leaf and its parents
+            # swap-remove i from x and add it to y
             k = where[i]
             last = lst[-1]
             lst[k] = last
             where[last] = k
             lst.pop()
-            k = cap + slot_of[x]
-            tree[k] = len(lst) * total
-            while k > 1:
-                tree[k >> 1] = tree[k] + tree[k ^ 1]
-                k >>= 1
             positions[i] = y
             dst = members.get(y)
             if dst is None:
@@ -307,17 +285,30 @@ def _fv_events(cfg: ParticleConfig, rng: RngStream, until: float, event_cap: int
             table = tables.get(y)
             if table is None:
                 table = tables[y] = jump_table(y)
+            k = cap + slot_of[x]
+            tree[k] = len(lst) * total
             slot = slot_of.get(y)
             if slot is None:
-                # a state's first visit: the tree may double
+                # a state's first visit: x's path alone, then y's leaf, where
+                # the tree may double
+                while k > 1:
+                    tree[k >> 1] = tree[k] + tree[k ^ 1]
+                    k >>= 1
                 index.set_weight(y, len(dst) * table[2])
                 tree = index.tree
                 cap = index.cap
             else:
-                k = cap + slot
-                tree[k] = len(dst) * table[2]
-                while k > 1:
-                    tree[k >> 1] = tree[k] + tree[k ^ 1]
+                ky = cap + slot
+                tree[ky] = len(dst) * table[2]
+                k >>= 1
+                ky >>= 1
+                while k != ky:
+                    tree[k] = tree[k + k] + tree[k + k + 1]
+                    tree[ky] = tree[ky + ky] + tree[ky + ky + 1]
+                    k >>= 1
+                    ky >>= 1
+                while k:
+                    tree[k] = tree[k + k] + tree[k + k + 1]
                     k >>= 1
         events += 1
         if events > event_cap:
@@ -344,6 +335,8 @@ def _resolve_init(model, init, n, rng) -> ParticleConfig:
         if init.model is not model:
             raise ValueError(f"init is a configuration of {init.model!r}; the run's model"
                              f" is {model!r}, another object")
+        if n is not None and n != init.N:
+            raise ValueError(f"n = {n} particles asked, but init is a configuration of {init.N}")
         return init
     if isinstance(init, Distribution):
         if n is None:

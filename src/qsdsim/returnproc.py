@@ -18,12 +18,12 @@ Poisson streams (internal jumps plus voter/revival events per particle) and
 couples particle 1 with the limit process on the same marks, tracking the
 indicator that the two trajectories have split.  The engine keeps each
 particle's next internal and voter mark time in one heap and draws every
-mark from one block on its stream's ``TAG_EVENTS`` child.  An internal mark
-moves a particle through the model's ``jump_table``, the table the
-Gillespie kernels draw from, so no second copy of the rates is built.  The
-engine places the particles with ``fv.initial_positions``, which opens the
-``TAG_INIT`` child only when the initial law has more than one state: a
-point mass places them without a draw.
+mark from one uniform iterator on its stream's ``TAG_EVENTS`` child.  An
+internal mark moves a particle through the model's ``jump_table``, the
+table the Gillespie kernels draw from, so no second copy of the rates is
+built.  The engine places the particles with ``fv.initial_positions``,
+which opens the ``TAG_INIT`` child only when the initial law has more than
+one state: a point mass places them without a draw.
 
 ``phi_map`` and ``phi_iterate`` read ``oracle.return_map_iterates``, the
 one Phi step, which the oracle's inverse iteration reads too.  scipy is
@@ -79,12 +79,12 @@ def simulate_mu_return(
     from mu (landing on the current state is a null event).  The occupation
     measure over [0, horizon] estimates Phi(mu) for long runs.
     """
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
-    t, y = 0.0, mu.sample(blocks.u())
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
+    t, y = 0.0, mu.sample(next(us))
     events = returns = 0
     acc: dict[int, float] = {}
     for events, (t, dt, x, y, returned) in enumerate(
-        _z_mu_events(model, y, blocks, horizon, lambda t, u: mu.sample(u), event_cap), 1
+        _z_mu_events(model, y, us, horizon, lambda t, u: mu.sample(u), event_cap), 1
     ):
         acc[x] = acc.get(x, 0.0) + dt
         returns += returned
@@ -199,9 +199,9 @@ def simulate_tagged_limit(
     horizon = path.horizon if horizon is None else horizon
     if horizon > path.horizon + 1e-12:
         raise PathTooShort(f"path covers [0, {path.horizon}], requested {horizon}")
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
     times, states = [0.0], [y0]
-    for t, _, x, y, _ in _z_mu_events(model, y0, blocks, horizon, path.inverse_cdf_at, event_cap):
+    for t, _, x, y, _ in _z_mu_events(model, y0, us, horizon, path.inverse_cdf_at, event_cap):
         if y != x:
             times.append(t)
             states.append(y)
@@ -280,11 +280,11 @@ def _graphical_engine(
     The system is the particle positions and the count per state: the marks
     pick the particles, so nothing indexes particles by state or rate.  The
     heap holds each particle's next internal mark (rate qbar, moved by
-    :func:`_internal_target`) and next voter mark (rate C0).  Every mark is
-    drawn from one block on the stream's ``TAG_EVENTS`` child: first
-    exp(qbar) then exp(C0) for each particle in turn, then per popped mark
-    its uniform u (internal) or its pair (b, v) (voter), and the wait to
-    that particle's next mark of the same kind.
+    :func:`_internal_target`) and next voter mark (rate C0).  Every mark
+    takes its uniforms from one ``iter(UniformBlock(...))`` on the stream's
+    ``TAG_EVENTS`` child: first exp(qbar) then exp(C0) for each particle in
+    turn, then per popped mark its uniform u (internal) or its pair (b, v)
+    (voter), and the wait to that particle's next mark of the same kind.
     """
     qbar = model.qbar
     c0 = model.c0
@@ -307,11 +307,12 @@ def _graphical_engine(
         occupancy[x] = occupancy.get(x, 0) + 1
     first = positions[0]
 
-    blocks = UniformBlock(rng.child(TAG_EVENTS))
+    us = iter(UniformBlock(rng.child(TAG_EVENTS)))
+    log1p = math.log1p
     heap = []
     for i in range(n):
-        heap.append((blocks.exp(qbar) if qbar > 0 else math.inf, i, 0))
-        heap.append((blocks.exp(c0) if c0 > 0 else math.inf, i, 1))
+        heap.append((-log1p(-next(us)) / qbar if qbar > 0 else math.inf, i, 0))
+        heap.append((-log1p(-next(us)) / c0 if c0 > 0 else math.inf, i, 1))
     heapq.heapify(heap)  # (time, particle, kind) keys are distinct: one pop order
 
     absorb_rate = model.absorb_rate
@@ -339,13 +340,13 @@ def _graphical_engine(
             break
         x = positions[i]
         if kind == 0:
-            u = blocks.u()
-            heapq.heappush(heap, (t_ev + blocks.exp(qbar), i, 0))
+            u = next(us)
+            heapq.heappush(heap, (t_ev + -log1p(-next(us)) / qbar, i, 0))
             target = _internal_target(model, x, u)
         else:
-            b = blocks.u()
-            v = blocks.u()
-            heapq.heappush(heap, (t_ev + blocks.exp(c0), i, 1))
+            b = next(us)
+            v = next(us)
+            heapq.heappush(heap, (t_ev + -log1p(-next(us)) / c0, i, 1))
             if b <= absorb_rate(x) / c0:
                 target = _voter_target_others(occupancy, n, x, v)
                 revivals += 1

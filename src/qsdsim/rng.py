@@ -13,18 +13,20 @@ stream it opens.  A Fleming-Viot replica opens its ``TAG_EVENTS`` child, and
 its ``TAG_INIT`` child only when the initial law has more than one state: a
 point mass places the particles without a draw.
 
-Event loops draw their uniforms through a :class:`UniformBlock` on their
-stream's ``TAG_EVENTS`` child, and the graphical Fleming-Viot engine draws
-the marks of all its particles from one such block.  The Fleming-Viot
-kernel refills the same doubling chunks in its own loop, and the branching
-estimator, which interleaves uniforms with Poisson and multinomial draws on
-one generator, refills its own fixed-size blocks.
+Every event loop takes its uniforms from one iterator, :func:`uniforms`:
+``iter(UniformBlock(stream))`` on the stream's ``TAG_EVENTS`` child for the
+Fleming-Viot kernel, history renewal, the Z^mu loop and the graphical
+Fleming-Viot engine (the marks of all its particles), and fixed chunks on
+the attempt's own generator for the branching estimator, which interleaves
+uniforms with Poisson and multinomial draws.  The loops call ``next`` on it
+or zip it; none keeps a refill branch of its own.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain, count, repeat, takewhile
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,40 +65,34 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
+def uniforms(gen: np.random.Generator, sizes: Iterable[int]) -> Iterator[float]:
+    """The uniforms of ``gen`` as Python floats, drawn in chunks of ``sizes``.
+
+    A chunk is drawn only when its first value is asked for, so other draws
+    on ``gen`` land between chunks.  Philox output does not depend on the
+    chunking: the values are those of one long ``gen.random(...)`` draw.
+    """
+    return chain.from_iterable(map(np.ndarray.tolist, map(gen.random, sizes)))
+
+
 class UniformBlock:
-    """Scalar uniforms pulled from pre-drawn blocks of one stream.
+    """The event-loop uniforms of one stream: iterate it once.
 
-    Event loops consume one uniform at a time; drawing them in blocks
-    amortizes the generator call overhead.  Values are handed out as plain
-    Python floats because the consumers do scalar arithmetic.
-
-    The block derives and owns the stream's generator.  It starts at 64
-    floats and doubles on each refill up to ``size``, so a short replica
-    pays for the few hundred draws it uses, not for ``size``.  Philox output
-    does not depend on how it is chunked, so the values are those of one
-    long ``stream.generator().random(...)`` draw.
+    The block derives and owns the stream's generator, and ``iter(block)``
+    is :func:`uniforms` on it, in chunks that start at 64 floats and double
+    up to ``size``, so a short replica pays for the few hundred draws it
+    uses, not for ``size``.  The values are those of one long
+    ``stream.generator().random(...)`` draw.  The class, rather than a
+    function, is kept for perfbench's ``rng.blocks`` span, which wraps
+    ``__init__``.
     """
 
-    __slots__ = ("_gen", "_size", "_len", "_buf", "_pos")
+    __slots__ = ("_gen", "_size")
 
     def __init__(self, stream: RngStream, size: int = 1 << 14):
         self._gen = stream.generator()
         self._size = size
-        self._len = min(64, size)
-        self._buf = self._gen.random(self._len).tolist()
-        self._pos = 0
 
-    def u(self) -> float:
-        """Next uniform in [0, 1)."""
-        if self._pos == self._len:
-            self._len = min(2 * self._len, self._size)
-            self._buf = self._gen.random(self._len).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-    def exp(self, rate: float) -> float:
-        """Next exponential waiting time with the given rate."""
-        # -log(1 - u) keeps u = 0 safe; u is in [0, 1).
-        return -math.log1p(-self.u()) / rate
+    def __iter__(self) -> Iterator[float]:
+        doubling = takewhile(self._size.__gt__, (64 << k for k in count()))
+        return uniforms(self._gen, chain(doubling, repeat(self._size)))

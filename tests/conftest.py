@@ -306,7 +306,7 @@ class ReferenceFv:
 
 def afp_advance(history, d, rng):
     """One renewal step appended to ``history``: the first ``afp_run`` takes on ``rng``."""
-    _advance(history, d, UniformBlock(rng.child(TAG_EVENTS)), 1)
+    _advance(history, d, iter(UniformBlock(rng.child(TAG_EVENTS))), 1)
     return history
 
 

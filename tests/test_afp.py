@@ -107,11 +107,11 @@ class TestAfpRun:
         ref = solve_qsd_discrete(d).nu
         steps = 400
         res = afp_run(d, 1, steps, RngStream(49), checkpoints=range(1, steps + 1), reference=ref)
-        blocks = UniformBlock(RngStream(49).child(TAG_EVENTS))
+        us = iter(UniformBlock(RngStream(49).child(TAG_EVENTS)))
         history = [1]
         tvs = []
         for _ in range(steps):
-            _advance(history, d, blocks, 1)
+            _advance(history, d, us, 1)
             tvs.append(tv_distance(Distribution.from_weights(Counter(history)), ref))
         assert res.checkpoint_tv == tvs
         assert res.estimate == Distribution.from_weights(Counter(history))

@@ -14,7 +14,8 @@ from qsdsim import (
     resolve_model,
     tv_distance,
 )
-from qsdsim.branching import _run_attempt
+from qsdsim import branching
+from qsdsim.branching import _run_attempt, downsample_counts
 from qsdsim.errors import AllExtinct, NegativeMean, NotIrreducible
 from qsdsim.rng import TAG_EVENTS
 
@@ -148,20 +149,29 @@ class TestBranchStep:
             branch_event(pop, sm, RngStream(0))
 
 
-@pytest.mark.parametrize("name, alpha, horizon, seed, dies", [
-    ("two-state", 2.0, 16.0, 1, False),  # more than one uniform block
-    ("bd:1,2,10", "auto", 10.0, 1, False),
-    ("multi-jump", "auto", 6.0, 1, False),
-    ("two-state", 2.0, 16.0, 24, True),  # dies at its third event
+@pytest.mark.parametrize("name, alpha, horizon, seed, start, dies, gap", [
+    ("two-state", 2.0, 16.0, 1, 1, False, False),  # more than one uniform block
+    ("bd:1,2,10", "auto", 10.0, 1, 1, False, False),
+    ("bd:1,2,10", "auto", 10.0, 1, 5, False, False),  # from a middle type
+    ("bd:1,2,10", "auto", 10.0, 2, 1, False, True),
+    ("multi-jump", "auto", 6.0, 1, 1, False, False),
+    ("two-state", 2.0, 16.0, 24, 1, True, False),  # dies at its third event
 ])
-def test_attempt_matches_reference_stepper(name, alpha, horizon, seed, dies, tmp_path):
+def test_attempt_matches_reference_stepper(name, alpha, horizon, seed, start, dies, gap, tmp_path, monkeypatch):
     # same draws in the same order as the event-by-event reference, so the
     # attempt is equal, not close
     model = read_model_file(multi_jump_model_file(tmp_path)) if name == "multi-jump" else resolve_model(name)
     sm = build_shifted(model, alpha)
     stream = RngStream(seed).child(0, TAG_EVENTS)
-    got = _run_attempt(sm, sm.states[0], horizon, 2000, stream)
-    ref = reference_attempt(sm, sm.states[0], horizon, 2000, stream)
+    overflows = []
+
+    def downsample(counts, keep, gen):
+        overflows.append(list(counts))
+        return downsample_counts(counts, keep, gen)
+
+    monkeypatch.setattr(branching, "downsample_counts", downsample)
+    got = _run_attempt(sm, start, horizon, 2000, stream)
+    ref = reference_attempt(sm, start, horizon, 2000, stream)
     assert (ref is None) == dies
     if dies:
         assert got is None
@@ -169,6 +179,10 @@ def test_attempt_matches_reference_stepper(name, alpha, horizon, seed, dies, tmp
         assert ref.cap_events > 0
         assert (got.counts, got.t, got.cap_events, got.growth_log) == (
             ref.counts, ref.t, ref.cap_events, ref.growth_log)
+    if gap:
+        # the cap overflows with an empty type between occupied ones, whose
+        # prefix sum ties its left neighbour's
+        assert any(0 in c[1:-1] and c[-1] for c in overflows)
 
 
 class TestKsEstimate:

@@ -16,6 +16,7 @@ from qsdsim import (
 )
 from qsdsim.chain import strongly_connected
 from qsdsim.errors import EventCapExceeded, ModelFormatError, NegativeRate
+from qsdsim.rng import TAG_EVENTS
 
 from conftest import T2_NU1, multi_jump_model_file
 
@@ -264,6 +265,15 @@ class TestSimulateUntilAbsorption:
         )
         assert taus.mean() == pytest.approx(1.0 / theta, abs=0.05)
         assert np.mean(taus**2) == pytest.approx(2.0 / theta**2, abs=0.7)
+
+    def test_wait_is_the_exponential_of_the_next_uniform(self):
+        # the start takes the first uniform of the TAG_EVENTS child, the
+        # wait -log1p(-u) / rate the second
+        model = build_finite({(1, 0): 2.5})
+        rng = RngStream(8)
+        u = rng.child(TAG_EVENTS).generator().random(2)[1]
+        s = simulate_until_absorption(model, Distribution.delta(1), rng)
+        assert s.tau == -math.log1p(-u) / 2.5
 
     def test_bit_identical_replay(self, t2):
         a = simulate_until_absorption(t2, Distribution.delta(2), RngStream(9, (1, 2)))

@@ -234,6 +234,15 @@ class TestFvRun:
                 run()
         assert cfg.positions == positions
 
+    def test_config_of_another_size_is_refused(self, t2):
+        # n would be ignored: a run of 2 particles asked for 1000
+        cfg = ParticleConfig(t2, [1, 2])
+        for run in (lambda: fv_run(t2, cfg, 1.0, [1.0], RngStream(1), n=1000),
+                    lambda: fv_stationary(t2, 1000, 0.1, 1.0, RngStream(1), init=cfg)):
+            with pytest.raises(ValueError, match="n = 1000 particles asked, but init is a configuration of 2"):
+                run()
+        assert fv_run(t2, cfg, 1.0, [1.0], RngStream(1), n=2).final is cfg
+
     def test_deterministic_replay(self, t2):
         a = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)
         b = fv_run(t2, Distribution.delta(2), 1.0, np.linspace(0.1, 1, 10), RngStream(5), n=64)
@@ -335,6 +344,39 @@ def test_kernel_matches_reference_stepper(name, positions, until, seed, tmp_path
     assert events > 100 and revivals > 0
     if name == "gw:1,2":
         assert ref.index.cap > 64
+
+
+@pytest.mark.parametrize("name, positions, until, seed", [
+    ("bd:1,2,50", [1] * 100, 10.0, 5),  # moves between neighbours share most ancestors
+    ("gw:1,2", [80] * 10, 6.0, 3),  # the tree doubles mid-run
+    ("multi-jump", list(range(1, 13)), 80.0, 4),
+])
+def test_rate_tree_stays_exact(name, positions, until, seed, tmp_path):
+    # after every event each internal node is the float sum of its children
+    # and each leaf its count times its state's rate, exactly
+    if name == "multi-jump":
+        model = read_model_file(multi_jump_model_file(tmp_path))
+    else:
+        model = resolve_model(name)
+    cfg = ParticleConfig(model, positions)
+    index = cfg.index
+
+    def check():
+        tree = index.tree
+        assert all(tree[k] == tree[2 * k] + tree[2 * k + 1] for k in range(1, index.cap))
+        assert all(tree[index.cap + index.slot_of[x]] == len(lst) * model.jump_table(x)[2]
+                   for x, lst in cfg.members.items())
+
+    caps = {index.cap}
+    events = 0
+    for _ in _fv_events(cfg, RngStream(seed), until, FV_EVENT_CAP):
+        check()
+        caps.add(index.cap)
+        events += 1
+    check()
+    assert events > 1000
+    if name == "gw:1,2":
+        assert len(caps) > 2
 
 
 def _q(model, x, y):

@@ -159,13 +159,6 @@ class TestGaltonWatson:
         assert tv_distance(sol.nu, Distribution.from_weights(geo)) <= 1e-4
 
 
-class ScriptedUniforms:
-    """Stands in for a ``UniformBlock``: ``u()`` returns the given values in turn."""
-
-    def __init__(self, values):
-        self.u = iter(values).__next__
-
-
 RENEWAL = "renewal"
 
 
@@ -184,7 +177,7 @@ def step_law(d, x) -> dict:
     for lo, hi in zip(cuts, cuts[1:]):
         if hi > lo:
             history = [RENEWAL, x]
-            _advance(history, d, ScriptedUniforms([(lo + hi) / 2, 0.0]), 1)
+            _advance(history, d, iter([(lo + hi) / 2, 0.0]), 1)
             law[history[-1]] = law.get(history[-1], 0.0) + (hi - lo)
     return law
 

@@ -1,34 +1,52 @@
 import re
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
 
 from qsdsim import RngStream
-from qsdsim.rng import UniformBlock
+from qsdsim.rng import UniformBlock, uniforms
+
+
+# 64 + 128 + ... + 8192 = 16320 draws, then fixed 16384 chunks
+CHUNK_EDGES = [64, 192, 448, 960, 1984, 4032, 8128, 16320, 32704, 49088]
 
 
 @pytest.mark.parametrize("n", [1, 64, 65, 16447, 50000])
 def test_owned_block_matches_one_long_draw(n):
-    # 64 + 128 + ... + 8192 = 16320 draws, then fixed 16384 refills: each n
-    # stops in a different refill
+    # each n stops in a different chunk
     stream = RngStream(5, (2, 7))
-    block = UniformBlock(stream)
-    got = [block.u() for _ in range(n)]
+    got = list(islice(UniformBlock(stream), n))
     assert got == stream.generator().random(n).tolist()
+
+
+@pytest.mark.parametrize("n", sorted({e + d for e in CHUNK_EDGES for d in (-1, 0, 1)} | {3 << 14}))
+def test_iterator_matches_one_long_draw_on_and_across_chunk_edges(n):
+    stream = RngStream(9, (1,))
+    us = iter(UniformBlock(stream))
+    got = list(islice(us, n))
+    assert got == stream.generator().random(n).tolist()
+    # the next value continues the same draw
+    assert next(us) == stream.generator().random(n + 1)[-1]
 
 
 def test_owned_block_respects_a_small_size():
     stream = RngStream(6)
-    block = UniformBlock(stream, size=8)
-    got = [block.u() for _ in range(30)]
+    got = list(islice(UniformBlock(stream, size=8), 30))
     assert got == stream.generator().random(30).tolist()
 
 
-def test_block_exp_uses_the_next_uniform():
-    stream = RngStream(8)
-    block = UniformBlock(stream)
-    u = stream.generator().random(1)[0]
-    assert block.exp(2.0) == pytest.approx(-np.log1p(-u) / 2.0, rel=1e-15)
+def test_uniforms_draw_a_chunk_only_when_its_first_value_is_asked_for():
+    # other draws on the generator land between chunks, where the loop
+    # asked for the next value
+    gen = RngStream(3).generator()
+    us = uniforms(gen, repeat(4))
+    got = [next(us) for _ in range(4)]
+    got.append(gen.poisson(2.0))
+    got += [next(us) for _ in range(4)]
+    ref = RngStream(3).generator()
+    want = ref.random(4).tolist() + [ref.poisson(2.0)] + ref.random(4).tolist()
+    assert got == want
 
 
 SEEDS = [0, 1, 2**32 + 5, 2**63 - 1, 10**25]

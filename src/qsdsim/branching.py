@@ -162,7 +162,7 @@ class KsEstimate:
     alpha: float
 
 
-# Draws per refill.  They fix where each refill falls among the other draws
+# Draws per chunk.  They fix where each chunk falls among the other draws
 # on the attempt's generator, so changing them changes every seeded run.
 UNIFORM_BLOCK = 1 << 14
 OFFSPRING_ROWS = 1 << 10
@@ -171,10 +171,8 @@ OFFSPRING_ROWS = 1 << 10
 def _run_attempt(sm: ShiftedMeanMatrix, start: int, horizon: float, cap: int, stream: RngStream):
     """One attempt from a single individual, or None when it dies out.
 
-    The event whose time passes the horizon is still applied.  The state is
-    the prefix sums of the type counts, ``cum``: the dying individual's type
-    is the first whose prefix sum exceeds the pick, an offspring row is
-    added as its own prefix sums, and the counts are their differences.
+    The event whose time passes the horizon is still applied.  The dying
+    individual's type is the first whose prefix sum ``cum`` exceeds the pick.
     """
     gen = stream.generator()
     us = uniforms(gen, repeat(UNIFORM_BLOCK))
@@ -191,7 +189,9 @@ def _run_attempt(sm: ShiftedMeanMatrix, start: int, horizon: float, cap: int, st
     growth_log = [(0.0, 1)]
     events = 0
     log1p = math.log1p
-    for u_wait, u_pick in zip(us, us) if t < horizon else ():  # later passes end by break
+    # the horizon is checked before the first event only: every pass ends
+    # by break or return once it is reached
+    for u_wait, u_pick in zip(us, us) if t < horizon else ():
         t += -log1p(-u_wait) / total
         i = bisect_right(cum, u_pick * total)
         row = next(rows[i], None)

@@ -25,7 +25,7 @@ for label, model in (
 ):
     d = uniformize(model, rate=2.0 if label.startswith("two") else None)
     oracle = solve_qsd_discrete(d).nu
-    res = afp_run(d, start=d.states[0], steps=10**6, rng=RngStream(5), reference=oracle)
+    res = afp_run(d, start=d.model.states[0], steps=10**6, rng=RngStream(5), reference=oracle)
     print(f"{label}:")
     for cp, tv in zip(res.checkpoints, res.checkpoint_tv):
         print(f"  after {cp:>9,} steps: TV to oracle = {tv:.5f}")

@@ -87,7 +87,7 @@ def afp_run(
         raise ValueError("steps must be >= 1")
     if steps + 1 >= MASS_LIMIT:
         raise OverflowError("history mass would exceed the 2^62 bookkeeping limit")
-    if start not in d.index:
+    if start not in d.model.states:
         raise ValueError(f"start state {start} not in the window")
     if checkpoints is None:
         checkpoints = sorted({max(1, steps // 8), max(1, steps // 4), max(1, steps // 2), steps})

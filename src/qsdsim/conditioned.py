@@ -4,11 +4,12 @@ The law of the chain at time t conditioned on not yet being absorbed is the
 normalized linear flow mu e^{tQ} / |mu e^{tQ}| on the live states.  Jensen's
 uniformization writes e^{hQ} as a Poisson mixture of powers of a
 nonnegative matrix: a short series of nonnegative terms with an a-priori
-tail bound, on the live block's Q^T (``LiveBlock.generator_t``).  Where a
-step runs by matvecs, a grid time inside it costs one axpy per term on the
-step's own powers, not a series.  A QSD is exactly a stationary point of the
-flow, so the same module also evaluates the fixed-point residual and the
-absorption rate theta of a candidate distribution.
+tail bound, on the live block's Q^T (``LiveBlock.generator_t``), each step
+at most 0.1 / Lambda by :func:`uniformization_step`.  Where a step runs by
+matvecs, a grid time inside it costs one axpy per term on the step's own
+powers, not a series.  A QSD is exactly a stationary point of the flow, so
+the same module also evaluates the fixed-point residual and the absorption
+rate theta of a candidate distribution.
 """
 
 from __future__ import annotations
@@ -143,6 +144,24 @@ def _advance(qt, maxrate: float, step: float, v: np.ndarray, dt: float) -> np.nd
     return v
 
 
+def uniformization_step(model: AbsorbedChainModel, states, horizon: float,
+                        step: float | None) -> tuple[float, float]:
+    """(Lambda, step) of the flow over ``horizon`` on ``states``, Lambda the largest total rate.
+
+    ``step=None`` takes 0.1 / Lambda, or the horizon when Lambda = 0.  A
+    horizon or step that is not positive, or a step above 0.1 / Lambda by
+    more than a relative 1e-12, raises ``ValueError``.
+    """
+    maxrate = model.max_total_rate(states)
+    if step is None:
+        step = 0.1 / maxrate if maxrate > 0 else horizon
+    if not (step > 0 and horizon > 0):
+        raise ValueError("horizon and step must be positive")
+    if maxrate > 0 and step > 0.1 / maxrate * (1 + 1e-12):
+        raise ValueError(f"step {step} exceeds 0.1/max rate = {0.1 / maxrate:g}")
+    return maxrate, step
+
+
 def evolve_conditioned(
     model: AbsorbedChainModel,
     mu: Distribution,
@@ -154,7 +173,7 @@ def evolve_conditioned(
     """The conditioned law from mu over [0, horizon], by uniformization.
 
     Each step h <= 0.1 / Lambda (Lambda: the window's largest total rate;
-    ``step=None`` takes 0.1 / Lambda, or the horizon when Lambda = 0) applies
+    :func:`uniformization_step` checks ``step`` and fills in ``None``) applies
     e^{hQ_w} = sum_k Pois(k; Lambda h) P^k, P = I + Q_w / Lambda >= 0, as one
     step matrix when the window has fewer states than the run has steps, else
     by matvecs P^k u (CSR on a large window), then renormalizes.  The law is
@@ -171,13 +190,7 @@ def evolve_conditioned(
     states = model.state_window(truncation)
     if not set(mu.support) <= set(states):
         raise ValueError("truncation window does not cover the initial support")
-    maxrate = model.max_total_rate(states)
-    if step is None:
-        step = 0.1 / maxrate if maxrate > 0 else horizon
-    if step <= 0 or horizon <= 0:
-        raise ValueError("horizon and step must be positive")
-    if maxrate > 0 and step > 0.1 / maxrate + 1e-15:
-        raise ValueError(f"step {step} exceeds 0.1/max rate = {0.1 / maxrate:g}")
+    maxrate, step = uniformization_step(model, states, horizon, step)
     qt, near_idx = _window_operator(model, states)
 
     n_steps = max(1, int(math.ceil(horizon / step - 1e-9)))

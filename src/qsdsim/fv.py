@@ -457,6 +457,9 @@ def correlation_probe(
     """
     if replicas < 100:
         raise ValueError("use at least 100 replicas for a meaningful probe")
+    c0 = model.c0
+    if c0 is None:
+        raise ValueError("the model must declare C0 for the decorrelation bound")
     if init is None:
         init = Distribution.delta(model.states[0] if model.is_finite else 1)
     a = np.empty(replicas)
@@ -471,8 +474,5 @@ def correlation_probe(
     cov = float(np.mean(a * b) - np.mean(a) * np.mean(b))
     infl = (a - a.mean()) * (b - b.mean()) - cov
     stderr = float(infl.std(ddof=1) / math.sqrt(replicas))
-    c0 = model.c0
-    if c0 is None:
-        raise ValueError("the model must declare C0 for the decorrelation bound")
     bound = 2.0 * math.exp(2.0 * c0 * t) / n
     return CorrelationProbe(abs(cov), bound, stderr, replicas)

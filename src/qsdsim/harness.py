@@ -26,11 +26,11 @@ import numpy as np
 from .afp import afp_run
 from .branching import certifies_supercritical, ks_estimate
 from .chain import AbsorbedChainModel, Distribution, tv_distance
-from .conditioned import evolve_conditioned
+from .conditioned import evolve_conditioned, uniformization_step
 from .errors import ConfigInvalid, DegenerateInput, QsdError, RateTooSmall
 from .fv import fv_run, fv_stationary
 # perfbench/spans.py wraps uniformize and the solvers by their names in this module
-from .models import WINDOW_MAX_STATES, resolve_model, uniformization_rate, uniformize
+from .models import WINDOW_MAX_STATES, resolve_model, uniformize
 from .oracle import minimal_qsd_reference, solve_qsd_discrete, solve_qsd_power
 from .returnproc import coupled_tagged_run, phi_iterate
 from .rng import RngStream
@@ -458,18 +458,18 @@ def _cannot_run_together(cfg: ExperimentConfig, v: dict) -> list[str]:
         problems.append(f"state: the probed state {v['state']} lies outside the model's window")
     if method == "afp" and v["uniformization-rate"] is not None:
         try:
-            uniformization_rate(model, v["trunc"], v["uniformization-rate"])
+            uniformize(model, v["trunc"], v["uniformization-rate"])
         except RateTooSmall as err:
             problems.append(f"uniformization-rate: {err}")
     # evolve_conditioned runs over the horizon: the conditioned run, couple's
     # shared path, and the reference law of fixed-time fv and of scan
     if method in ("conditioned", "couple", "scan") or (method == "fv" and v["burnin"] == 0.0):
-        maxrate = model.max_total_rate(window)
-        if method == "conditioned" and v["dt"] is not None and maxrate > 0 \
-                and v["dt"] > 0.1 / maxrate + 1e-15:
-            problems.append(f"dt: must be at most 0.1/max rate = {0.1 / maxrate:g}, got {v['dt']}")
-        horizon = v["horizon"]
-        steps = horizon / (v.get("dt") or (0.1 / maxrate if maxrate > 0 else horizon))
+        horizon, step = v["horizon"], v.get("dt")
+        try:
+            step = uniformization_step(model, window, horizon, step)[1]
+        except ValueError as err:
+            problems.append(f"dt: {err}")
+        steps = horizon / step
         if steps > CONDITIONED_MAX_STEPS:
             problems.append(f"horizon: horizon / step = {steps:.3g} uniformization steps of the"
                             f" conditioned law, above {CONDITIONED_MAX_STEPS:.0e}")

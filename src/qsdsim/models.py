@@ -3,9 +3,9 @@
 Covers finite rate matrices given explicitly, birth-death walks with
 constant rates, the binary-split Galton-Watson population chain, and the
 uniformized discrete-time view that the history-renewal method walks: a
-window model and a rate, stepped from the window's ``jump_table``.  The two
-infinite families declare their minimal QSD nu* in closed form (van Doorn
-1991), in log space.
+window model and a rate, stepped from the window's ``jump_table``, whose
+constructor owns the rule for the rate.  The two infinite families declare
+their minimal QSD nu* in closed form (van Doorn 1991), in log space.
 """
 
 from __future__ import annotations
@@ -149,48 +149,31 @@ def build_galton_watson(spec: GaltonWatsonSpec) -> AbsorbedChainModel:
 
 
 class DiscreteChainModel:
-    """Uniformized chain P = I + Q/rate on the window ``model``.
+    """Uniformized chain P = I + Q/rate on the finite window ``model``.
 
     No matrix and no second table of rates is built: a walker steps from
     the window model's ``jump_table`` (see :func:`qsdsim.afp._advance`),
-    and the solvers read its live block.  ``kill[i]`` is the probability
-    of absorption from ``states[i]``.  ``model`` must be finite, and
-    :func:`uniformization_rate` checks ``rate`` on it (``None`` takes its
-    default).
+    and the solvers read its live block.  The constructor owns the rate
+    rule: the rate must be finite, positive and at least the window's
+    largest total rate up to a relative 1e-12, else :class:`RateTooSmall`
+    is raised.  ``None`` takes 1.05 x that maximum (1.0 when it is 0),
+    which keeps some holding probability, hence aperiodicity.
     """
 
     def __init__(self, model: AbsorbedChainModel, rate: float | None):
-        model, rate = uniformization_rate(model, None, rate)
-        b = model.live_block()
+        model.truncation_or_top(None)  # an infinite model raises: it needs a window
+        maxrate = model.max_total_rate(model.states)
+        if rate is None:
+            rate = 1.05 * maxrate if maxrate > 0 else 1.0
+        if not 0 < rate < math.inf or rate < maxrate * (1 - 1e-12):
+            raise RateTooSmall(f"uniformization rate {rate} must be finite and at least"
+                               f" the max total rate {maxrate}")
         self.model = model
         self.rate = rate
-        self.states = b.states
-        self.index = b.index
         self.name = f"unif({model.name},{rate:g})"
-        self.kill = b.absorb / rate
 
     def __repr__(self):
-        return f"DiscreteChainModel(name={self.name!r}, n={len(self.states)})"
-
-
-def uniformization_rate(
-    model: AbsorbedChainModel, truncation: int | None = None, rate: float | None = None
-) -> tuple[AbsorbedChainModel, float]:
-    """The window :func:`uniformize` runs on and the rate it uses there.
-
-    The window is ``restricted(truncation)`` (by default the finite model
-    itself), whose edge totals leave out the dropped jumps.  The rate must dominate
-    every total jump rate in the window, else :class:`RateTooSmall` is
-    raised; the default 1.05 x max keeps some holding probability, hence
-    aperiodicity.
-    """
-    finite = model.restricted(model.truncation_or_top(truncation))
-    maxrate = finite.max_total_rate(finite.states)
-    if rate is None:
-        rate = 1.05 * maxrate if maxrate > 0 else 1.0
-    if rate < maxrate - 1e-12:
-        raise RateTooSmall(f"uniformization rate {rate} < max total rate {maxrate}")
-    return finite, rate
+        return f"DiscreteChainModel(name={self.name!r}, n={len(self.model.states)})"
 
 
 def uniformize(
@@ -198,10 +181,11 @@ def uniformize(
 ) -> DiscreteChainModel:
     """Uniformized chain I + Q/rate of the (possibly truncated) model.
 
-    The left Perron vector is unchanged by uniformization, which is what
-    lets the discrete solver and history-renewal chain target the same QSD.
-    The window and the rate are those of :func:`uniformization_rate`.
-    Memory is O(jumps in the window): no n x n matrix is built.
+    The window is ``restricted(truncation)``, whose totals leave out the
+    dropped jumps, and :class:`DiscreteChainModel` checks ``rate`` on it.
+    Uniformization keeps the left Perron vector, so the discrete solver and
+    the history-renewal chain target the same QSD.  Memory is O(jumps in
+    the window): no n x n matrix is built.
     """
     return DiscreteChainModel(model.restricted(model.truncation_or_top(truncation)), rate)
 

@@ -23,9 +23,9 @@ block's shape:
   takes 3,716 steps (0.12 s) on 250 states, 34,656 (1.7 s) on 1000 and
   171,445 (26 s) on 3000, on the same host with one BLAS thread.
 
-:func:`solve_qsd_discrete` solves a uniformized chain P = I + Q/rate by the
-same routes on its window's generator, since P and Q share the left Perron
-vector, and maps the eigenvalue back to 1 + lambda/rate.
+:func:`solve_qsd_discrete` maps that solve on a uniformized chain's window:
+P = I + Q/rate keeps the left Perron vector, and lambda, theta and the
+residual map to 1 + lambda/rate, theta/rate and residual/rate.
 
 A is factored once by :func:`return_map_solver`: on a two-way path by
 ``_sweep``, the positive tridiagonal solve of the path route, elsewhere
@@ -299,11 +299,7 @@ def solve_qsd_power(
     state absorbs.
     """
     truncation = model.truncation_or_top(truncation)
-    return _solve_window(model.restricted(truncation), truncation, tol, max_iters)
-
-
-def _solve_window(finite: AbsorbedChainModel, truncation: int, tol: float, max_iters: int):
-    """:func:`solve_qsd_power` on a finite window model, read as it is."""
+    finite = model.restricted(truncation)
     states = finite.states
     check_irreducible(finite, states)
     b = finite.live_block()
@@ -322,30 +318,20 @@ def _solve_window(finite: AbsorbedChainModel, truncation: int, tol: float, max_i
                        truncation=truncation, iterations=iters, meta=meta)
 
 
-def solve_qsd_discrete(
-    d: DiscreteChainModel, tol: float = 1e-12, max_iters: int = 200_000
-) -> QsdSolution:
+def solve_qsd_discrete(d: DiscreteChainModel) -> QsdSolution:
     """Left Perron vector of a uniformized chain: nu P = rho nu, rho in (0, 1).
 
     P = I + Q/rate has the left Perron vector of the generator Q on its
-    window, so this is :func:`solve_qsd_power` on ``d.model`` mapped back:
-    the same nu, rho = 1 + lam/rate and theta = nu . kill.  ``residual`` is
-    the sup-norm defect of nu P = rho nu.  A window where no state kills
-    (I - P is then singular), or that is not strongly connected, raises
-    :class:`NotIrreducible`.
+    window, so this is :func:`solve_qsd_power` on ``d.model`` mapped by that
+    identity, and raises as it does.  nu, ``iterations`` and the truncation
+    are the generator's; rho = 1 + lam/rate; theta (the kill probability per
+    step) and ``residual`` are the generator's over rate.  That residual is
+    the continuous defect |nu Q + theta_of(nu) nu| / rate, which is the
+    defect of nu P = rho nu up to rounding in theta.
     """
-    if not (d.kill > 0).any():
-        raise NotIrreducible("no state of the discrete window kills, so I - P is singular")
-    sol = _solve_window(d.model, max(d.states), tol, max_iters)
-    rho = 1.0 + sol.lam / d.rate
-    b = d.model.live_block()
-    vec = sol.nu.as_vector(d.states)
-    moved = vec * (1.0 - b.total / d.rate)  # nu P
-    np.add.at(moved, b.dst, vec[b.src] * (b.rate / d.rate))
-    return replace(
-        sol, lam=rho, theta=float(vec @ d.kill), residual=float(np.abs(moved - rho * vec).max()),
-        meta={**sol.meta, "model": d.name},
-    )
+    sol = solve_qsd_power(d.model)
+    return replace(sol, lam=1.0 + sol.lam / d.rate, theta=sol.theta / d.rate,
+                   residual=sol.residual / d.rate, meta={**sol.meta, "model": d.name})
 
 
 def minimal_qsd_reference(model: AbsorbedChainModel) -> QsdSolution:

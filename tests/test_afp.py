@@ -58,7 +58,7 @@ class TestAfpStep:
         for k in range(500):
             afp_advance(history, t2_disc, RngStream(43, (k,)))
             assert len(history) == k + 2
-        assert history[0] == 1 and set(history) <= set(t2_disc.states)
+        assert history[0] == 1 and set(history) <= set(t2_disc.model.states)
 
 
 class TestAfpRun:

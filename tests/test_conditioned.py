@@ -121,6 +121,13 @@ class TestEvolveConditioned:
         with pytest.raises(ValueError, match="step"):
             evolve_conditioned(t2, Distribution.delta(2), 1.0, 0.2, 2)
 
+    def test_step_limit_is_relative_on_a_fast_chain(self):
+        # 0.1/Lambda = 3.3e-22: a step of 1e-15 is 3e6 times the limit, though
+        # within 1e-15 of it, and its Poisson weights would all underflow to 0
+        model = resolve_model("bd:1e20,2e20,5")
+        with pytest.raises(ValueError, match="exceeds 0.1/max rate"):
+            evolve_conditioned(model, Distribution.delta(1), 1e-15, 1e-15, 5)
+
     def test_truncation_leak_detected(self):
         # strong upward drift piles mass against the cut: must be flagged
         model = build_birth_death(BirthDeathSpec(3.0, 1.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsdsim import (
+    AbsorbedChainModel,
     Distribution,
     GaltonWatsonSpec,
     ParticleConfig,
@@ -18,6 +19,7 @@ from qsdsim import (
     resolve_model,
     tv_distance,
 )
+from qsdsim import fv
 from qsdsim.errors import DeadConfig, NegativeRate
 from qsdsim.fv import FV_EVENT_CAP, _RateIndex, _fv_events
 from qsdsim.returnproc import coupled_tagged_run, fv_run_graphical
@@ -420,3 +422,10 @@ class TestCorrelationProbe:
     def test_replica_floor(self, t2):
         with pytest.raises(ValueError):
             correlation_probe(t2, 10, 1.0, 1, 2, 10, RngStream(0))
+
+    def test_undeclared_c0_is_refused_before_any_replica(self, monkeypatch):
+        # an infinite walk that declares no C0 has no bound to compare against
+        walk = AbsorbedChainModel(lambda x: [(x + 1, 1.0)], lambda x: 1.0 if x == 1 else 0.0)
+        monkeypatch.setattr(fv, "fv_run", lambda *a, **k: pytest.fail("a replica ran"))
+        with pytest.raises(ValueError, match="must declare C0"):
+            correlation_probe(walk, 50, 1.0, 1, 2, 400, RngStream(3))

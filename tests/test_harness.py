@@ -384,7 +384,7 @@ class TestCli:
 
     def test_afp_at_a_rate_inside_the_slack_exits_0(self, tmp_path):
         # 2 - 1e-13 is below two-state's largest total rate 2 by less than the
-        # 1e-12 slack the config check allows, so the run must not reject it
+        # relative 1e-12 slack of the rate rule, so the run must not reject it
         argv = ["afp", "--model", "two-state", "--steps", "10", "--start", "1",
                 "--uniformization-rate", "1.9999999999999", "--out-dir", str(tmp_path)]
         assert cli_main(argv) == 0
@@ -532,6 +532,10 @@ class TestCli:
              "--burnin", "2", "--grid", "7"],
             ["fv", "--model", "two-state", "--particles", "10", "--horizon", "20",
              "--burnin", "2", "--grid", "1e-5"],
+            ["afp", "--model", "file:slow.qsd", "--steps", "1000", "--start", "1",
+             "--uniformization-rate", "1e-15"],
+            ["conditioned", "--model", "bd:1e20,2e20,5", "--init", "delta:1",
+             "--horizon", "1e-15", "--dt", "1e-15"],
         ],
         ids=[
             "couple-zero-replicas", "fv-negative-replicas", "scan-one-replica", "couple-infinite",
@@ -557,9 +561,13 @@ class TestCli:
             "conditioned-init-uniform-no-range", "conditioned-init-pair-no-mass",
             "conditioned-init-uniform-three-ends", "conditioned-init-delta-not-integer",
             "conditioned-init-uniform-empty", "fv-stationary-grid", "fv-stationary-fine-grid",
+            "afp-rate-below-slow-chain", "conditioned-step-above-fast-chain-limit",
         ],
     )
-    def test_unworkable_run_exits_2(self, argv, tmp_path, capsys):
+    def test_unworkable_run_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        # slow.qsd: every rate 1e-14, so the largest total rate is 2e-14
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "slow.qsd").write_text("qsdmodel v1\n1 2 1e-14\n2 1 1e-14\n1 0 1e-14\n")
         assert cli_main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
@@ -669,6 +677,23 @@ class TestCli:
         assert cli_main(argv) == code
         if code == 3:
             assert "DeadConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["two-state", "bd:1e20,2e20,40"])
+    @pytest.mark.parametrize("factor", [1 - 1e-13, 1 + 1e-13, 1 + 1e-9])
+    def test_harness_refuses_the_steps_the_flow_refuses(self, model, factor, tmp_path):
+        # the step rule has one owner: dt at 0.1/Lambda (1 +- 1e-13) lies inside
+        # its relative 1e-12 slack, dt at 0.1/Lambda (1 + 1e-9) does not
+        m = resolve_model(model)
+        dt = 0.1 / m.max_total_rate(m.states) * factor
+        try:
+            evolve_conditioned(m, Distribution.delta(1), 4 * dt, dt, max(m.states))
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == (factor > 1 + 1e-12)
+        argv = ["conditioned", "--model", model, "--init", "delta:1", "--horizon", repr(4 * dt),
+                "--dt", repr(dt), "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == (2 if refused else 0)
 
     def test_config_file_zero_replicas_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

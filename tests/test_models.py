@@ -21,7 +21,6 @@ from qsdsim import (
 )
 from qsdsim.afp import _advance
 from qsdsim.errors import NegativeRate, RateTooSmall, SelfLoop, SupercriticalSpec
-from qsdsim.models import uniformization_rate
 
 from conftest import column_bound, multi_jump_model_file, reference_bounds
 
@@ -186,22 +185,34 @@ class TestUniformize:
     def test_t2_explicit_rate(self, t2):
         # P = [[0, 0.5], [0.5, 0.5]] and kill (0.5, 0): state 1 never holds
         d = uniformize(t2, rate=2.0)
-        assert d.states == (1, 2)
+        assert d.model.states == (1, 2)
         assert step_law(d, 1) == {RENEWAL: 0.5, 2: 0.5}
         assert step_law(d, 2) == {1: 0.5, 2: 0.5}
-        assert d.kill.tolist() == [0.5, 0.0]
 
     def test_t1(self, t1):
         d = uniformize(t1, rate=1.0)
         assert step_law(d, 1) == {RENEWAL: 1.0}
-        assert d.kill.tolist() == [1.0]
 
     def test_rate_too_small(self, t2):
         with pytest.raises(RateTooSmall):
             uniformize(t2, rate=1.0)
 
+    @pytest.mark.parametrize("rate", [0.0, math.inf, math.nan])
+    def test_rate_that_gives_no_uniformization(self, t2, rate):
+        # P = I + Q/rate is no substochastic matrix at these rates
+        with pytest.raises(RateTooSmall):
+            uniformize(t2, rate=rate)
+
+    def test_slack_is_relative_on_a_slow_chain(self):
+        # largest total rate 2e-14: 1e-15 is twenty times too small, though
+        # within 1e-12 of it; 2e-14 (1 - 1e-13) lies inside the relative slack
+        slow = build_finite({(1, 2): 1e-14, (2, 1): 1e-14, (1, 0): 1e-14})
+        with pytest.raises(RateTooSmall):
+            uniformize(slow, rate=1e-15)
+        assert uniformize(slow, rate=2e-14 * (1 - 1e-13)).rate == 2e-14 * (1 - 1e-13)
+
     def test_constructor_checks_its_rate_with_the_same_slack(self, t2):
-        # a direct DiscreteChainModel applies uniformization_rate's rule, 1e-12 slack included
+        # a direct DiscreteChainModel applies uniformize's rule, relative 1e-12 slack included
         with pytest.raises(RateTooSmall):
             DiscreteChainModel(t2, 2.0 - 1e-9)
         assert DiscreteChainModel(t2, 2.0 - 1e-13).rate == 2.0 - 1e-13
@@ -211,11 +222,11 @@ class TestUniformize:
     def test_rate_is_checked_on_the_restricted_window(self):
         # bd:1,2 restricted to {1} drops the birth jump: its largest total rate is 2, not 3
         model = resolve_model("bd:1,2")
-        window, rate = uniformization_rate(model, 1)
-        assert window.states == (1,) and rate == 1.05 * 2.0
+        d = uniformize(model, 1)
+        assert d.model.states == (1,) and d.rate == 1.05 * 2.0
         assert uniformize(model, 1, rate=2.0).rate == 2.0
         with pytest.raises(RateTooSmall):
-            uniformization_rate(model, 1, rate=2.0 - 1e-9)
+            uniformize(model, 1, rate=2.0 - 1e-9)
 
     @pytest.mark.parametrize("spec", ["bd:1,2", "gw:1,2"])
     def test_infinite_model_needs_a_truncation(self, spec):
@@ -292,15 +303,15 @@ def test_uniformize_matches_reference_loop(name, truncation, rate, tmp_path):
     assert d.name.endswith(f",{used:g})")
     # one step of the walker sends u to each state, the hold included, with
     # the mass of the reference row, and to the renewal draw with the kill mass
-    for i, x in enumerate(d.states):
+    states = d.model.states
+    for i, x in enumerate(states):
         law = step_law(d, x)
-        row = np.zeros(len(d.states))
+        row = np.zeros(len(states))
         for y, m in law.items():
             if y != RENEWAL:
-                row[d.index[y]] = m
+                row[states.index(y)] = m
         assert np.abs(row - sub[i]).max() <= 1e-12
         assert abs(law.get(RENEWAL, 0.0) - kill[i]) <= 1e-12
-    assert d.kill.tobytes() == kill.tobytes()
 
 
 def test_uniformize_memory_is_linear_in_the_window():

@@ -325,8 +325,8 @@ class TestSolveDiscrete:
     def test_periodic_two_cycle_fails_over(self):
         # the cycle never kills, so I - P is singular: P = [[0, 1], [1, 0]]
         d = uniformize(build_finite({(1, 2): 1.0, (2, 1): 1.0}), rate=1.0)
-        with pytest.raises(NotIrreducible, match="kills"):
-            solve_qsd_discrete(d, max_iters=500)
+        with pytest.raises(NotIrreducible, match="absorbs"):
+            solve_qsd_discrete(d)
 
     def test_periodic_chain_with_killing(self):
         # 1 -> 2 -> 3 -> 1 survives the loop with probability a: nu P = rho nu
@@ -359,8 +359,29 @@ class TestSolveDiscrete:
         with pytest.raises(NotIrreducible):
             solve_qsd_discrete(d)
 
+    @pytest.mark.parametrize("name", ["two-state", "bd:1,2,30", "multi-jump", "large"])
+    @pytest.mark.parametrize("scale", [None, 1.5])
+    def test_mapped_from_the_continuous_solve(self, name, scale, tmp_path):
+        # P = I + Q/r keeps the left Perron vector: the discrete solution is the
+        # generator's on the same window, eigenvalue, theta and residual mapped
+        if name == "multi-jump":
+            m = read_model_file(multi_jump_model_file(tmp_path))
+        elif name == "large":  # not a two-way path: the inverse route
+            m = read_model_file(large_model_file(tmp_path, 250))
+        else:
+            m = resolve_model(name)
+        d = uniformize(m, rate=None if scale is None else scale * m.max_total_rate(m.states))
+        r = d.rate
+        cont, disc = solve_qsd_power(m), solve_qsd_discrete(d)
+        assert disc.nu == cont.nu and disc.iterations == cont.iterations
+        assert disc.meta["solver"] == cont.meta["solver"]
+        assert disc.lam == 1.0 + cont.lam / r
+        assert abs(disc.theta - theta_of(m, disc.nu) / r) <= 1e-9
+        assert disc.residual == qsd_residual(m, disc.nu).sup_norm / r
+        assert disc.residual <= 1e-10
+
     def test_theta_from_kill_column(self, t2):
-        # theta recovered as nu . kill * rate on the uniformized skeleton
+        # the kill probability per step, times the rate, is the continuous theta
         d = uniformize(t2, rate=2.0)
         sol = solve_qsd_discrete(d)
         assert 2.0 * sol.theta == pytest.approx(-T2_LAMBDA, abs=1e-9)
